@@ -3,8 +3,8 @@
 Brute-force verification walks entire permutation groups and face lattices;
 the guards below refuse anything whose raw count exceeds a configurable
 ceiling so a mistyped CLI argument fails fast instead of spinning.  The
-environment variable EULERIAN_LAB_BUDGET (a single integer) replaces both
-built-in ceilings when set.
+environment variable EULERIAN_LAB_BUDGET (a single nonnegative integer)
+replaces both built-in ceilings when set.
 """
 
 from __future__ import annotations
@@ -26,9 +26,12 @@ def _limit(default: int) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ValueError(f"{_ENV_VAR} must be an integer, got {raw!r}") from None
+    if value < 0:
+        raise ValueError(f"{_ENV_VAR} must be nonnegative, got {value}")
+    return value
 
 
 def group_limit() -> int:

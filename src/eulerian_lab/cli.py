@@ -365,6 +365,17 @@ def _cmd_ft_from_family(args: argparse.Namespace) -> int:
     return 0
 
 
+def _size(text: str) -> int:
+    """argparse type for --n, --r and --samples: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=("json", "csv", "text"), default="text"
@@ -388,15 +399,15 @@ def build_parser() -> argparse.ArgumentParser:
         + sorted(_TWO_INDEX_FAMILIES)
         + ["qstar", "generic-h", "generic-l"],
     )
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_size, required=True)
     _add_common(p)
     p.set_defaults(fn=_cmd_table)
 
     p = sub.add_parser(
         "verify-identities", help="run the identity and enumeration suites"
     )
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--r", type=int, default=2)
+    p.add_argument("--n", type=_size, default=6)
+    p.add_argument("--r", type=_size, default=2)
     p.add_argument("--part", choices=("families", "geometry", "all"), default="all")
     _add_common(p)
     p.set_defaults(fn=_cmd_verify_identities)
@@ -405,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
         "sample-theorem1",
         help="sampled certification of the transform theorems",
     )
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--n", type=_size, default=8)
+    p.add_argument("--samples", type=_size, default=100)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(fn=_cmd_sample_theorem1)
@@ -421,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
     )
     p.add_argument("--ft-file", default=None, help="load an f-triangle JSON file")
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--r", type=int, default=2)
+    p.add_argument("--n", type=_size, default=6)
+    p.add_argument("--r", type=_size, default=2)
     p.add_argument("--part", choices=("a", "b", "both"), default="both")
     _add_common(p)
     p.set_defaults(fn=_cmd_check_conjecture)
@@ -433,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("trivial", "barycentric", "esd", "colored", "antiprism"),
     )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, default=2)
+    p.add_argument("--n", type=_size, required=True)
+    p.add_argument("--r", type=_size, default=2)
     _add_common(p)
     p.set_defaults(fn=_cmd_dump_complex)
 
@@ -446,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("trivial", "barycentric", "esd", "colored"),
     )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, default=2)
+    p.add_argument("--n", type=_size, required=True)
+    p.add_argument("--r", type=_size, default=2)
     _add_common(p)
     p.set_defaults(fn=_cmd_ft_from_family)
 

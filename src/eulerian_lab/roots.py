@@ -1,10 +1,33 @@
 """Exact real root analysis built on Sturm chains.
 
-Everything here is decided in rational arithmetic: distinct root counts
-over half open intervals (lo, hi], real rootedness, isolating intervals
-with multiplicities, and the interlacing partial order on real rooted
-polynomials.  No floating point enters at any stage, so answers are exact
-even for roots that are irrational or very close together.
+Everything here is decided exactly, without floating point: distinct root
+counts over half open intervals (lo, hi], real rootedness, isolating
+intervals with multiplicities, and the interlacing partial order on real
+rooted polynomials.
+
+The decisions never isolate a root.  They run on primitive integer
+coefficient tuples (a private kernel below: sign preserving pseudo
+remainders, gcds by primitive remainder sequences, squarefree parts, Yun
+decompositions and Sturm chains) and read Sturm signs at -inf and +inf
+only.  A polynomial is real rooted when its Sturm chain counts as many
+distinct real roots as it has distinct roots.  Interlacing rests on two
+facts:
+
+* the Wronskian criterion: for real rooted p, q with positive leading
+  coefficients, p interlaces q exactly when W = p'q - pq' <= 0 on the whole
+  real line (P. Braenden, "Unimodality, log-concavity, real-rootedness and
+  beyond", Handbook of Enumerative Combinatorics, 2015);
+* common factors: p interlaces q exactly when p/g interlaces q/g for
+  g = gcd(p, q), provided neither quotient keeps a repeated root; a root
+  whose multiplicities in p and q differ by two or more breaks the
+  alternation (S. Fisk, "Polynomials, roots, and interlacing",
+  arXiv:math/0612833).
+
+W <= 0 everywhere holds when W is zero, or when W has even degree, a
+negative leading coefficient, and no real root of odd multiplicity; the
+last condition is a Sturm count at +-inf on each odd multiplicity factor
+of the Yun decomposition of W.  Root isolation (``isolate_roots``) is kept
+as a separate, independent route and serves as the test oracle.
 """
 
 from __future__ import annotations
@@ -20,10 +43,8 @@ from .poly import (
     Poly,
     is_gamma_positive,
     is_unimodal,
-    poly_gcd,
     reciprocal,
     squarefree_decomposition,
-    squarefree_part,
     symmetric_decomposition,
 )
 
@@ -40,35 +61,182 @@ __all__ = [
     "interlacing_symmetric_decomposition",
 ]
 
+# Entries kept by the is_real_rooted cache.  Callers reuse a verdict within
+# one row or one sample; a bound keeps long sampling runs from growing it.
+_REAL_ROOTED_CACHE_SIZE = 512
 
-def _int_primitive(p: Poly) -> Poly:
-    """Rescale by a positive rational to coprime integer coefficients.
+# -- integer kernel ------------------------------------------------------------
+#
+# A polynomial is a tuple of ints, low degree first, without trailing zeros;
+# () is zero.  Contents and pseudo-division factors are divided out or
+# multiplied in as positive integers only, so each tuple has the sign of the
+# rational polynomial it stands for at every point, and Sturm sign counts on
+# it are exact.
 
-    Positive rescaling preserves signs everywhere, which is all the Sturm
-    machinery cares about.
-    """
+IntPoly = tuple[int, ...]
+
+
+def _primitive(cs: Sequence[int]) -> IntPoly:
+    """Strip trailing zeros and divide out the (positive) content."""
+    n = len(cs)
+    while n and not cs[n - 1]:
+        n -= 1
+    content = math.gcd(*cs[:n])
+    if content <= 1:
+        return tuple(cs[:n])
+    return tuple(c // content for c in cs[:n])
+
+
+def _int_poly(p: Poly) -> IntPoly:
+    """p rescaled by a positive rational to primitive integer coefficients."""
     if p.is_zero():
-        return p
+        return ()
     lcm = math.lcm(*(c.denominator for c in p.coeffs))
-    gcd = math.gcd(*(c.numerator for c in p.coeffs))
-    scale = Fraction(lcm, gcd)
-    return Poly(c * scale for c in p.coeffs)
+    return _primitive([c.numerator * (lcm // c.denominator) for c in p.coeffs])
 
 
-@lru_cache(maxsize=None)
-def _sturm_chain(p: Poly) -> tuple[Poly, ...]:
-    # p must be squarefree; each remainder is rescaled positively to keep
-    # integer coefficients small without disturbing sign variations
-    chain = [_int_primitive(p)]
-    d = p.derivative()
-    while not d.is_zero():
-        chain.append(_int_primitive(d))
-        d = -(chain[-2] % chain[-1])
-    return tuple(chain)
+def _neg(f: IntPoly) -> IntPoly:
+    return tuple(-c for c in f)
 
 
-def _sign(x: Fraction) -> int:
+def _derivative(f: IntPoly) -> IntPoly:
+    return tuple(i * c for i, c in enumerate(f) if i)
+
+
+def _sub(a: IntPoly, b: IntPoly) -> IntPoly:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _mul(a: IntPoly, b: IntPoly) -> IntPoly:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def _prem(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Primitive part of a positive multiple of the remainder of a by b != 0.
+
+    Each elimination step scales the running remainder by a positive
+    factor (|lc b| over its gcd with the current leading coefficient), so
+    the result has the sign of the rational remainder everywhere.
+    """
+    db = len(b) - 1
+    lb = b[-1]
+    if lb < 0:
+        b, lb = _neg(b), -lb
+    r = list(a)
+    while len(r) > db:
+        lr = r[-1]
+        g = math.gcd(lb, lr)
+        mb, mr = lb // g, lr // g
+        if mb != 1:
+            r = [mb * c for c in r]
+        shift = len(r) - 1 - db
+        for j in range(db):
+            r[shift + j] -= mr * b[j]
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return _primitive(r)
+
+
+def _gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Primitive gcd with a positive leading coefficient; gcd(0, 0) = ()."""
+    while b:
+        a, b = b, _prem(a, b)
+    a = _primitive(a)
+    return _neg(a) if a and a[-1] < 0 else a
+
+
+def _quo(a: IntPoly, b: IntPoly) -> IntPoly:
+    """a / b for a primitive b that divides a over the rationals.
+
+    By Gauss's lemma the quotient has integer coefficients, so every step
+    of the long division is an exact integer division.
+    """
+    db = len(b) - 1
+    lb = b[-1]
+    r = list(a)
+    q = [0] * (len(a) - db)
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + db] // lb
+        if c:
+            q[i] = c
+            for j, bc in enumerate(b):
+                r[i + j] -= c * bc
+    if any(r):
+        raise ArithmeticError("polynomial division is not exact")
+    return tuple(q)
+
+
+def _squarefree_part(f: IntPoly) -> IntPoly:
+    return _quo(f, _gcd(f, _derivative(f)))
+
+
+def _has_repeated_root(f: IntPoly) -> bool:
+    return len(_gcd(f, _derivative(f))) > 1
+
+
+def _yun(f: IntPoly) -> list[tuple[IntPoly, int]]:
+    """Yun's squarefree decomposition of a nonconstant f: pairs (a_i, i)
+    with f a nonzero multiple of the product of the a_i^i.
+
+    The quotients stay integral because every divisor is a primitive gcd,
+    and they keep the scale that the relation z = y - w' needs.
+    """
+    df = _derivative(f)
+    g = _gcd(f, df)
+    w, y = _quo(f, g), _quo(df, g)
+    z = _sub(y, _derivative(w))
+    out = []
+    i = 1
+    while len(w) > 1:
+        h = _gcd(w, z)
+        if len(h) > 1:
+            out.append((h, i))
+        w, y = _quo(w, h), _quo(z, h)
+        z = _sub(y, _derivative(w))
+        i += 1
+    return out
+
+
+def _sturm_chain(f: IntPoly) -> list[IntPoly]:
+    """Signed remainder sequence f, f', -rem, ... of a nonconstant f, each
+    entry a positive multiple of the rational one.  Its last entry is
+    gcd(f, f') up to a nonzero constant, so on a squarefree f it is the
+    classical Sturm chain."""
+    chain = [f]
+    d = _primitive(_derivative(f))
+    while d:
+        chain.append(d)
+        d = _neg(_prem(chain[-2], d))
+    return chain
+
+
+def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
+
+
+def _sign_at(f: IntPoly, x: Fraction) -> int:
+    """Sign of f(x) for rational x = a/b, b > 0: the sign of b^d f(a/b),
+    evaluated by a homogeneous integer Horner scheme."""
+    a, b = x.numerator, x.denominator
+    acc = 0
+    scale = 1
+    for c in reversed(f):
+        acc = acc * a + c * scale
+        scale *= b
+    return _sign(acc)
 
 
 def _variations(signs: Iterable[int]) -> int:
@@ -83,16 +251,24 @@ def _variations(signs: Iterable[int]) -> int:
     return out
 
 
-def _variations_at(chain: Sequence[Poly], x: Fraction) -> int:
-    return _variations(_sign(f.evaluate(x)) for f in chain)
+def _variations_at(chain: Sequence[IntPoly], x: Fraction) -> int:
+    return _variations(_sign_at(f, x) for f in chain)
 
 
-def _variations_neg_inf(chain: Sequence[Poly]) -> int:
-    return _variations(_sign(f.leading()) * (-1 if f.deg() % 2 else 1) for f in chain)
+def _variations_neg_inf(chain: Sequence[IntPoly]) -> int:
+    return _variations(_sign(f[-1]) * (-1 if len(f) % 2 == 0 else 1) for f in chain)
 
 
-def _variations_pos_inf(chain: Sequence[Poly]) -> int:
-    return _variations(_sign(f.leading()) for f in chain)
+def _variations_pos_inf(chain: Sequence[IntPoly]) -> int:
+    return _variations(_sign(f[-1]) for f in chain)
+
+
+def _real_root_count(chain: Sequence[IntPoly]) -> int:
+    """Distinct real roots of chain[0], from the signs at -inf and +inf."""
+    return _variations_neg_inf(chain) - _variations_pos_inf(chain)
+
+
+# -- public decisions ----------------------------------------------------------
 
 
 def sturm_distinct_real_roots(
@@ -109,26 +285,33 @@ def sturm_distinct_real_roots(
         raise ValueError("the zero polynomial has every point as a root")
     if lo is not None and hi is not None and Fraction(lo) > Fraction(hi):
         raise ValueError("need lo <= hi")
-    sq = squarefree_part(p)
-    if sq.deg() <= 0:
+    if p.deg() <= 0:
         return 0
-    chain = _sturm_chain(sq)
+    chain = _sturm_chain(_squarefree_part(_int_poly(p)))
     va = _variations_neg_inf(chain) if lo is None else _variations_at(chain, Fraction(lo))
     vb = _variations_pos_inf(chain) if hi is None else _variations_at(chain, Fraction(hi))
     return va - vb
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_REAL_ROOTED_CACHE_SIZE)
 def is_real_rooted(p: Poly) -> bool:
     """Whether all complex roots of p are real.
 
     The zero polynomial and nonzero constants count as real rooted (there
-    is nothing to check).
+    is nothing to check).  Decided by one signed remainder sequence: p has
+    deg p - deg gcd(p, p') distinct roots, and they are all real when the
+    Sturm count at -inf and +inf finds that many.
     """
     if p.deg() <= 0:
         return True
-    sq = squarefree_part(p)
-    return sturm_distinct_real_roots(sq) == sq.deg()
+    chain = _sturm_chain(_int_poly(p))
+    return _real_root_count(chain) == p.deg() - (len(chain[-1]) - 1)
+
+
+# -- root isolation -----------------------------------------------------------
+#
+# Bisection on Sturm counts at rational points, then pairwise refinement.
+# Only isolate_roots uses it; the decisions above never isolate a root.
 
 
 def _root_bound_pow2(p: Poly) -> int:
@@ -147,7 +330,7 @@ def _isolate_squarefree(p: Poly) -> list[tuple[Fraction, Fraction]]:
     """
     if p.deg() <= 0:
         return []
-    chain = _sturm_chain(p)
+    chain = _sturm_chain(_int_poly(p))
     bound = _root_bound_pow2(p)
     a, b = Fraction(-bound), Fraction(bound)
     out: list[tuple[Fraction, Fraction]] = []
@@ -158,7 +341,7 @@ def _isolate_squarefree(p: Poly) -> list[tuple[Fraction, Fraction]]:
         if cnt == 0:
             continue
         if cnt == 1:
-            if p.evaluate(hi) == 0:
+            if _sign_at(chain[0], hi) == 0:
                 out.append((hi, hi))
             else:
                 out.append((lo, hi))
@@ -286,52 +469,6 @@ def isolate_roots(
     return tuple(out)
 
 
-def _mult_in(rec: _RootRec, factors: Sequence[tuple[Poly, int]]) -> int:
-    # rec isolates one root of the combined source product strictly inside
-    # the open interval (lo, hi); the endpoint hi may carry a different
-    # record's root, so it must not count toward membership
-    for f, mult in factors:
-        if rec.is_point():
-            if f.evaluate(rec.lo) == 0:
-                return mult
-        else:
-            inside = sturm_distinct_real_roots(f, rec.lo, rec.hi)
-            if f.evaluate(rec.hi) == 0:
-                inside -= 1
-            if inside == 1:
-                return mult
-    raise AssertionError("isolated root does not belong to any factor")
-
-
-def _merged_root_lists(p: Poly, q: Poly) -> tuple[list[int], list[int]]:
-    """Descending root lists of p and q with multiplicity, encoded as
-    positions in one shared total order so equality of shared roots and
-    comparisons of distinct roots are both exact."""
-    sp, sq = squarefree_part(p), squarefree_part(q)
-    g = poly_gcd(sp, sq)
-    parts = [
-        (g, True, True),
-        (sp.exact_div(g), True, False),
-        (sq.exact_div(g), False, True),
-    ]
-    parts = [t for t in parts if t[0].deg() > 0]
-    recs = _separated_roots([t[0] for t in parts])
-    yun_p = squarefree_decomposition(p)
-    yun_q = squarefree_decomposition(q)
-    a_list: list[int] = []
-    b_list: list[int] = []
-    for idx, rec in enumerate(recs):
-        _, in_p, in_q = parts[rec.source]
-        if in_p:
-            a_list.extend([idx] * _mult_in(rec, yun_p))
-        if in_q:
-            b_list.extend([idx] * _mult_in(rec, yun_q))
-    a_list.reverse()
-    b_list.reverse()
-    assert len(a_list) == p.deg() and len(b_list) == q.deg()
-    return a_list, b_list
-
-
 def interlaces(p: Poly, q: Poly) -> bool:
     """Decide whether p interlaces q (p below q in the interlacing order).
 
@@ -341,6 +478,16 @@ def interlaces(p: Poly, q: Poly) -> bool:
     polynomial interlaces every real rooted polynomial and conversely, and
     a nonzero constant interlaces exactly the polynomials of degree <= 1.
     Shared roots and repeated roots are compared exactly.
+
+    No root is isolated.  After the checks on degrees and real rootedness,
+    both polynomials are divided by g = gcd(p, q); a quotient with a
+    repeated root means some root has multiplicities in p and q that differ
+    by two or more, which no alternation allows (Fisk).  Otherwise p/g
+    interlaces q/g exactly when p interlaces q, and with both leading
+    coefficients made positive that holds exactly when the Wronskian
+    W = p'q - pq' of the quotients is <= 0 on the real line (Braenden):
+    W is zero, or W has even degree, a negative leading coefficient and no
+    real root of odd multiplicity.
     """
     if p.is_zero():
         return is_real_rooted(q)
@@ -352,9 +499,26 @@ def interlaces(p: Poly, q: Poly) -> bool:
         return False
     if not (is_real_rooted(p) and is_real_rooted(q)):
         return False
-    a_list, b_list = _merged_root_lists(p, q)
-    return all(b_list[i] >= a_list[i] for i in range(len(a_list))) and all(
-        a_list[i] >= b_list[i + 1] for i in range(len(b_list) - 1)
+    f, h = _int_poly(p), _int_poly(q)
+    g = _gcd(f, h)
+    f, h = _quo(f, g), _quo(h, g)
+    if _has_repeated_root(f) or _has_repeated_root(h):
+        return False
+    if f[-1] < 0:
+        f = _neg(f)
+    if h[-1] < 0:
+        h = _neg(h)
+    w = _sub(_mul(_derivative(f), h), _mul(f, _derivative(h)))
+    if not w:
+        return True
+    # odd degree would also show up as an odd multiplicity real root below,
+    # but the parity test is free
+    if len(w) % 2 == 0 or w[-1] > 0:
+        return False
+    return all(
+        _real_root_count(_sturm_chain(factor)) == 0
+        for factor, mult in _yun(w)
+        if mult % 2
     )
 
 

@@ -182,6 +182,11 @@ class TestBudgetAndErrors:
         code, _, err = run(capsys, "table", "--family", "A", "--n", "2")
         assert code == 2 and "EULERIAN_LAB_BUDGET" in err
 
+    def test_negative_budget_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("EULERIAN_LAB_BUDGET", "-5")
+        code, _, err = run(capsys, "table", "--family", "A", "--n", "2")
+        assert code == 2 and "EULERIAN_LAB_BUDGET" in err
+
     def test_budget_exhaustion(self, capsys, monkeypatch):
         monkeypatch.setenv("EULERIAN_LAB_BUDGET", "5")
         code, _, err = run(capsys, "verify-identities", "--n", "6",
@@ -192,6 +197,29 @@ class TestBudgetAndErrors:
         with pytest.raises(SystemExit) as exc:
             main(["table", "--family", "A"])  # missing --n
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "--family", "B", "--n", "-1"),
+            ("verify-identities", "--r", "-1"),
+            ("sample-theorem1", "--samples", "-1"),
+            ("check-conjecture", "--family", "barycentric", "--n", "-1"),
+            ("dump-complex", "--family", "esd", "--n", "2", "--r", "-1"),
+            ("ft-from-family", "--family", "trivial", "--n", "-1"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_size_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "must be nonnegative" in capsys.readouterr().err
+
+    def test_negative_seed_accepted(self, capsys):
+        code, out, _ = run(capsys, "sample-theorem1", "--n", "3", "--samples",
+                           "1", "--seed", "-1")
+        assert code == 0 and out
 
 
 class TestConsoleScript:

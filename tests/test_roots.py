@@ -1,11 +1,12 @@
 """Sturm counting, root isolation and interlacing decisions."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from eulerian_lab.errors import CertificationError
-from eulerian_lab.poly import ONE, X, ZERO, Poly, reciprocal
+from eulerian_lab.poly import ONE, X, ZERO, Poly, poly_gcd, reciprocal, squarefree_part
 from eulerian_lab.roots import (
     interlaces,
     interlaces_checked,
@@ -16,7 +17,8 @@ from eulerian_lab.roots import (
     isolate_roots,
     sturm_distinct_real_roots,
 )
-from eulerian_lab.transforms import eulerian, qnk
+from eulerian_lab.suites import binomial_base, theorem1_sample_cases
+from eulerian_lab.transforms import eulerian, generic_hnk, generic_lnk, qnk
 
 
 def P(*coeffs) -> Poly:
@@ -136,6 +138,138 @@ class TestInterlaces:
     def test_failure_pairs(self):
         seq = [P(1, 2, 1), P(0, 1, 1), P(0, 0, 1)]
         assert interlacing_failures(seq) == [(0, 2)]
+
+
+def root_list_interlaces(p: Poly, q: Poly) -> bool:
+    """Reference decision on descending root lists, for nonconstant p, q.
+
+    The roots come from isolate_roots alone.  p*q and p*q^2 have the same
+    distinct real roots, so the k-th intervals of their isolations locate
+    the same root, with multiplicities m_p + m_q and m_p + 2 m_q there.
+    Equal roots get equal indices, and a larger root a larger index.
+    """
+    once = isolate_roots(p * q)
+    twice = isolate_roots(p * q * q)
+    assert len(once) == len(twice)
+    a_desc: list[int] = []
+    b_desc: list[int] = []
+    for k in reversed(range(len(once))):
+        m1, m2 = once[k].multiplicity, twice[k].multiplicity
+        a_desc += [k] * (2 * m1 - m2)
+        b_desc += [k] * (m2 - m1)
+    if len(a_desc) < p.deg() or len(b_desc) < q.deg():
+        return False  # a root is not real
+    if len(b_desc) - len(a_desc) not in (0, 1):
+        return False
+    return all(b_desc[i] >= a_desc[i] for i in range(len(a_desc))) and all(
+        a_desc[i] >= b_desc[i + 1] for i in range(len(b_desc) - 1)
+    )
+
+
+ORACLE_ROOTS = sorted({Fraction(a, b) for a in range(-3, 4) for b in (1, 2, 3)})
+ORACLE_LEADS = (1, -1, 2, Fraction(-3, 2), Fraction(2, 3))
+NON_REAL = P(1, 1, 1)
+IRRATIONAL = (P(-2, 0, 1), P(1, 3, 1))  # roots +-sqrt 2 and (-3 +- sqrt 5)/2
+
+
+def from_roots(roots, lead=1) -> Poly:
+    p = P(lead)
+    for r in roots:
+        p = p * P(-r, 1)
+    return p
+
+
+def random_pair(rng: random.Random) -> tuple[Poly, Poly]:
+    """A pair with deg q - deg p in {0, 1, 2} before an occasional swap.
+
+    Most pairs start from one sorted list dealt out alternately, so
+    they interlace until a perturbation or an extra factor breaks them."""
+    gap = rng.choice((0, 1, 2))
+    m = rng.randint(1, 4)
+    if rng.random() < 0.6 and gap < 2:
+        merged = sorted((rng.choice(ORACLE_ROOTS) for _ in range(2 * m + gap)), reverse=True)
+        b_roots, a_roots = merged[::2], merged[1::2]
+        if rng.random() < 0.3:
+            a_roots[rng.randrange(m)] = rng.choice(ORACLE_ROOTS)
+    else:
+        a_roots = [rng.choice(ORACLE_ROOTS) for _ in range(m)]
+        b_roots = [rng.choice(ORACLE_ROOTS) for _ in range(m + gap)]
+    p = from_roots(a_roots, rng.choice(ORACLE_LEADS))
+    q = from_roots(b_roots, rng.choice(ORACLE_LEADS))
+    roll = rng.random()
+    if roll < 0.2:
+        linear = P(-rng.choice(ORACLE_ROOTS), 1)
+        common = rng.choice(IRRATIONAL + (NON_REAL, linear, linear**2))
+        p, q = p * common, q * common
+    elif roll < 0.35:
+        extra = rng.choice((NON_REAL,) + IRRATIONAL)
+        p, q = (p * extra, q) if rng.random() < 0.5 else (p, q * extra)
+    elif roll < 0.45:
+        power = P(-rng.choice(ORACLE_ROOTS), 1) ** rng.choice((2, 3))
+        p, q = (p * power, q) if rng.random() < 0.5 else (p, q * power)
+    if rng.random() < 0.1:
+        p, q = q, p
+    return p, q
+
+
+class TestInterlacesAgainstRootLists:
+    def test_random_pairs_match_oracle(self):
+        rng = random.Random(20230201)
+        seen = dict.fromkeys(
+            ("shared", "repeated", "non-real", "non-integer", "lead+", "lead-",
+             "gap0", "gap1", "gap2", "true", "false"), 0)
+        for _ in range(400):
+            p, q = random_pair(rng)
+            expected = root_list_interlaces(p, q)
+            assert interlaces(p, q) == expected, (p, q)
+            seen["true" if expected else "false"] += 1
+            seen["shared"] += poly_gcd(p, q).deg() > 0
+            seen["repeated"] += any(squarefree_part(f).deg() < f.deg() for f in (p, q))
+            seen["non-real"] += not (is_real_rooted(p) and is_real_rooted(q))
+            seen["non-integer"] += any(c.denominator > 1 for f in (p, q) for c in f)
+            seen["lead+"] += p.leading() > 0
+            seen["lead-"] += p.leading() < 0
+            if q.deg() - p.deg() in (0, 1, 2):
+                seen[f"gap{q.deg() - p.deg()}"] += 1
+        assert min(seen.values()) >= 20, seen
+
+    def test_binomial_counterexample(self):
+        hs = binomial_base(2)
+        for row in (
+            [generic_hnk(hs, 2, k) for k in range(3)],
+            [generic_lnk(hs, 2, k) for k in range(3)],
+        ):
+            assert interlacing_failures(row) == [(0, 2)]
+            for i in range(3):
+                for j in range(3):
+                    assert interlaces(row[i], row[j]) == root_list_interlaces(row[i], row[j])
+
+    def test_pinned_pairs(self):
+        x2, x1sq = P(0, 0, 1), P(1, -2, 1)
+        assert not interlaces(x2, x1sq) and not interlaces(x1sq, x2)
+        assert not root_list_interlaces(x2, x1sq)
+        # x^2 (x-1) below x (x-1)^2: roots 1, 0, 0 against 1, 1, 0
+        p, q = x2 * P(-1, 1), P(0, 1) * x1sq
+        assert interlaces(p, q) and root_list_interlaces(p, q)
+        assert not interlaces(q, p) and not root_list_interlaces(q, p)
+        # triple roots: W = -3x^2 (x-1)^2 <= 0, but 0, 0, 0 against 1, 1, 1
+        # does not alternate, which only the repeated-root step sees
+        cube, shifted = P(0, 0, 0, 1), P(-1, 3, -3, 1)
+        assert not interlaces(cube, shifted) and not root_list_interlaces(cube, shifted)
+        for f in (P(3, 4, 1), x2, P(-1, 3, -3, 1), P(1, 0, 1)):
+            assert interlaces(f, f) == is_real_rooted(f)
+            assert interlaces(f, -f * 2) == is_real_rooted(f)
+
+
+class TestRealRootedCache:
+    def test_cache_stays_bounded(self):
+        # each sample leaves a few new polynomials in the cache
+        for s in range(200):
+            theorem1_sample_cases(6, 1, s)
+        info = is_real_rooted.cache_info()
+        assert info.maxsize is not None
+        assert info.misses > info.maxsize
+        assert info.currsize <= info.maxsize
 
 
 class TestDecompositionVerdict:
