@@ -26,13 +26,12 @@ from .roots import is_real_rooted
 from .simplicial import (
     FTriangle,
     antiprism_sphere,
-    barycentric_f_triangle,
     barycentric_subdivision,
-    f_triangle,
     faces_as_index_lines,
-    trivial_f_triangle,
 )
 from .suites import (
+    CLOSED_F_TRIANGLES,
+    GEOMETRY_FAMILIES,
     GOLDEN_DNK,
     GOLDEN_QNK,
     CaseResult,
@@ -43,6 +42,7 @@ from .suites import (
     d_interlacing_cases,
     derangement_sample_cases,
     equivalence_cases,
+    family_f_triangle,
     generic_conjecture_cases,
     geometry_cases,
     golden_table_cases,
@@ -280,13 +280,7 @@ def _load_triangle(args: argparse.Namespace) -> FTriangle:
     if args.ft_file is not None:
         with open(args.ft_file, "r", encoding="utf-8") as fh:
             return FTriangle.from_json(fh.read())
-    if args.family == "barycentric":
-        return barycentric_f_triangle(args.n)
-    if args.family == "trivial":
-        return trivial_f_triangle(args.n)
-    if args.family in ("colored", "esd"):
-        return f_triangle(build_geometry_family(args.family, args.n, args.r))
-    raise ValueError(f"no f-triangle construction for family {args.family!r}")
+    return family_f_triangle(args.family, args.n, args.r)
 
 
 def _cmd_check_conjecture(args: argparse.Namespace) -> int:
@@ -353,14 +347,7 @@ def _cmd_dump_complex(args: argparse.Namespace) -> int:
 
 
 def _cmd_ft_from_family(args: argparse.Namespace) -> int:
-    if args.family == "barycentric":
-        triangle = barycentric_f_triangle(args.n)
-    elif args.family == "trivial":
-        triangle = trivial_f_triangle(args.n)
-    elif args.family in ("colored", "esd"):
-        triangle = f_triangle(build_geometry_family(args.family, args.n, args.r))
-    else:
-        raise ValueError(f"no f-triangle construction for family {args.family!r}")
+    triangle = family_f_triangle(args.family, args.n, args.r)
     _emit(triangle.to_json() + "\n", args.out)
     return 0
 
@@ -428,7 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--family",
-        choices=("barycentric", "trivial", "colored", "esd", "generic-binomial"),
+        # closed-form families first, each group in name order
+        choices=sorted(
+            GEOMETRY_FAMILIES, key=lambda f: (f not in CLOSED_F_TRIANGLES, f)
+        )
+        + ["generic-binomial"],
         default=None,
     )
     p.add_argument("--ft-file", default=None, help="load an f-triangle JSON file")
@@ -442,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--family",
         required=True,
-        choices=("trivial", "barycentric", "esd", "colored", "antiprism"),
+        choices=[*GEOMETRY_FAMILIES, "antiprism"],
     )
     p.add_argument("--n", type=_size, required=True)
     p.add_argument("--r", type=_size, default=2)
@@ -455,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--family",
         required=True,
-        choices=("trivial", "barycentric", "esd", "colored"),
+        choices=list(GEOMETRY_FAMILIES),
     )
     p.add_argument("--n", type=_size, required=True)
     p.add_argument("--r", type=_size, default=2)

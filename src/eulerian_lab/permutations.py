@@ -4,19 +4,24 @@ Permutations live as tuples of values (one-line notation, 1-based values and
 positions); the wrapper class exists for validation and a few conveniences,
 while iterators and statistics work on raw tuples so that full-group sweeps
 stay cheap.  Every generating polynomial here is an enumeration: no closed
-forms, no recurrences.  The closed-form counterparts live in transforms.py
-and the two routes are compared in tests.
+forms, no recurrences.  A family is read off one pass over its group:
+sweep_histogram counts the words of S_m by a tuple of raw statistics and
+project_family reads each S_n family from that count, and the signed and
+colored families are tallied the same way.  The closed-form counterparts
+live in transforms.py; suites.equivalence_cases and the tests compare the
+two routes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 from .budget import check_group_budget
-from .poly import Poly, one_plus_x_power
+from .poly import Poly, one_plus_x_power, reciprocal
 
 Word = Sequence[int]
 PermLike = Union["Permutation", Word]
@@ -224,6 +229,92 @@ def des_B(w: Word) -> int:
     return count
 
 
+# Fields of a sweep_histogram key.
+_DES, _EXC, _FIX, _BAD, _FIRST, _INV1, _LAST, _FIRST_SINGLE, _LATER_SINGLE = range(9)
+
+
+def sweep_histogram(m: int) -> Counter:
+    """One pass over S_m: how many permutations share each key
+
+    (des, exc, fix mask, bad mask, w(1), w^{-1}(1), w(m),
+     first decreasing run is a singleton, a later one is a singleton).
+
+    Bit i-1 of the fix mask marks the fixed point i, and bit v-1 of the bad
+    mask marks the value v that bad_k counts, so fix_k and bad_k are the
+    bits among the first k.  The empty permutation has the key of zeros.
+    Every S_n family of brute_force_family is a projection of this count.
+    """
+    hist: Counter = Counter()
+    for w in symmetric_group(m):
+        if not w:
+            hist[0, 0, 0, 0, 0, 0, 0, False, False] += 1
+            continue
+        exc = fix = bad = inv1 = up = 0
+        low = m + 1
+        for i in range(m - 1, -1, -1):
+            v = w[i]
+            if v > i + 1:
+                exc += 1
+            elif v == i + 1:
+                fix |= 1 << i
+            if v == 1:
+                inv1 = 1 + i
+            if v < low:
+                low = v
+                if i == 0 or w[i - 1] < v:
+                    bad |= 1 << (v - 1)
+            if i < m - 1 and v < w[i + 1]:
+                up |= 1 << i
+        # a decreasing run ends at every ascent and at position m, and a run
+        # is a singleton when it also starts there
+        ends = up | 1 << (m - 1)
+        key = (m - 1 - up.bit_count(), exc, fix, bad, w[0], inv1, w[-1],
+               bool(ends & 1), bool(up & ends >> 1))
+        hist[key] += 1
+    return hist
+
+
+def _expand(terms: dict[tuple[int, int], int]) -> Poly:
+    """Sum of c * (1+x)^t * x^e over the entries (t, e) -> c."""
+    coeffs = [0] * (max((t + e for t, e in terms), default=-1) + 1)
+    for (t, e), c in terms.items():
+        for i in range(t + 1):
+            coeffs[e + i] += c * math.comb(t, i)
+    return Poly(coeffs)
+
+
+def _poly(
+    hist: Counter, stat: int, keep=None, mask: int | None = None, k: int = 0
+) -> Poly:
+    """Sum over the kept keys of count * (1+x)^t * x^key[stat], where t is
+    the number of set bits of key[mask] among the first k (0 with no mask)."""
+    low = (1 << k) - 1
+    terms: Counter = Counter()
+    for key, c in hist.items():
+        if keep is None or keep(key):
+            t = 0 if mask is None else (key[mask] & low).bit_count()
+            terms[t, key[stat]] += c
+    return _expand(terms)
+
+
+def _xi_classes(
+    hist: Counter, n: int, k: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    plus = [0] * (n // 2 + 1)
+    minus = [0] * ((n - 1) // 2 + 1 if n >= 1 else 0)
+    if n == 0:
+        plus[0] = 1
+        return tuple(plus), tuple(minus)
+    for key, c in hist.items():
+        runs = n - key[_DES]
+        if key[_FIRST] > n - k:
+            if not (key[_FIRST_SINGLE] or key[_LATER_SINGLE]):
+                plus[runs] += c
+        elif not key[_LATER_SINGLE]:
+            minus[runs - 1] += c
+    return tuple(plus), tuple(minus)
+
+
 def xi_counts(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Run-class counts behind the two-layer expansion of d_{n,k}.
 
@@ -234,32 +325,26 @@ def xi_counts(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range 0..{n}")
-    plus = [0] * (n // 2 + 1)
-    minus = [0] * ((n - 1) // 2 + 1 if n >= 1 else 0)
-    if n == 0:
-        plus[0] = 1
-        return tuple(plus), tuple(minus)
-    for word in symmetric_group(n):
-        runs = stats(word).decreasing_runs
-        if word[0] > n - k:
-            if all(len(run) >= 2 for run in runs):
-                plus[len(runs)] += 1
-        else:
-            if all(len(run) >= 2 for run in runs[1:]):
-                minus[len(runs) - 1] += 1
-    return tuple(plus), tuple(minus)
+    return _xi_classes(sweep_histogram(n), n, k)
 
 
-def _xi_reconstruction(n: int, k: int) -> Poly:
-    plus, minus = xi_counts(n, k)
-    total: Poly = Poly(())
-    for i, c in enumerate(plus):
-        if c:
-            total = total + one_plus_x_power(n - 2 * i).times_x_power(i) * c
-    for i, c in enumerate(minus):
-        if c:
-            total = total + one_plus_x_power(n - 1 - 2 * i).times_x_power(i) * c
-    return total
+def flag_excedance_rows(n: int, r: int) -> tuple[Poly, ...]:
+    """flag_excedance_poly(n, r, k) for k = 0..n, from one sweep that tallies
+    (fexc / r, largest zero-colour fixed point or 0) over the balanced words."""
+    hist: Counter = Counter()
+    for word, colors in colored_permutations(n, r):
+        flag = sum(colors)
+        if flag % r:
+            continue
+        top = 0
+        for i in range(n):
+            if colors[i] == 0:
+                if word[i] == i + 1:
+                    top = i + 1
+                elif word[i] > i + 1:
+                    flag += r
+        hist[flag // r, top] += 1
+    return tuple(_poly(hist, 0, lambda key: key[1] <= k) for k in range(n + 1))
 
 
 def flag_excedance_poly(n: int, r: int, k: int) -> Poly:
@@ -272,54 +357,84 @@ def flag_excedance_poly(n: int, r: int, k: int) -> Poly:
     """
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range 0..{n}")
-    counts: dict[int, int] = {}
-    for word, colors in colored_permutations(n, r):
-        if sum(colors) % r != 0:
-            continue
-        ok = True
-        flag = sum(colors)
-        for i in range(n):
-            if colors[i] == 0:
-                if word[i] == i + 1 and i + 1 > k:
-                    ok = False
-                    break
-                if word[i] > i + 1:
-                    flag += r
-        if not ok:
-            continue
-        assert flag % r == 0
-        e = flag // r
-        counts[e] = counts.get(e, 0) + 1
-    if not counts:
-        return Poly(())
-    coeffs = [0] * (max(counts) + 1)
-    for e, c in counts.items():
-        coeffs[e] = c
-    return Poly(coeffs)
+    return flag_excedance_rows(n, r)[k]
 
 
-def _poly_from_exponents(counts: dict[int, int]) -> Poly:
-    if not counts:
-        return Poly(())
-    coeffs = [0] * (max(counts) + 1)
-    for e, c in counts.items():
-        coeffs[e] = c
-    return Poly(coeffs)
+# The S_n families: how far past n the swept group reaches, and which of
+# the parameters k and j they take.
+_SWEPT_FAMILIES = {
+    "A": (0, ""),
+    "A-exc": (0, ""),
+    "p": (1, "k"),
+    "p-asc": (1, "k"),
+    "p-exc": (1, "k"),
+    "q-fix": (0, "k"),
+    "q-bad": (0, "k"),
+    "qnkj": (1, "kj"),
+    "qnkj-alt": (1, "kj"),
+    "qstar": (1, "kj"),
+    "d": (0, ""),
+    "dnk": (0, "k"),
+    "xi": (0, "k"),
+}
 
 
-def _mixed_poly(counts: dict[tuple[int, int], int]) -> Poly:
-    """Assemble sum of c * (1+x)^t * x^e from (t, e) -> c."""
-    total: Poly = Poly(())
-    for (t, e), c in counts.items():
-        if c:
-            total = total + one_plus_x_power(t).times_x_power(e) * c
-    return total
+def _swept_size(family: str, n: int, k: int | None, j: int | None) -> int:
+    """Check the parameters of an S_n family; return the size m of the
+    group S_m whose sweep_histogram project_family reads."""
+    if family not in _SWEPT_FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    offset, params = _SWEPT_FAMILIES[family]
+    if "k" in params:
+        top = n + 1 if "j" in params else n
+        if k is None:
+            raise ValueError("family requires parameter k")
+        if not 0 <= k <= top:
+            raise ValueError(f"k={k} out of range 0..{top}")
+    if "j" in params:
+        if j is None:
+            raise ValueError("family requires parameter j")
+        if not 0 <= j <= n:
+            raise ValueError(f"j={j} out of range 0..{n}")
+    return n + offset
 
 
-def _require(name: str, value: int | None) -> int:
-    if value is None:
-        raise ValueError(f"family requires parameter {name}")
-    return value
+def project_family(
+    family: str, hist: Counter, n: int, k: int | None = None, j: int | None = None
+) -> Poly:
+    """One S_n family of brute_force_family read off sweep_histogram(m),
+    with m = n + 1 for the p and qnkj families and m = n for the others."""
+    _swept_size(family, n, k, j)
+    if family == "A":
+        return _poly(hist, _DES)
+    if family == "A-exc":
+        return _poly(hist, _EXC)
+    if family == "p":
+        return _poly(hist, _DES, lambda key: key[_FIRST] == k + 1)
+    if family == "p-asc":
+        # asc = n - des on S_{n+1}
+        return reciprocal(_poly(hist, _DES, lambda key: key[_LAST] == k + 1), n)
+    if family == "p-exc":
+        return _poly(hist, _EXC, lambda key: key[_INV1] == k + 1)
+    if family == "q-fix":
+        return _poly(hist, _EXC, mask=_FIX, k=k)
+    if family == "q-bad":
+        return _poly(hist, _DES, mask=_BAD, k=k)
+    if family == "qnkj-alt":
+        return _poly(hist, _DES, lambda key: key[_FIRST] == j + 1, _BAD, k)
+    if family in ("qnkj", "qstar"):
+        q = _poly(hist, _EXC, lambda key: key[_INV1] == j + 1, _FIX, k)
+        if family == "qstar" and j == 0 and k >= 1:
+            return q.exact_div(one_plus_x_power(1))
+        return q
+    if family == "d":
+        return _poly(hist, _EXC, lambda key: not key[_FIX])
+    if family == "dnk":
+        return _poly(hist, _EXC, lambda key: key[_FIX] >> (n - k) == 0)
+    plus, minus = _xi_classes(hist, n, k)
+    terms = {(n - 2 * i, i): c for i, c in enumerate(plus)}
+    terms.update({(n - 1 - 2 * i, i): c for i, c in enumerate(minus)})
+    return _expand(terms)
 
 
 def brute_force_family(
@@ -331,7 +446,7 @@ def brute_force_family(
 ) -> Poly:
     """Enumeration oracle for one named polynomial family.
 
-    Families and their statistics:
+    Each call makes one pass over its group.  Families and their statistics:
 
     - "A": x^des over S_n; "A-exc": x^exc over S_n
     - "p": x^des over w in S_{n+1} with w(1) = k+1
@@ -347,121 +462,16 @@ def brute_force_family(
     - "xi": the run-class reconstruction of d_{n,k}
     - "B": x^des_B over signed permutations of size n
     - "colored-local": flag_excedance_poly(n, r, k)
+
+    The S_n families are project_family over one sweep_histogram.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-
-    if family == "A":
-        return _poly_from_exponents(_tally(symmetric_group(n), "des"))
-    if family == "A-exc":
-        return _poly_from_exponents(_tally(symmetric_group(n), "exc"))
-
-    if family == "p":
-        kk = _require("k", k)
-        _check_range(kk, n)
-        counts: dict[int, int] = {}
-        for word in symmetric_group(n + 1):
-            if word[0] == kk + 1:
-                _bump(counts, stats(word).des)
-        return _poly_from_exponents(counts)
-    if family == "p-asc":
-        kk = _require("k", k)
-        _check_range(kk, n)
-        counts = {}
-        for word in symmetric_group(n + 1):
-            if word[n] == kk + 1:
-                _bump(counts, stats(word).asc)
-        return _poly_from_exponents(counts)
-    if family == "p-exc":
-        kk = _require("k", k)
-        _check_range(kk, n)
-        counts = {}
-        for word in symmetric_group(n + 1):
-            if word[kk] == 1:
-                _bump(counts, stats(word).exc)
-        return _poly_from_exponents(counts)
-
-    if family == "q-fix":
-        kk = _require("k", k)
-        _check_range(kk, n)
-        mixed: dict[tuple[int, int], int] = {}
-        for word in symmetric_group(n):
-            _bump(mixed, (fix_k(word, kk), stats(word).exc))
-        return _mixed_poly(mixed)
-    if family == "q-bad":
-        kk = _require("k", k)
-        _check_range(kk, n)
-        mixed = {}
-        for word in symmetric_group(n):
-            _bump(mixed, (bad_k(word, kk), stats(word).des))
-        return _mixed_poly(mixed)
-
-    if family in ("qnkj", "qnkj-alt", "qstar"):
-        kk = _require("k", k)
-        jj = _require("j", j)
-        if not 0 <= kk <= n + 1:
-            raise ValueError(f"k={kk} out of range 0..{n + 1}")
-        _check_range(jj, n)
-        mixed = {}
-        if family == "qnkj-alt":
-            for word in symmetric_group(n + 1):
-                if word[0] == jj + 1:
-                    _bump(mixed, (bad_k(word, kk), stats(word).des))
-            return _mixed_poly(mixed)
-        for word in symmetric_group(n + 1):
-            if word[jj] == 1:
-                _bump(mixed, (fix_k(word, kk), stats(word).exc))
-        q = _mixed_poly(mixed)
-        if family == "qstar" and jj == 0 and kk >= 1:
-            return q.exact_div(one_plus_x_power(1))
-        return q
-
-    if family == "d":
-        counts = {}
-        for word in symmetric_group(n):
-            st = stats(word)
-            if not st.fix_set:
-                _bump(counts, st.exc)
-        return _poly_from_exponents(counts)
-    if family == "dnk":
-        kk = _require("k", k)
-        _check_range(kk, n)
-        counts = {}
-        for word in symmetric_group(n):
-            st = stats(word)
-            if all(i <= n - kk for i in st.fix_set):
-                _bump(counts, st.exc)
-        return _poly_from_exponents(counts)
-    if family == "xi":
-        kk = _require("k", k)
-        _check_range(kk, n)
-        return _xi_reconstruction(n, kk)
-
     if family == "B":
-        counts = {}
-        for word in signed_permutations(n):
-            _bump(counts, des_B(word))
-        return _poly_from_exponents(counts)
-
+        return _poly(Counter((des_B(w),) for w in signed_permutations(n)), 0)
     if family == "colored-local":
-        kk = _require("k", k)
-        rr = _require("r", r)
-        return flag_excedance_poly(n, rr, kk)
-
-    raise ValueError(f"unknown family {family!r}")
-
-
-def _check_range(k: int, n: int) -> None:
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} out of range 0..{n}")
-
-
-def _bump(counts: dict, key) -> None:
-    counts[key] = counts.get(key, 0) + 1
-
-
-def _tally(words: Iterator[tuple[int, ...]], stat: str) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for word in words:
-        _bump(counts, getattr(stats(word), stat))
-    return counts
+        if k is None or r is None:
+            raise ValueError("family requires parameters k and r")
+        return flag_excedance_poly(n, r, k)
+    m = _swept_size(family, n, k, j)
+    return project_family(family, sweep_histogram(m), n, k, j)

@@ -551,11 +551,12 @@ class FTriangle:
         try:
             data = json.loads(text)
             n = data["n"]
-            rows = tuple(tuple(int(c) for c in row) for row in data["f"])
+            rows = tuple(tuple(row) for row in data["f"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed f-triangle document: {exc}") from None
-        if not isinstance(n, int):
-            raise ValueError("n must be an integer")
+        # only JSON integers: a bool, float or string is not a face count
+        if type(n) is not int or any(type(c) is not int for row in rows for c in row):
+            raise ValueError("n and every f-triangle entry must be JSON integers")
         return cls(n=n, rows=rows)
 
 

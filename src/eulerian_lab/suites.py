@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 from .poly import (
@@ -47,8 +48,9 @@ from .transforms import (
 )
 from .permutations import (
     brute_force_family,
-    flag_excedance_poly,
-    symmetric_group,
+    flag_excedance_rows,
+    project_family,
+    sweep_histogram,
 )
 from .simplicial import (
     CarriedTriangulation,
@@ -137,177 +139,84 @@ def golden_table_cases() -> list[CaseResult]:
     return cases
 
 
-def _q_rows_by_enumeration(n: int) -> dict[int, Poly]:
-    """q_{n,k} for every k from one sweep over S_n, via (exc, fix-mask)."""
-    counts: dict[tuple[int, int], int] = {}
-    for word in symmetric_group(n):
-        exc = 0
-        fixmask = 0
-        for i, v in enumerate(word):
-            if v > i + 1:
-                exc += 1
-            elif v == i + 1:
-                fixmask |= 1 << i
-        key = (exc, fixmask)
-        counts[key] = counts.get(key, 0) + 1
-    rows: dict[int, Poly] = {}
-    for k in range(n + 1):
-        low = (1 << k) - 1
-        total = ZERO
-        for (exc, fixmask), c in counts.items():
-            t = (fixmask & low).bit_count()
-            total = total + one_plus_x_power(t).times_x_power(exc) * c
-        rows[k] = total
-    return rows
-
-
-def _d_rows_by_enumeration(n: int) -> dict[int, Poly]:
-    """d_{n,k} for every k from one sweep, via (exc, largest fixed point)."""
-    counts: dict[tuple[int, int], int] = {}
-    for word in symmetric_group(n):
-        exc = 0
-        maxfix = 0
-        for i, v in enumerate(word):
-            if v > i + 1:
-                exc += 1
-            elif v == i + 1:
-                maxfix = i + 1
-        key = (exc, maxfix)
-        counts[key] = counts.get(key, 0) + 1
-    rows: dict[int, Poly] = {}
-    for k in range(n + 1):
-        coeffs = [0] * (n + 1)
-        for (exc, maxfix), c in counts.items():
-            if maxfix <= n - k:
-                coeffs[exc] += c
-        rows[k] = Poly(coeffs)
-    return rows
-
-
-def _qnkj_grids_by_enumeration(
-    n: int,
-) -> tuple[dict[tuple[int, int], Poly], dict[tuple[int, int], Poly]]:
-    """Both statistics for the doubly refined family, one sweep each.
-
-    Returns (fix-and-excedance grid, bad-and-descent grid), keyed by (k, j)
-    with k in 0..n+1 and j in 0..n; permutations live in S_{n+1}.
-    """
-    fix_counts: dict[tuple[int, int, int], int] = {}
-    bad_counts: dict[tuple[int, int, int], int] = {}
-    for word in symmetric_group(n + 1):
-        m = n + 1
-        exc = 0
-        fixmask = 0
-        j_fix = 0
-        for i, v in enumerate(word):
-            if v > i + 1:
-                exc += 1
-            elif v == i + 1:
-                fixmask |= 1 << i
-            if v == 1:
-                j_fix = i
-        key = (j_fix, exc, fixmask)
-        fix_counts[key] = fix_counts.get(key, 0) + 1
-
-        des = sum(1 for i in range(m - 1) if word[i] > word[i + 1])
-        badmask = 0
-        cur = m + 1
-        suffix_min = [0] * m
-        for i in range(m - 1, -1, -1):
-            suffix_min[i] = cur = min(cur, word[i])
-        for i in range(m):
-            if word[i] == suffix_min[i] and (i == 0 or word[i - 1] < word[i]):
-                badmask |= 1 << (word[i] - 1)
-        key = (word[0] - 1, des, badmask)
-        bad_counts[key] = bad_counts.get(key, 0) + 1
-
-    fix_grid: dict[tuple[int, int], Poly] = {}
-    bad_grid: dict[tuple[int, int], Poly] = {}
-    for k in range(n + 2):
-        low = (1 << k) - 1
-        for j in range(n + 1):
-            total = ZERO
-            for (jj, exc, fixmask), c in fix_counts.items():
-                if jj == j:
-                    t = (fixmask & low).bit_count()
-                    total = total + one_plus_x_power(t).times_x_power(exc) * c
-            fix_grid[(k, j)] = total
-            total = ZERO
-            for (jj, des, badmask), c in bad_counts.items():
-                if jj == j:
-                    t = (badmask & low).bit_count()
-                    total = total + one_plus_x_power(t).times_x_power(des) * c
-            bad_grid[(k, j)] = total
-    return fix_grid, bad_grid
-
-
 def equivalence_cases(n_max: int = 6) -> list[CaseResult]:
-    """Closed forms against raw enumeration for every family, n <= n_max."""
+    """Closed forms against raw enumeration for every family, n <= n_max.
+
+    Each symmetric group is swept once: the histogram of S_{n+1} read for
+    size n is reused as the histogram of S_n for size n + 1."""
     cases = []
+    here = sweep_histogram(0)
     for n in range(n_max + 1):
+        up = sweep_histogram(n + 1)
         cases.append(
-            _eq_case(f"A-des-enumeration-{n}", brute_force_family("A", n), eulerian(n))
+            _eq_case(
+                f"A-des-enumeration-{n}", project_family("A", here, n), eulerian(n)
+            )
         )
         cases.append(
             _eq_case(
-                f"A-exc-enumeration-{n}", brute_force_family("A-exc", n), eulerian(n)
+                f"A-exc-enumeration-{n}",
+                project_family("A-exc", here, n),
+                eulerian(n),
             )
         )
-        q_rows = _q_rows_by_enumeration(n)
         cases.append(
-            _eq_case(f"Atilde-enumeration-{n}", q_rows[n], binomial_eulerian(n))
+            _eq_case(
+                f"Atilde-enumeration-{n}",
+                project_family("q-fix", here, n, k=n),
+                binomial_eulerian(n),
+            )
         )
         for k in range(n + 1):
-            cases.append(
-                _eq_case(f"p-des-enumeration-{n}-{k}", brute_force_family("p", n, k=k), pnk(n, k))
-            )
-            cases.append(
-                _eq_case(
-                    f"p-asc-enumeration-{n}-{k}",
-                    brute_force_family("p-asc", n, k=k),
-                    pnk(n, k),
+            for name, family in (
+                ("p-des", "p"), ("p-asc", "p-asc"), ("p-exc", "p-exc")
+            ):
+                cases.append(
+                    _eq_case(
+                        f"{name}-enumeration-{n}-{k}",
+                        project_family(family, up, n, k=k),
+                        pnk(n, k),
+                    )
                 )
-            )
-            cases.append(
-                _eq_case(
-                    f"p-exc-enumeration-{n}-{k}",
-                    brute_force_family("p-exc", n, k=k),
-                    pnk(n, k),
+            for family in ("q-fix", "q-bad"):
+                cases.append(
+                    _eq_case(
+                        f"{family}-enumeration-{n}-{k}",
+                        project_family(family, here, n, k=k),
+                        qnk(n, k),
+                    )
                 )
-            )
-            cases.append(_eq_case(f"q-fix-enumeration-{n}-{k}", q_rows[k], qnk(n, k)))
-            cases.append(
-                _eq_case(
-                    f"q-bad-enumeration-{n}-{k}",
-                    brute_force_family("q-bad", n, k=k),
-                    qnk(n, k),
-                )
-            )
-        d_rows = _d_rows_by_enumeration(n)
         for k in range(n + 1):
-            cases.append(_eq_case(f"dnk-enumeration-{n}-{k}", d_rows[k], dnk(n, k)))
             cases.append(
                 _eq_case(
-                    f"xi-reconstruction-{n}-{k}",
-                    brute_force_family("xi", n, k=k),
+                    f"dnk-enumeration-{n}-{k}",
+                    project_family("dnk", here, n, k=k),
                     dnk(n, k),
                 )
             )
-        fix_grid, bad_grid = _qnkj_grids_by_enumeration(n)
+            cases.append(
+                _eq_case(
+                    f"xi-reconstruction-{n}-{k}",
+                    project_family("xi", here, n, k=k),
+                    dnk(n, k),
+                )
+            )
         for k in range(n + 2):
             for j in range(n + 1):
                 closed = qnkj(n, k, j)
-                cases.append(
-                    _eq_case(f"qnkj-fix-enumeration-{n}-{k}-{j}", fix_grid[(k, j)], closed)
-                )
-                cases.append(
-                    _eq_case(f"qnkj-bad-enumeration-{n}-{k}-{j}", bad_grid[(k, j)], closed)
-                )
+                for name, family in (("fix", "qnkj"), ("bad", "qnkj-alt")):
+                    cases.append(
+                        _eq_case(
+                            f"qnkj-{name}-enumeration-{n}-{k}-{j}",
+                            project_family(family, up, n, k=k, j=j),
+                            closed,
+                        )
+                    )
                 if j == 0 and k >= 1:
                     cases.append(
                         _eq_case(
                             f"qstar-normalization-{n}-{k}-{j}",
-                            fix_grid[(k, j)].exact_div(one_plus_x_power(1)),
+                            project_family("qstar", up, n, k=k, j=j),
                             qnkj_star(n, k, j),
                         )
                     )
@@ -316,14 +225,14 @@ def equivalence_cases(n_max: int = 6) -> list[CaseResult]:
                 f"B-enumeration-{n}", brute_force_family("B", n), typeB_eulerian(n)
             )
         )
+        colored = flag_excedance_rows(n, 1)
         for k in range(n + 1):
             cases.append(
                 _eq_case(
-                    f"colored-r1-reduction-{n}-{k}",
-                    flag_excedance_poly(n, 1, k),
-                    dnk(n, n - k),
+                    f"colored-r1-reduction-{n}-{k}", colored[k], dnk(n, n - k)
                 )
             )
+        here = up
     return cases
 
 
@@ -506,30 +415,25 @@ def worpitzky_cases(n: int) -> list[CaseResult]:
     return cases
 
 
-def q_interlacing_cases(n_max: int = 9) -> list[CaseResult]:
+def _row_interlacing_cases(name: str, family, n_max: int) -> list[CaseResult]:
     cases = []
     for n in range(n_max + 1):
-        row = [qnk(n, k) for k in range(n + 1)]
+        row = [family(n, k) for k in range(n + 1)]
         rr = all(is_real_rooted(q) for q in row)
         fails = interlacing_failures(row)
-        cases.append(_case(f"qnk-row-real-rooted-{n}", rr))
+        cases.append(_case(f"{name}-row-real-rooted-{n}", rr))
         cases.append(
-            _case(f"qnk-row-interlacing-{n}", not fails, f"failed pairs {fails}")
+            _case(f"{name}-row-interlacing-{n}", not fails, f"failed pairs {fails}")
         )
     return cases
+
+
+def q_interlacing_cases(n_max: int = 9) -> list[CaseResult]:
+    return _row_interlacing_cases("qnk", qnk, n_max)
 
 
 def d_interlacing_cases(n_max: int = 9) -> list[CaseResult]:
-    cases = []
-    for n in range(n_max + 1):
-        row = [dnk(n, k) for k in range(n + 1)]
-        rr = all(is_real_rooted(q) for q in row)
-        fails = interlacing_failures(row)
-        cases.append(_case(f"dnk-row-real-rooted-{n}", rr))
-        cases.append(
-            _case(f"dnk-row-interlacing-{n}", not fails, f"failed pairs {fails}")
-        )
-    return cases
+    return _row_interlacing_cases("dnk", dnk, n_max)
 
 
 def sample_p_polynomial(rng: random.Random, n: int) -> Poly:
@@ -635,16 +539,33 @@ def eulerian_combination_sample_cases(
     return cases
 
 
+# The geometry families: name -> triangulation of the (n-1)-simplex from
+# (n, r), in the order of the dump-complex and ft-from-family choices, and
+# the families whose f-triangle has a closed form in n.
+GEOMETRY_FAMILIES = {
+    "trivial": lambda n, r: trivial_triangulation(n),
+    "barycentric": lambda n, r: barycentric_subdivision(n),
+    "esd": edgewise_subdivision,
+    "colored": colored_barycentric,
+}
+CLOSED_F_TRIANGLES = {
+    "trivial": trivial_f_triangle,
+    "barycentric": barycentric_f_triangle,
+}
+
+
 def build_geometry_family(family: str, n: int, r: int = 2) -> CarriedTriangulation:
-    if family == "trivial":
-        return trivial_triangulation(n)
-    if family == "barycentric":
-        return barycentric_subdivision(n)
-    if family == "esd":
-        return edgewise_subdivision(n, r)
-    if family == "colored":
-        return colored_barycentric(n, r)
-    raise ValueError(f"unknown geometry family {family!r}")
+    if family not in GEOMETRY_FAMILIES:
+        raise ValueError(f"unknown geometry family {family!r}")
+    return GEOMETRY_FAMILIES[family](n, r)
+
+
+def family_f_triangle(family: str, n: int, r: int = 2) -> FTriangle:
+    """A geometry family's f-triangle: its closed form where it has one,
+    else counted on the built triangulation."""
+    if family in CLOSED_F_TRIANGLES:
+        return CLOSED_F_TRIANGLES[family](n)
+    return f_triangle(build_geometry_family(family, n, r))
 
 
 def geometry_cases(
@@ -678,13 +599,14 @@ def geometry_cases(
             )
         )
 
-    if family == "barycentric":
+    if family in CLOSED_F_TRIANGLES:
         cases.append(
             _case(
                 f"{label}-ft-matches-closed-form",
-                triangle == barycentric_f_triangle(n),
+                triangle == CLOSED_F_TRIANGLES[family](n),
             )
         )
+    if family == "barycentric":
         for emask in range(1 << n):
             e = emask.bit_count()
             cases.append(
@@ -694,21 +616,14 @@ def geometry_cases(
                     dnk(n, n - e),
                 )
             )
-    if family == "trivial":
-        cases.append(
-            _case(
-                f"{label}-ft-matches-closed-form",
-                triangle == trivial_f_triangle(n),
-            )
-        )
     if family == "colored":
+        rows = flag_excedance_rows(n, r)
         for emask in range(1 << n):
-            e = emask.bit_count()
             cases.append(
                 _eq_case(
                     f"{label}-local-h-flag-excedance-{emask}",
                     t.local_h(emask),
-                    flag_excedance_poly(n, r, e),
+                    rows[emask.bit_count()],
                 )
             )
 
@@ -734,6 +649,27 @@ def geometry_cases(
     return cases
 
 
+def _conclusion_cases(
+    part: str, n: int, additive, alternating, cases: list, summary: dict
+) -> None:
+    """Append the real-rootedness and pairwise interlacing checks of the
+    additive (part a) and alternating (part b) rows k = 0..n."""
+    for key, family in (("a", additive), ("b", alternating)):
+        if part not in (key, "both"):
+            continue
+        row = [family(k) for k in range(n + 1)]
+        rr = [is_real_rooted(q) for q in row]
+        fails = interlacing_failures(row)
+        cases.append(_case(f"part-{key}-real-rooted", all(rr), f"{rr}"))
+        cases.append(
+            _case(f"part-{key}-interlacing", not fails, f"failed pairs {fails}")
+        )
+        summary[f"part_{key}"] = {
+            "real_rooted": rr,
+            "interlacing_pairs_failed": [list(p) for p in fails],
+        }
+
+
 def conjecture_cases(
     triangle: FTriangle, part: str = "both"
 ) -> tuple[list[CaseResult], dict]:
@@ -754,26 +690,8 @@ def conjecture_cases(
         )
     ]
     summary: dict = {"hypothesis": flags.strong_interlacing}
-    if part in ("a", "both"):
-        row = [ft_qnk(triangle, n, k) for k in range(n + 1)]
-        rr = [is_real_rooted(q) for q in row]
-        fails = interlacing_failures(row)
-        cases.append(_case("part-a-real-rooted", all(rr), f"{rr}"))
-        cases.append(_case("part-a-interlacing", not fails, f"failed pairs {fails}"))
-        summary["part_a"] = {
-            "real_rooted": rr,
-            "interlacing_pairs_failed": [list(p) for p in fails],
-        }
-    if part in ("b", "both"):
-        row = [ft_lnk(triangle, n, k) for k in range(n + 1)]
-        rr = [is_real_rooted(q) for q in row]
-        fails = interlacing_failures(row)
-        cases.append(_case("part-b-real-rooted", all(rr), f"{rr}"))
-        cases.append(_case("part-b-interlacing", not fails, f"failed pairs {fails}"))
-        summary["part_b"] = {
-            "real_rooted": rr,
-            "interlacing_pairs_failed": [list(p) for p in fails],
-        }
+    additive, alternating = partial(ft_qnk, triangle, n), partial(ft_lnk, triangle, n)
+    _conclusion_cases(part, n, additive, alternating, cases, summary)
     return cases, summary
 
 
@@ -790,26 +708,8 @@ def generic_conjecture_cases(
     )
     cases = [_case("hypothesis-consecutive-interlacing", hyp)]
     summary: dict = {"hypothesis": hyp}
-    if part in ("a", "both"):
-        row = [generic_hnk(hs, n, k) for k in range(n + 1)]
-        rr = [is_real_rooted(q) for q in row]
-        fails = interlacing_failures(row)
-        cases.append(_case("part-a-real-rooted", all(rr), f"{rr}"))
-        cases.append(_case("part-a-interlacing", not fails, f"failed pairs {fails}"))
-        summary["part_a"] = {
-            "real_rooted": rr,
-            "interlacing_pairs_failed": [list(p) for p in fails],
-        }
-    if part in ("b", "both"):
-        row = [generic_lnk(hs, n, k) for k in range(n + 1)]
-        rr = [is_real_rooted(q) for q in row]
-        fails = interlacing_failures(row)
-        cases.append(_case("part-b-real-rooted", all(rr), f"{rr}"))
-        cases.append(_case("part-b-interlacing", not fails, f"failed pairs {fails}"))
-        summary["part_b"] = {
-            "real_rooted": rr,
-            "interlacing_pairs_failed": [list(p) for p in fails],
-        }
+    additive, alternating = partial(generic_hnk, hs, n), partial(generic_lnk, hs, n)
+    _conclusion_cases(part, n, additive, alternating, cases, summary)
     return cases, summary
 
 

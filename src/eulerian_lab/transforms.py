@@ -1,10 +1,10 @@
 """Closed forms and recurrences for the polynomial families.
 
-Every family that the literature derives in more than one way is computed
-here by all of those routes and the results are compared on the spot; a
-mismatch raises CertificationError rather than silently returning one of
-them.  The enumeration oracles live in permutations.py and are checked
-against these closed forms in the tests, so nothing here depends on group
+Each family is computed here one way; where the literature offers a choice,
+the route kept is the one that does not recurse on n.  The other routes and
+the enumeration oracles of permutations.py are checked against these forms
+in one place, suites.py (identity_cases, equivalence_cases,
+worpitzky_cases), and in the tests, so nothing here depends on group
 sweeps.
 """
 
@@ -15,7 +15,6 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, Sequence
 
-from .errors import CertificationError
 from .poly import ONE, X, ZERO, Poly, one_plus_x_power
 
 
@@ -53,44 +52,20 @@ def eulerian(n: int) -> Poly:
 @lru_cache(maxsize=None)
 def qnk(n: int, k: int) -> Poly:
     """Eulerian polynomial with the first k fixed-point positions inflated
-    by 1+x.  Three independent routes are compared before returning."""
+    by 1+x, by the binomial form q_{n,k} = sum(C(k,i) x^i A_{n-i})."""
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range 0..{n}")
-    via_binomial = ZERO
-    via_p = ZERO
+    total = ZERO
     for i in range(k + 1):
-        c = comb(k, i)
-        via_binomial = via_binomial + eulerian(n - i).times_x_power(i) * c
-        via_p = via_p + pnk(n - i, k - i) * c
-    if k == 0:
-        via_rec = eulerian(n)
-    else:
-        via_rec = qnk(n, k - 1) + X * qnk(n - 1, k - 1)
-    if not (via_binomial == via_p == via_rec):
-        raise CertificationError(
-            f"q_({n},{k}) routes disagree: binomial={via_binomial!r} "
-            f"p-sum={via_p!r} recurrence={via_rec!r}"
-        )
-    return via_binomial
+        total = total + eulerian(n - i).times_x_power(i) * comb(k, i)
+    return total
 
 
 def binomial_eulerian(n: int) -> Poly:
     """Binomial Eulerian polynomial, the k = n endpoint of the q family."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    via_q = qnk(n, n)
-    via_sum = ONE + X * sum(
-        (eulerian(i) * comb(n, i) for i in range(1, n + 1)), ZERO
-    )
-    via_rev = sum(
-        (eulerian(i).times_x_power(n - i) * comb(n, i) for i in range(n + 1)), ZERO
-    )
-    if not (via_q == via_sum == via_rev):
-        raise CertificationError(
-            f"binomial Eulerian routes disagree at n={n}: "
-            f"q={via_q!r} sum={via_sum!r} reversed-sum={via_rev!r}"
-        )
-    return via_q
+    return qnk(n, n)
 
 
 @lru_cache(maxsize=None)
@@ -127,21 +102,14 @@ def qnkj(n: int, k: int, j: int) -> Poly:
 @lru_cache(maxsize=None)
 def dnk(n: int, k: int) -> Poly:
     """Excedance polynomial over permutations whose fixed points avoid the
-    last k positions: alternating binomial sum checked against the
-    subtraction recurrence."""
+    last k positions, by the alternating binomial sum
+    d_{n,k} = sum((-1)^i C(k,i) A_{n-i})."""
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range 0..{n}")
-    closed = ZERO
+    total = ZERO
     for i in range(k + 1):
-        closed = closed + eulerian(n - i) * ((-1) ** i * comb(k, i))
-    if k >= 1:
-        via_rec = dnk(n, k - 1) - dnk(n - 1, k - 1)
-        if closed != via_rec:
-            raise CertificationError(
-                f"d_({n},{k}) routes disagree: closed={closed!r} "
-                f"recurrence={via_rec!r}"
-            )
-    return closed
+        total = total + eulerian(n - i) * ((-1) ** i * comb(k, i))
+    return total
 
 
 def derangement(n: int) -> Poly:
@@ -153,19 +121,11 @@ def derangement(n: int) -> Poly:
 
 @lru_cache(maxsize=None)
 def typeB_eulerian(n: int) -> Poly:
-    """Descent polynomial of the signed permutation group, computed by the
-    derivative recurrence and checked against the closed coefficient form
-    b_j = sum((-1)^i C(n+1,i) (2(j-i)+1)^n)."""
+    """Descent polynomial of the signed permutation group, by the closed
+    coefficient form b_j = sum((-1)^i C(n+1,i) (2(j-i)+1)^n)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        via_rec = ONE
-    else:
-        prev = typeB_eulerian(n - 1)
-        via_rec = (ONE + X * (2 * n - 1)) * prev + (X * 2) * (
-            ONE - X
-        ) * prev.derivative()
-    closed = Poly(
+    return Poly(
         [
             sum(
                 (-1) ** i * comb(n + 1, i) * (2 * (j - i) + 1) ** n
@@ -174,12 +134,6 @@ def typeB_eulerian(n: int) -> Poly:
             for j in range(n + 1)
         ]
     )
-    if via_rec != closed:
-        raise CertificationError(
-            f"type B Eulerian routes disagree at n={n}: "
-            f"recurrence={via_rec!r} closed={closed!r}"
-        )
-    return via_rec
 
 
 def typeB_derangement_image(n: int) -> Poly:
@@ -196,45 +150,30 @@ def typeB_derangement_image(n: int) -> Poly:
 @lru_cache(maxsize=None)
 def generic_hnk(hs: tuple[Poly, ...], n: int, k: int) -> Poly:
     """The additive two-index family built from an arbitrary base sequence:
-    h_{n,k} = sum(C(k,i) x^i h_{n-i}), with the shift recurrence
-    h_{n,k+1} = h_{n,k} + x h_{n-1,k} asserted on the way."""
+    h_{n,k} = sum(C(k,i) x^i h_{n-i})."""
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range 0..{n}")
     if n >= len(hs):
         raise ValueError(f"base sequence too short for n={n}")
-    closed = ZERO
+    total = ZERO
     for i in range(k + 1):
-        closed = closed + hs[n - i].times_x_power(i) * comb(k, i)
-    if k >= 1:
-        via_rec = generic_hnk(hs, n, k - 1) + X * generic_hnk(hs, n - 1, k - 1)
-        if closed != via_rec:
-            raise CertificationError(
-                f"generic h_({n},{k}) routes disagree: closed={closed!r} "
-                f"recurrence={via_rec!r}"
-            )
-    return closed
+        total = total + hs[n - i].times_x_power(i) * comb(k, i)
+    return total
 
 
 @lru_cache(maxsize=None)
 def generic_lnk(hs: tuple[Poly, ...], n: int, k: int) -> Poly:
     """The alternating two-index family from an arbitrary base sequence:
-    l_{n,k} = sum((-1)^i C(k,i) h_{n-i}), with l_{n,k+1} = l_{n,k} - l_{n-1,k}
-    asserted on the way.  With the Eulerian base this is dnk."""
+    l_{n,k} = sum((-1)^i C(k,i) h_{n-i}).  With the Eulerian base this is
+    dnk."""
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range 0..{n}")
     if n >= len(hs):
         raise ValueError(f"base sequence too short for n={n}")
-    closed = ZERO
+    total = ZERO
     for i in range(k + 1):
-        closed = closed + hs[n - i] * ((-1) ** i * comb(k, i))
-    if k >= 1:
-        via_rec = generic_lnk(hs, n, k - 1) - generic_lnk(hs, n - 1, k - 1)
-        if closed != via_rec:
-            raise CertificationError(
-                f"generic l_({n},{k}) routes disagree: closed={closed!r} "
-                f"recurrence={via_rec!r}"
-            )
-    return closed
+        total = total + hs[n - i] * ((-1) ** i * comb(k, i))
+    return total
 
 
 @dataclass(frozen=True)

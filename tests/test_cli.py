@@ -1,12 +1,26 @@
 """Command line behavior: formats, determinism and exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from eulerian_lab.cli import main
+import eulerian_lab.cli as cli_mod
+from eulerian_lab.cli import build_parser, main
+from eulerian_lab.simplicial import (
+    FTriangle,
+    barycentric_f_triangle,
+    barycentric_subdivision,
+    colored_barycentric,
+    edgewise_subdivision,
+    f_triangle,
+    faces_as_index_lines,
+    trivial_f_triangle,
+    trivial_triangulation,
+)
+from eulerian_lab.suites import GEOMETRY_FAMILIES, build_geometry_family
 
 
 def run(capsys, *argv):
@@ -141,16 +155,84 @@ class TestFTriangleRoundTrip:
         assert doc["params"]["n"] == 4
         assert doc["summary"]["hypothesis"] is False
 
-    def test_malformed_file_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 2}',
+            '{"n": 1, "f": [[1], [1, 1.5]]}',
+            '{"n": 1, "f": [[1], ["1", "2"]]}',
+            '{"n": true, "f": [[1], [1, 1]]}',
+            '{"n": 1, "f": [[1], [1, 1e400]]}',
+        ],
+        ids=["missing-f", "fraction", "string", "bool-n", "overflow"],
+    )
+    def test_malformed_file_exits_two(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
-        path.write_text("{\"n\": 2}")
-        code, _, err = run(capsys, "check-conjecture", "--ft-file", str(path))
-        assert code == 2 and err
+        path.write_text(text)
+        code, out, err = run(capsys, "check-conjecture", "--ft-file", str(path))
+        assert code == 2 and err and not out
 
     def test_missing_file_exits_two(self, capsys):
         code, _, _ = run(capsys, "check-conjecture", "--ft-file",
                          "/nonexistent/x.json")
         assert code == 2
+
+
+class TestGeometryRegistry:
+    # each family's constructor at r = 2, written out apart from the registry
+    CONSTRUCTORS = {
+        "trivial": trivial_triangulation,
+        "barycentric": barycentric_subdivision,
+        "esd": lambda n: edgewise_subdivision(n, 2),
+        "colored": lambda n: colored_barycentric(n, 2),
+    }
+    CLOSED_FORMS = {
+        "trivial": trivial_f_triangle,
+        "barycentric": barycentric_f_triangle,
+    }
+
+    def test_family_choices(self):
+        sub = next(
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+
+        def choices(command):
+            actions = sub.choices[command]._actions
+            return list(next(a.choices for a in actions if a.dest == "family"))
+
+        assert choices("check-conjecture") == [
+            "barycentric", "trivial", "colored", "esd", "generic-binomial"
+        ]
+        assert choices("dump-complex") == [
+            "trivial", "barycentric", "esd", "colored", "antiprism"
+        ]
+        assert choices("ft-from-family") == list(self.CONSTRUCTORS)
+
+    @pytest.mark.parametrize("n", range(4))
+    @pytest.mark.parametrize("family", list(GEOMETRY_FAMILIES))
+    def test_family_wiring(self, capsys, monkeypatch, family, n):
+        built = build_geometry_family(family, n)
+        want = self.CONSTRUCTORS[family](n)
+        assert faces_as_index_lines(built.complex) == faces_as_index_lines(want.complex)
+        counted = f_triangle(built)
+        if family in self.CLOSED_FORMS:
+            assert self.CLOSED_FORMS[family](n) == counted
+
+        code, out, _ = run(capsys, "ft-from-family", "--family", family, "--n", str(n))
+        assert code == 0
+        assert FTriangle.from_json(out) == counted
+
+        seen = []
+        real = cli_mod.conjecture_cases
+
+        def spy(triangle, part):
+            seen.append(triangle)
+            return real(triangle, part)
+
+        monkeypatch.setattr(cli_mod, "conjecture_cases", spy)
+        run(capsys, "check-conjecture", "--family", family, "--n", str(n))
+        assert seen == [counted]
 
 
 class TestDumpComplex:

@@ -1,5 +1,7 @@
 """Permutation statistics against hand-checked and brute-forced values."""
 
+from collections import Counter
+
 import pytest
 
 from eulerian_lab.budget import group_limit
@@ -18,7 +20,7 @@ from eulerian_lab.permutations import (
     symmetric_group,
     xi_counts,
 )
-from eulerian_lab.poly import Poly
+from eulerian_lab.poly import Poly, one_plus_x_power
 
 
 def P(*coeffs) -> Poly:
@@ -186,3 +188,113 @@ class TestBruteForceFamilies:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             brute_force_family("nope", 3)
+
+
+def _mixed(terms) -> Poly:
+    """Sum of (1+x)^t x^e over the (t, e) pairs; None entries are skipped."""
+    counts = Counter(te for te in terms if te is not None)
+    return sum(
+        (one_plus_x_power(t).times_x_power(e) * c for (t, e), c in counts.items()),
+        Poly(()),
+    )
+
+
+def per_word_family(family, n, k=None, j=None):
+    """The per-family sweep that the histogram projections replaced: one
+    pass over the group for each family and each k and j, computing each
+    word's statistic from stats, fix_k, bad_k and des_B."""
+    if family == "B":
+        return _mixed((0, des_B(w)) for w in signed_permutations(n))
+
+    def term(w):
+        s = stats(w)
+        if family == "A":
+            return 0, s.des
+        if family == "A-exc":
+            return 0, s.exc
+        if family == "p":
+            return (0, s.des) if w[0] == k + 1 else None
+        if family == "p-asc":
+            return (0, s.asc) if w[n] == k + 1 else None
+        if family == "p-exc":
+            return (0, s.exc) if w[k] == 1 else None
+        if family == "q-fix":
+            return fix_k(w, k), s.exc
+        if family == "q-bad":
+            return bad_k(w, k), s.des
+        if family in ("qnkj", "qstar"):
+            return (fix_k(w, k), s.exc) if w[j] == 1 else None
+        if family == "qnkj-alt":
+            return (bad_k(w, k), s.des) if w[0] == j + 1 else None
+        if family == "d":
+            return None if s.fix_set else (0, s.exc)
+        if family == "dnk":
+            return (0, s.exc) if all(i <= n - k for i in s.fix_set) else None
+        assert family == "xi"
+        runs = [len(run) for run in s.decreasing_runs]
+        if not w or w[0] > n - k:
+            if all(size >= 2 for size in runs):
+                return n - 2 * len(runs), len(runs)
+        elif all(size >= 2 for size in runs[1:]):
+            return n - 1 - 2 * (len(runs) - 1), len(runs) - 1
+        return None
+
+    wide = family in ("p", "p-asc", "p-exc", "qnkj", "qnkj-alt", "qstar")
+    q = _mixed(term(w) for w in symmetric_group(n + 1 if wide else n))
+    if family == "qstar" and j == 0 and k >= 1:
+        return q.exact_div(one_plus_x_power(1))
+    return q
+
+
+def per_word_flag_excedance(n, r, k):
+    terms = []
+    for w, colors in colored_permutations(n, r):
+        if sum(colors) % r:
+            continue
+        if any(c == 0 and w[i] == i + 1 > k for i, c in enumerate(colors)):
+            continue
+        flag = sum(colors) + r * sum(
+            1 for i, c in enumerate(colors) if c == 0 and w[i] > i + 1
+        )
+        terms.append((0, flag // r))
+    return _mixed(terms)
+
+
+ORACLE_FAMILIES = (
+    "A", "A-exc", "p", "p-asc", "p-exc", "q-fix", "q-bad", "qnkj",
+    "qnkj-alt", "qstar", "d", "dnk", "xi", "B",
+)
+
+
+class TestHistogramAgainstPerWordSweep:
+    @pytest.mark.parametrize("family", ORACLE_FAMILIES)
+    def test_every_parameter(self, family):
+        for n in range(6):
+            if family in ("A", "A-exc", "d", "B"):
+                params = [{}]
+            elif family in ("qnkj", "qnkj-alt", "qstar"):
+                params = [dict(k=k, j=j) for k in range(n + 2) for j in range(n + 1)]
+            else:
+                params = [dict(k=k) for k in range(n + 1)]
+            for p in params:
+                got = brute_force_family(family, n, **p)
+                assert got == per_word_family(family, n, **p), (n, p)
+
+    def test_flag_excedance(self):
+        for r in (1, 2):
+            for n in range(5 if r == 1 else 4):
+                for k in range(n + 1):
+                    want = per_word_flag_excedance(n, r, k)
+                    assert flag_excedance_poly(n, r, k) == want, (n, r, k)
+                    got = brute_force_family("colored-local", n, k=k, r=r)
+                    assert got == want, (n, r, k)
+
+    def test_parameter_checks(self):
+        with pytest.raises(ValueError):
+            brute_force_family("p", 3)  # k missing
+        with pytest.raises(ValueError):
+            brute_force_family("qnkj", 3, k=5, j=0)
+        with pytest.raises(ValueError):
+            brute_force_family("qnkj", 3, k=4)  # j missing
+        with pytest.raises(ValueError):
+            brute_force_family("dnk", 3, k=4)

@@ -218,6 +218,22 @@ class TestFTriangle:
         with pytest.raises(ValueError):
             FTriangle.from_json(json.dumps({"n": 1, "f": [[1], [1]]}))
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 1, "f": [[1], [1, 1.5]]}',
+            '{"n": 1, "f": [[1], [1, 1.0]]}',
+            '{"n": 1, "f": [["1"], ["1", "2"]]}',
+            '{"n": 1, "f": [[1], [1, true]]}',
+            '{"n": true, "f": [[1], [1, 1]]}',
+            '{"n": "1", "f": [[1], [1, 1]]}',
+            '{"n": 1, "f": [[1], [1, 1e400]]}',
+        ],
+    )
+    def test_json_entries_must_be_integers(self, text):
+        with pytest.raises(ValueError):
+            FTriangle.from_json(text)
+
     def test_trivial_closed_form(self):
         for n in range(6):
             assert f_triangle(trivial_triangulation(n)) == trivial_f_triangle(n)

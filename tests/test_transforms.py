@@ -1,8 +1,10 @@
 """Polynomial families and the linear transforms built from them."""
 
+from math import comb
+
 import pytest
 
-from eulerian_lab.poly import ONE, Poly, one_plus_x_power, reciprocal
+from eulerian_lab.poly import ONE, X, Poly, one_plus_x_power, reciprocal
 from eulerian_lab.transforms import (
     apply_transform,
     basis_sequence,
@@ -50,6 +52,27 @@ class TestClassicalFamilies:
         assert derangement(2) == P(0, 1)
         assert derangement(3) == P(0, 1, 1)
         assert derangement(4) == P(0, 1, 7, 1)
+
+    def test_binomial_eulerian_sum_forms(self):
+        # the two binomial sums over Eulerian polynomials that no suite checks
+        for n in range(11):
+            via_sum = ONE + X * sum(
+                (eulerian(i) * comb(n, i) for i in range(1, n + 1)), P()
+            )
+            via_rev = sum(
+                (eulerian(i).times_x_power(n - i) * comb(n, i) for i in range(n + 1)),
+                P(),
+            )
+            assert binomial_eulerian(n) == via_sum, n
+            assert binomial_eulerian(n) == via_rev, n
+
+    def test_type_b_derivative_recurrence(self):
+        # B_n = (1 + (2n-1)x) B_{n-1} + 2x(1-x) B_{n-1}'
+        prev = ONE
+        for n in range(1, 11):
+            slope = X * 2 * (ONE - X) * prev.derivative()
+            prev = (ONE + X * (2 * n - 1)) * prev + slope
+            assert typeB_eulerian(n) == prev, n
 
     def test_type_b_values(self):
         assert typeB_eulerian(0) == ONE
