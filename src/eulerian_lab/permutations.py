@@ -186,11 +186,15 @@ def symmetric_group(n: int) -> Iterator[tuple[int, ...]]:
     return itertools.permutations(range(1, n + 1))
 
 
-def signed_permutations(n: int) -> Iterator[tuple[int, ...]]:
-    """All signed permutations of 1..n as tuples of nonzero signed values."""
+def _check_signed_budget(n: int) -> None:
     if n < 0:
         raise ValueError("n must be nonnegative")
     check_group_budget((2**n) * math.factorial(n), f"signed permutations of size {n}")
+
+
+def signed_permutations(n: int) -> Iterator[tuple[int, ...]]:
+    """All signed permutations of 1..n as tuples of nonzero signed values."""
+    _check_signed_budget(n)
 
     def gen() -> Iterator[tuple[int, ...]]:
         for base in itertools.permutations(range(1, n + 1)):
@@ -227,6 +231,30 @@ def des_B(w: Word) -> int:
     count = 1 if n and word[0] < 0 else 0
     count += sum(1 for i in range(n - 1) if word[i] > word[i + 1])
     return count
+
+
+def _des_B_tally(n: int) -> list[int]:
+    """How many signed permutations of size n have each value of des_B.
+
+    Walks every signed word, as signed_permutations does, without building
+    it: bit i of the sign mask negates position i of the base permutation,
+    and des_B counts the positions whose value is below the one before,
+    starting from a fixed 0.
+    """
+    _check_signed_budget(n)
+    tally = [0] * (n + 1)
+    sign_masks = range(1 << n)
+    for base in itertools.permutations(range(1, n + 1)):
+        for smask in sign_masks:
+            prev = d = 0
+            for i, v in enumerate(base):
+                if smask >> i & 1:
+                    v = -v
+                if prev > v:
+                    d += 1
+                prev = v
+            tally[d] += 1
+    return tally
 
 
 # Fields of a sweep_histogram key.
@@ -468,7 +496,7 @@ def brute_force_family(
     if n < 0:
         raise ValueError("n must be nonnegative")
     if family == "B":
-        return _poly(Counter((des_B(w),) for w in signed_permutations(n)), 0)
+        return Poly(_des_B_tally(n))
     if family == "colored-local":
         if k is None or r is None:
             raise ValueError("family requires parameters k and r")

@@ -5,6 +5,13 @@ trailing zeros stripped, so the zero polynomial has an empty coefficient
 tuple and degree -1.  Floats are rejected everywhere: every computation in
 this package is exact.
 
+The public constructor ``Poly(...)`` validates and converts each
+coefficient.  Arithmetic builds its results through the private
+``Poly._of``, which only strips trailing zeros: it trusts that every entry
+of its list is a ``Fraction`` that this module computed from the
+coefficients of existing polynomials and from ``int`` or ``Fraction``
+scalars.  Nothing outside this module may call ``Poly._of``.
+
 Beyond ring arithmetic the module provides the structural toolkit used by
 the rest of the package: reciprocals and palindromicity with respect to a
 chosen degree, unimodality with peak location, gamma expansions, the
@@ -25,6 +32,8 @@ Scalar = Union[int, Fraction]
 
 
 def _as_fraction(value: object) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("float coefficients are not allowed, use Fraction or int")
     if isinstance(value, (int, Fraction)):
@@ -38,6 +47,10 @@ _TERM_RE = re.compile(
         (?:\*?\s*x(?:\^(?P<exp>\d+))?)?$""",
     re.VERBOSE,
 )
+
+# The coefficient of every index beyond the degree; Fractions are immutable,
+# so one instance serves every caller.
+_FRACTION_ZERO = Fraction(0)
 
 
 class Poly:
@@ -55,6 +68,19 @@ class Poly:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Poly is immutable")
+
+    @classmethod
+    def _of(cls, cs: list[Fraction]) -> "Poly":
+        """The polynomial with coefficients cs, which this call may modify.
+
+        No coefficient is checked or converted: every entry must already be
+        a Fraction computed by this module (see the module docstring).
+        """
+        while cs and not cs[-1]:
+            cs.pop()
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", tuple(cs))
+        return p
 
     # -- construction helpers -------------------------------------------------
 
@@ -122,7 +148,7 @@ class Poly:
     def __getitem__(self, i: int) -> Fraction:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return Fraction(0)
+        return _FRACTION_ZERO
 
     def leading(self) -> Fraction:
         if not self.coeffs:
@@ -148,39 +174,45 @@ class Poly:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self[i] + other[i] for i in range(n))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return Poly._of([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(-c for c in self.coeffs)
+        return Poly._of([-c for c in self.coeffs])
 
     def __sub__(self, other: object) -> "Poly":
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return _difference(self.coeffs, other.coeffs)
 
     def __rsub__(self, other: object) -> "Poly":
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return _difference(other.coeffs, self.coeffs)
 
     def __mul__(self, other: object) -> "Poly":
-        other = _coerce(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return ZERO
+            s = _as_fraction(other)
+            return Poly._of([c * s for c in self.coeffs])
+        if not isinstance(other, Poly):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return ZERO
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [_FRACTION_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
+            if not a:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return Poly(out)
+        return Poly._of(out)
 
     __rmul__ = __mul__
 
@@ -206,7 +238,7 @@ class Poly:
         rem = list(self.coeffs)
         dn = other.deg()
         lead = other.leading()
-        quot = [Fraction(0)] * max(len(rem) - dn, 0)
+        quot = [_FRACTION_ZERO] * max(len(rem) - dn, 0)
         for i in range(len(rem) - dn - 1, -1, -1):
             c = rem[i + dn] / lead
             if c == 0:
@@ -214,7 +246,7 @@ class Poly:
             quot[i] = c
             for j, b in enumerate(other.coeffs):
                 rem[i + j] -= c * b
-        return Poly(quot), Poly(rem)
+        return Poly._of(quot), Poly._of(rem)
 
     def __floordiv__(self, other: object) -> "Poly":
         return divmod(self, other)[0]
@@ -237,14 +269,14 @@ class Poly:
         return acc
 
     def derivative(self) -> "Poly":
-        return Poly(i * c for i, c in enumerate(self.coeffs) if i > 0)
+        return Poly._of([i * c for i, c in enumerate(self.coeffs) if i > 0])
 
     def times_x_power(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative shift")
         if self.is_zero():
             return ZERO
-        return Poly((0,) * k + self.coeffs)
+        return Poly._of([_FRACTION_ZERO] * k + list(self.coeffs))
 
     # -- formatting ----------------------------------------------------------------
 
@@ -267,6 +299,14 @@ class Poly:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
+
+
+def _difference(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> Poly:
+    """The polynomial with coefficients a minus the one with coefficients b."""
+    common = min(len(a), len(b))
+    out = [x - y for x, y in zip(a, b)]
+    out += a[common:] if len(a) > common else [-y for y in b[common:]]
+    return Poly._of(out)
 
 
 def _coerce(value: object) -> Poly | None:
@@ -343,7 +383,9 @@ def reciprocal(p: Poly, n: int) -> Poly:
         raise ValueError("window degree must be nonnegative")
     if p.deg() > n:
         raise ValueError(f"degree {p.deg()} exceeds window {n}")
-    return Poly(p[n - i] for i in range(n + 1))
+    return Poly._of(
+        [_FRACTION_ZERO] * (n + 1 - len(p.coeffs)) + list(reversed(p.coeffs))
+    )
 
 
 def is_symmetric(p: Poly, n: int) -> bool:

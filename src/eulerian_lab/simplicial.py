@@ -168,7 +168,14 @@ class CarriedTriangulation:
     polynomial operations below are submask sums over at most 2^|V| masks.
     """
 
-    __slots__ = ("complex", "base_vertices", "carrier", "counts", "_h_cache")
+    __slots__ = (
+        "complex",
+        "base_vertices",
+        "carrier",
+        "counts",
+        "_h_cache",
+        "_local_cache",
+    )
 
     def __init__(
         self,
@@ -213,6 +220,7 @@ class CarriedTriangulation:
         )
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "_h_cache", {})
+        object.__setattr__(self, "_local_cache", {})
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("CarriedTriangulation is immutable")
@@ -284,11 +292,15 @@ class CarriedTriangulation:
     def local_h(self, emask: int = 0, fmask: int | None = None) -> Poly:
         """The alternating sum over emask <= G <= fmask of restriction
         h-polynomials: the (relative) local h-polynomial of the restriction
-        to fmask."""
+        to fmask.  Each pair is computed once: at most 3^n pairs exist, and
+        the cache lives as long as the triangulation."""
         if fmask is None:
             fmask = (1 << self.n) - 1
         if emask & ~fmask:
             raise ValueError("emask must be a submask of fmask")
+        cached = self._local_cache.get((emask, fmask))
+        if cached is not None:
+            return cached
         m = int.bit_count(fmask)
         total = ZERO
         for gmask in _submasks_over(emask, fmask):
@@ -297,6 +309,7 @@ class CarriedTriangulation:
                 total = total - term
             else:
                 total = total + term
+        self._local_cache[emask, fmask] = total
         return total
 
 

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic and the symmetry toolkit."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -215,3 +216,160 @@ class TestBasisP:
     def test_rejects_too_high_degree(self):
         with pytest.raises(ValueError):
             basis_p_coeffs(P(1, 1, 1, 1), 2)
+
+
+# -- the constructor-based routes that Poly arithmetic used before it built
+# results directly; kept as the oracle of TestFastPathsAgainstConstructor.
+
+def oracle_add(p: Poly, q: Poly) -> Poly:
+    n = max(len(p), len(q))
+    return Poly(p[i] + q[i] for i in range(n))
+
+
+def oracle_neg(p: Poly) -> Poly:
+    return Poly(-c for c in p.coeffs)
+
+
+def oracle_sub(p: Poly, q: Poly) -> Poly:
+    return oracle_add(p, oracle_neg(q))
+
+
+def oracle_mul(p: Poly, q: Poly) -> Poly:
+    if not p.coeffs or not q.coeffs:
+        return ZERO
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return Poly(out)
+
+
+def oracle_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
+    rem = list(p.coeffs)
+    dn = q.deg()
+    quot = [Fraction(0)] * max(len(rem) - dn, 0)
+    for i in range(len(rem) - dn - 1, -1, -1):
+        c = rem[i + dn] / q.leading()
+        quot[i] = c
+        for j, b in enumerate(q.coeffs):
+            rem[i + j] -= c * b
+    return Poly(quot), Poly(rem)
+
+
+def oracle_derivative(p: Poly) -> Poly:
+    return Poly(i * c for i, c in enumerate(p.coeffs) if i > 0)
+
+
+def oracle_times_x_power(p: Poly, k: int) -> Poly:
+    return Poly((0,) * k + p.coeffs) if p.coeffs else ZERO
+
+
+def oracle_reciprocal(p: Poly, n: int) -> Poly:
+    return Poly(p.coeffs[n - i] if n - i < len(p) else 0 for i in range(n + 1))
+
+
+def random_coeff(rng: random.Random, integral: bool) -> Fraction:
+    if integral or rng.random() < 0.3:
+        return Fraction(rng.randint(-4, 4))
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def random_poly(rng: random.Random, integral: bool, length: int | None = None) -> Poly:
+    if length is None:
+        length = rng.choice((0, 0, 1, 2, 3, 4, 5, 6))
+    cs = [random_coeff(rng, integral) for _ in range(length)]
+    if cs and not cs[-1]:
+        cs[-1] = Fraction(1)
+    return Poly(cs)
+
+
+def random_pairs(seed: int, count: int):
+    """Seeded operand pairs: integer and non-integer coefficients, zero
+    polynomials, and equal lengths whose leading terms cancel in p + q and
+    in p - q."""
+    rng = random.Random(seed)
+    for index in range(count):
+        integral = index % 2 == 0
+        p = random_poly(rng, integral)
+        kind = index % 4
+        if kind == 2 and p:
+            q = Poly(list(random_poly(rng, integral, len(p)).coeffs[:-1]) + [-p.leading()])
+        elif kind == 3 and p:
+            q = Poly(list(random_poly(rng, integral, len(p)).coeffs[:-1]) + [p.leading()])
+        else:
+            q = random_poly(rng, integral)
+        yield p, q
+
+
+SCALARS = (0, 1, -3, 7, True, False, Fraction(0), Fraction(-2, 3), Fraction(5))
+
+
+def assert_same(got: Poly, want: Poly) -> None:
+    assert got.coeffs == want.coeffs
+    assert all(type(c) is Fraction for c in got.coeffs), got.coeffs
+    assert not got.coeffs or got.coeffs[-1] != 0
+
+
+class TestFastPathsAgainstConstructor:
+    def test_ring_operations(self):
+        for p, q in random_pairs(seed=5, count=400):
+            assert_same(p + q, oracle_add(p, q))
+            assert_same(q + p, oracle_add(q, p))
+            assert_same(p - q, oracle_sub(p, q))
+            assert_same(q - p, oracle_sub(q, p))
+            assert_same(-p, oracle_neg(p))
+            assert_same(p * q, oracle_mul(p, q))
+            if q:
+                quot, rem = divmod(p, q)
+                want_quot, want_rem = oracle_divmod(p, q)
+                assert_same(quot, want_quot)
+                assert_same(rem, want_rem)
+
+    def test_cancelling_leading_terms(self):
+        p = P(Fraction(1, 2), 3, -2)
+        assert_same(p + P(1, 1, 2), P(Fraction(3, 2), 4))
+        assert_same(p - p, ZERO)
+        assert_same(p + (-p), ZERO)
+        assert_same(P(1, 2) - P(0, 2), P(1))
+
+    def test_scalars_on_both_sides(self):
+        for p, _ in random_pairs(seed=6, count=120):
+            for s in SCALARS:
+                c = Poly.constant(s)
+                assert_same(p * s, oracle_mul(p, c))
+                assert_same(s * p, oracle_mul(c, p))
+                assert_same(p + s, oracle_add(p, c))
+                assert_same(s + p, oracle_add(c, p))
+                assert_same(p - s, oracle_sub(p, c))
+                assert_same(s - p, oracle_sub(c, p))
+                if s:
+                    quot, rem = divmod(p, s)
+                    want_quot, want_rem = oracle_divmod(p, c)
+                    assert_same(quot, want_quot)
+                    assert_same(rem, want_rem)
+
+    def test_unary_operations(self):
+        for p, _ in random_pairs(seed=7, count=200):
+            assert_same(p.derivative(), oracle_derivative(p))
+            for k in range(4):
+                assert_same(p.times_x_power(k), oracle_times_x_power(p, k))
+            for n in range(max(p.deg(), 0), p.deg() + 4):
+                assert_same(reciprocal(p, n), oracle_reciprocal(p, n))
+
+    def test_out_of_range_index_is_zero(self):
+        p = P(1, Fraction(1, 2))
+        assert p[2] == 0 and type(p[2]) is Fraction
+        assert p[-1] == 0 and type(p[-1]) is Fraction
+
+    def test_floats_still_rejected(self):
+        p = P(1, 2)
+        with pytest.raises(TypeError):
+            Poly([1.5])
+        with pytest.raises(TypeError):
+            p + 1.5
+        with pytest.raises(TypeError):
+            p * 1.5
+        with pytest.raises(TypeError):
+            1.5 * p
+        with pytest.raises(TypeError):
+            p - 1.5

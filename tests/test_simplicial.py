@@ -275,3 +275,79 @@ class TestFTriangleInvariants:
     def test_identity_suite_nonstrict_collects(self):
         cases = identity_suite(edgewise_subdivision(3, 2), strict=False)
         assert all(c.ok for c in cases)
+
+
+LOCAL_H_FAMILIES = {
+    "trivial": trivial_triangulation,
+    "barycentric": barycentric_subdivision,
+    "esd": lambda n: edgewise_subdivision(n, 2),
+    "colored": lambda n: colored_barycentric(n, 2),
+}
+
+
+def alternating_restriction_sum(t, emask: int, fmask: int) -> Poly:
+    """The relative local h-polynomial written out from its definition."""
+    m = bin(fmask).count("1")
+    total = Poly(())
+    for gmask in range(fmask + 1):
+        if gmask & emask == emask and gmask & ~fmask == 0:
+            sign = -1 if (m - bin(gmask).count("1")) % 2 else 1
+            total = total + t.restriction_h(gmask) * sign
+    return total
+
+
+def mask_pairs(n: int):
+    for fmask in range(1 << n):
+        for emask in range(fmask + 1):
+            if emask & ~fmask == 0:
+                yield emask, fmask
+
+
+class TestLocalHCache:
+    @pytest.mark.parametrize("family", sorted(LOCAL_H_FAMILIES))
+    def test_every_pair_matches_the_definition(self, family):
+        build = LOCAL_H_FAMILIES[family]
+        for n in range(5):
+            t, fresh = build(n), build(n)
+            for emask, fmask in mask_pairs(n):
+                want = alternating_restriction_sum(fresh, emask, fmask)
+                got = t.local_h(emask, fmask)
+                assert got == want, (family, n, emask, fmask)
+                assert t.local_h(emask, fmask) is got
+            assert t.local_h() == alternating_restriction_sum(fresh, 0, (1 << n) - 1)
+
+    @pytest.mark.parametrize("family", sorted(LOCAL_H_FAMILIES))
+    def test_after_identity_suite(self, family):
+        build = LOCAL_H_FAMILIES[family]
+        for n in range(5):
+            t, fresh = build(n), build(n)
+            assert all(c.ok for c in identity_suite(t, strict=False))
+            for emask, fmask in mask_pairs(n):
+                want = alternating_restriction_sum(fresh, emask, fmask)
+                assert t.local_h(emask, fmask) == want, (family, n, emask, fmask)
+
+    def test_invalid_masks_raise_with_a_full_cache(self):
+        t = barycentric_subdivision(3)
+        identity_suite(t)
+        for emask, fmask in mask_pairs(3):
+            t.local_h(emask, fmask)
+        for emask, fmask in ((1, 0), (3, 1), (4, 3), (7, 6)):
+            with pytest.raises(ValueError):
+                t.local_h(emask, fmask)
+        with pytest.raises(ValueError):
+            t.local_h(8)
+
+    def test_triangulations_share_no_entries(self):
+        # the barycentric and 2-fold edgewise subdivisions of the triangle
+        # have different local h-polynomials at the full face
+        bary, esd = barycentric_subdivision(3), edgewise_subdivision(3, 2)
+        assert bary.local_h() == P(0, 1, 1)
+        assert esd.local_h() == P()
+        assert bary.local_h() == P(0, 1, 1)
+        for emask, fmask in mask_pairs(3):
+            assert esd.local_h(emask, fmask) == alternating_restriction_sum(
+                edgewise_subdivision(3, 2), emask, fmask
+            )
+            assert bary.local_h(emask, fmask) == alternating_restriction_sum(
+                barycentric_subdivision(3), emask, fmask
+            )
