@@ -35,7 +35,6 @@ from .suites import (
     GOLDEN_DNK,
     GOLDEN_QNK,
     CaseResult,
-    binomial_base,
     build_geometry_family,
     conjecture_cases,
     counterexample_cases,
@@ -50,34 +49,7 @@ from .suites import (
     q_interlacing_cases,
     theorem1_sample_cases,
 )
-from .transforms import (
-    binomial_eulerian,
-    derangement,
-    dnk,
-    eulerian,
-    generic_hnk,
-    generic_lnk,
-    pnk,
-    qnk,
-    qnkj_star,
-    typeB_derangement_image,
-    typeB_eulerian,
-)
-
-_ONE_INDEX_FAMILIES = {
-    "A": eulerian,
-    "Atilde": binomial_eulerian,
-    "d": derangement,
-    "B": typeB_eulerian,
-    "DB": typeB_derangement_image,
-}
-
-_TWO_INDEX_FAMILIES = {
-    "p": pnk,
-    "q": qnk,
-    "qnk": qnk,  # alias, symmetric with the dnk name
-    "dnk": dnk,
-}
+from .transforms import TABLE_FAMILIES, binomial_base
 
 
 def _poly_flags(p: Poly) -> str:
@@ -95,42 +67,19 @@ def _poly_flags(p: Poly) -> str:
 
 
 def _table_rows(family: str, n: int) -> list[dict]:
-    rows: list[dict] = []
-
-    def add(nn: int, kk, poly: Poly, jj=None) -> None:
-        rows.append(
-            {
-                "n": nn,
-                "k": kk,
-                "j": jj,
-                "polynomial": poly.to_text(),
-                "real_rooted": is_real_rooted(poly),
-                "flags": _poly_flags(poly),
-            }
-        )
-
-    if family in _ONE_INDEX_FAMILIES:
-        fn = _ONE_INDEX_FAMILIES[family]
-        for m in range(n + 1):
-            add(m, None, fn(m))
-    elif family in _TWO_INDEX_FAMILIES:
-        fn = _TWO_INDEX_FAMILIES[family]
-        for m in range(n + 1):
-            for k in range(m + 1):
-                add(m, k, fn(m, k))
-    elif family == "qstar":
-        for k in range(n + 2):
-            for j in range(n + 1):
-                add(n, k, qnkj_star(n, k, j), j)
-    elif family in ("generic-h", "generic-l"):
-        base = binomial_base(n)
-        fn = generic_hnk if family == "generic-h" else generic_lnk
-        for m in range(n + 1):
-            for k in range(m + 1):
-                add(m, k, fn(base, m, k))
-    else:
+    if family not in TABLE_FAMILIES:
         raise ValueError(f"unknown table family {family!r}")
-    return rows
+    return [
+        {
+            "n": m,
+            "k": k,
+            "j": j,
+            "polynomial": poly.to_text(),
+            "real_rooted": is_real_rooted(poly),
+            "flags": _poly_flags(poly),
+        }
+        for m, k, j, poly in TABLE_FAMILIES[family](n)
+    ]
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -382,9 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--family",
         required=True,
-        choices=sorted(_ONE_INDEX_FAMILIES)
-        + sorted(_TWO_INDEX_FAMILIES)
-        + ["qstar", "generic-h", "generic-l"],
+        choices=list(TABLE_FAMILIES),
     )
     p.add_argument("--n", type=_size, required=True)
     _add_common(p)

@@ -10,7 +10,12 @@ coefficient.  Arithmetic builds its results through the private
 ``Poly._of``, which only strips trailing zeros: it trusts that every entry
 of its list is a ``Fraction`` that this module computed from the
 coefficients of existing polynomials and from ``int`` or ``Fraction``
-scalars.  Nothing outside this module may call ``Poly._of``.
+scalars, or from the integers of a kernel tuple.  Nothing outside this
+module may call ``Poly._of``.
+
+``poly_gcd``, ``squarefree_decomposition`` and ``squarefree_part`` are thin
+wrappers over the package's one exact polynomial kernel, ``_intpoly``,
+which runs on primitive integer coefficients; they return monic results.
 
 Beyond ring arithmetic the module provides the structural toolkit used by
 the rest of the package: reciprocals and palindromicity with respect to a
@@ -27,6 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
+
+from ._intpoly import IntPoly, _gcd, _int_poly, _squarefree_part, _yun
 
 Scalar = Union[int, Fraction]
 
@@ -328,13 +335,15 @@ def one_plus_x_power(k: int) -> Poly:
     return Poly(math.comb(k, i) for i in range(k + 1))
 
 
+def _monic(f: IntPoly) -> Poly:
+    """The monic rational polynomial of a nonzero kernel tuple f."""
+    return Poly._of([Fraction(c, f[-1]) for c in f])
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor, with gcd(0, 0) = 0."""
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return ZERO
-    return a * (1 / a.leading())
+    g = _gcd(_int_poly(a.coeffs), _int_poly(b.coeffs))
+    return _monic(g) if g else ZERO
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
@@ -346,32 +355,14 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     """
     if p.deg() <= 0:
         return []
-    p = p * (1 / p.leading())
-    dp = p.derivative()
-    g = poly_gcd(p, dp)
-    w = p.exact_div(g)
-    y = dp.exact_div(g)
-    z = y - w.derivative()
-    out: list[tuple[Poly, int]] = []
-    i = 1
-    while w.deg() > 0:
-        f = poly_gcd(w, z)
-        if f.deg() > 0:
-            out.append((f, i))
-        w = w.exact_div(f)
-        y = z.exact_div(f)
-        z = y - w.derivative()
-        i += 1
-    return out
+    return [(_monic(f), i) for f, i in _yun(_int_poly(p.coeffs))]
 
 
 def squarefree_part(p: Poly) -> Poly:
     """Monic product of the distinct irreducible factors of p."""
     if p.deg() <= 0:
         return ZERO if p.is_zero() else ONE
-    g = poly_gcd(p, p.derivative())
-    q = p.exact_div(g)
-    return q * (1 / q.leading())
+    return _monic(_squarefree_part(_int_poly(p.coeffs)))
 
 
 def reciprocal(p: Poly, n: int) -> Poly:

@@ -33,6 +33,7 @@ from .roots import (
 )
 from .transforms import (
     apply_transform,
+    binomial_base,
     binomial_eulerian,
     derangement_transform,
     dnk,
@@ -711,10 +712,6 @@ def generic_conjecture_cases(
     additive, alternating = partial(generic_hnk, hs, n), partial(generic_lnk, hs, n)
     _conclusion_cases(part, n, additive, alternating, cases, summary)
     return cases, summary
-
-
-def binomial_base(n: int) -> tuple[Poly, ...]:
-    return tuple(one_plus_x_power(m) for m in range(n + 1))
 
 
 def counterexample_cases() -> list[CaseResult]:

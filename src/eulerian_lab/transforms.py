@@ -11,7 +11,7 @@ sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 from typing import Callable, Sequence
 
@@ -174,6 +174,46 @@ def generic_lnk(hs: tuple[Poly, ...], n: int, k: int) -> Poly:
     for i in range(k + 1):
         total = total + hs[n - i] * ((-1) ** i * comb(k, i))
     return total
+
+
+def binomial_base(n: int) -> tuple[Poly, ...]:
+    """The base sequence (1+x)^m, m = 0..n, of the generic families."""
+    return tuple(one_plus_x_power(m) for m in range(n + 1))
+
+
+def _one_index_rows(family: Callable[[int], Poly]):
+    return lambda n: [(m, None, None, family(m)) for m in range(n + 1)]
+
+
+def _two_index_rows(family: Callable[[int, int], Poly]):
+    return lambda n: [
+        (m, k, None, family(m, k)) for m in range(n + 1) for k in range(m + 1)
+    ]
+
+
+def _generic_rows(family: Callable[[tuple[Poly, ...], int, int], Poly]):
+    return lambda n: _two_index_rows(partial(family, binomial_base(n)))(n)
+
+
+# The table families: name -> the rows (n, k, j, polynomial) of the table at
+# size n, with k and j None where a family has fewer indices, in the order
+# of the `table --family` choices.
+TABLE_FAMILIES = {
+    "A": _one_index_rows(eulerian),
+    "Atilde": _one_index_rows(binomial_eulerian),
+    "B": _one_index_rows(typeB_eulerian),
+    "DB": _one_index_rows(typeB_derangement_image),
+    "d": _one_index_rows(derangement),
+    "dnk": _two_index_rows(dnk),
+    "p": _two_index_rows(pnk),
+    "q": _two_index_rows(qnk),
+    "qnk": _two_index_rows(qnk),  # alias, symmetric with the dnk name
+    "qstar": lambda n: [
+        (n, k, j, qnkj_star(n, k, j)) for k in range(n + 2) for j in range(n + 1)
+    ],
+    "generic-h": _generic_rows(generic_hnk),
+    "generic-l": _generic_rows(generic_lnk),
+}
 
 
 @dataclass(frozen=True)

@@ -126,6 +126,100 @@ class TestGcdAndSquarefree:
         assert sf.evaluate(-1) == 0
 
 
+# -- the Euclid and Yun routines over Fraction that poly_gcd,
+# squarefree_decomposition and squarefree_part ran before they wrapped the
+# integer kernel; kept as the reference of TestKernelAgainstFractionOracle,
+# the one check of the kernel's gcd and Yun that does not use them.
+
+def oracle_gcd(a: Poly, b: Poly) -> Poly:
+    while not b.is_zero():
+        a, b = b, a % b
+    if a.is_zero():
+        return ZERO
+    return a * (1 / a.leading())
+
+
+def oracle_squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
+    if p.deg() <= 0:
+        return []
+    p = p * (1 / p.leading())
+    dp = p.derivative()
+    g = oracle_gcd(p, dp)
+    w = p.exact_div(g)
+    y = dp.exact_div(g)
+    z = y - w.derivative()
+    out: list[tuple[Poly, int]] = []
+    i = 1
+    while w.deg() > 0:
+        f = oracle_gcd(w, z)
+        if f.deg() > 0:
+            out.append((f, i))
+        w = w.exact_div(f)
+        y = z.exact_div(f)
+        z = y - w.derivative()
+        i += 1
+    return out
+
+
+def oracle_squarefree_part(p: Poly) -> Poly:
+    if p.deg() <= 0:
+        return ZERO if p.is_zero() else ONE
+    q = p.exact_div(oracle_gcd(p, p.derivative()))
+    return q * (1 / q.leading())
+
+
+def random_factor(rng: random.Random) -> Poly:
+    """A linear factor with a rational root, a quadratic with complex or
+    irrational roots, or a constant; all with rational coefficients."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return P(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), 1)
+    if kind == 1:
+        return P(rng.randint(1, 6), rng.randint(-2, 2), 1)
+    if kind == 2:
+        return P(-rng.choice((2, 3, 5)), 0, 1)
+    return P(Fraction(rng.randint(1, 9), rng.randint(1, 4)) * rng.choice((1, -1)))
+
+
+def random_product(rng: random.Random, shared: Poly = ONE) -> Poly:
+    """shared times a few factors, each raised to a power 1..3, times a
+    nonzero rational scale; now and then the zero polynomial."""
+    if rng.random() < 0.05:
+        return ZERO
+    p = shared * Fraction(rng.randint(1, 9) * rng.choice((1, -1)), rng.randint(1, 5))
+    for _ in range(rng.randrange(4)):
+        p = p * random_factor(rng) ** rng.randint(1, 3)
+    return p
+
+
+class TestKernelAgainstFractionOracle:
+    def test_random_polynomials(self):
+        rng = random.Random(20231106)
+        seen = dict.fromkeys(("zero", "constant", "repeated", "shared", "non-integer"), 0)
+        for _ in range(300):
+            shared = random_factor(rng) ** rng.randint(1, 2) if rng.random() < 0.5 else ONE
+            p, q = random_product(rng, shared), random_product(rng, shared)
+            assert poly_gcd(p, q) == oracle_gcd(p, q), (p, q)
+            assert poly_gcd(q, p) == oracle_gcd(q, p), (p, q)
+            for f in (p, q):
+                assert squarefree_decomposition(f) == oracle_squarefree_decomposition(f), f
+                assert squarefree_part(f) == oracle_squarefree_part(f), f
+                seen["zero"] += f.is_zero()
+                seen["constant"] += f.deg() == 0
+                seen["repeated"] += oracle_squarefree_part(f).deg() < f.deg()
+                seen["non-integer"] += any(c.denominator > 1 for c in f)
+            seen["shared"] += oracle_gcd(p, q).deg() > 0
+        assert min(seen.values()) >= 10, seen
+
+    def test_degenerate_arguments(self):
+        p = P(Fraction(1, 2), Fraction(3, 2), 1)  # (x + 1)(x + 1/2)
+        for a, b in ((ZERO, ZERO), (p, ZERO), (ZERO, p), (P(3), P(5)), (P(3), ZERO), (p, p)):
+            assert poly_gcd(a, b) == oracle_gcd(a, b)
+        for f in (ZERO, P(7), P(0, 1), P(0, 0, 0, Fraction(-2, 3))):
+            assert squarefree_decomposition(f) == oracle_squarefree_decomposition(f)
+            assert squarefree_part(f) == oracle_squarefree_part(f)
+
+
 class TestSymmetry:
     def test_reciprocal_examples(self):
         # window 3: 1 + 2x -> x^2(1/x ...) = x^3 + 2x^2

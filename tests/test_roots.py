@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from eulerian_lab.errors import CertificationError
 from eulerian_lab.poly import ONE, X, ZERO, Poly, poly_gcd, reciprocal, squarefree_part
 from eulerian_lab.roots import (
     interlaces,
@@ -17,7 +16,12 @@ from eulerian_lab.roots import (
     isolate_roots,
     sturm_distinct_real_roots,
 )
-from eulerian_lab.suites import binomial_base, theorem1_sample_cases
+from eulerian_lab.suites import (
+    binomial_base,
+    derangement_sample_cases,
+    eulerian_combination_sample_cases,
+    theorem1_sample_cases,
+)
 from eulerian_lab.transforms import eulerian, generic_hnk, generic_lnk, qnk
 
 
@@ -91,6 +95,41 @@ class TestIsolation:
     def test_zero_poly_rejected(self):
         with pytest.raises(ValueError):
             isolate_roots(ZERO)
+
+
+# Quadratics without a real root: (x - c)^2 + e with e > 0.
+ROOT_FREE = (P(1, 0, 1), P(1, 1, 1), P(Fraction(37, 4), -6, 1), P(Fraction(1, 9), Fraction(2, 3), 2))
+
+
+class TestIsolationOnKnownRoots:
+    """isolate_roots against polynomials built from their roots, an oracle
+    that shares no code with the Sturm and Yun kernel."""
+
+    def test_random_products(self):
+        rng = random.Random(20231107)
+        widths = (None, Fraction(1, 8), Fraction(1, 1024))
+        for index in range(150):
+            roots = {}
+            for _ in range(rng.randint(1, 5)):
+                roots[Fraction(rng.randint(-12, 12), rng.randint(1, 6))] = rng.randint(1, 3)
+            p = P(rng.choice(ORACLE_LEADS))
+            for r, m in roots.items():
+                p = p * P(-r, 1) ** m
+            for _ in range(rng.randrange(3)):
+                p = p * rng.choice(ROOT_FREE) ** rng.randint(1, 2)
+            max_width = widths[index % 3]
+            recs = isolate_roots(p, max_width=max_width)
+            assert len(recs) == len(roots), (p, recs)
+            for rec, r in zip(recs, sorted(roots)):
+                assert rec.lo == rec.hi == r or rec.lo < r < rec.hi, (p, rec, r)
+                assert rec.multiplicity == roots[r], (p, rec, r)
+                if max_width is not None:
+                    assert rec.width() <= max_width
+            for left, right in zip(recs, recs[1:]):
+                assert left.hi <= right.lo
+
+    def test_no_real_root(self):
+        assert isolate_roots(ROOT_FREE[1] * ROOT_FREE[2] ** 2) == ()
 
 
 class TestInterlaces:
@@ -295,6 +334,42 @@ class TestDecompositionVerdict:
         # q_{4,2} itself splits with a negative b part in window 4
         verdict = interlacing_symmetric_decomposition(qnk(4, 2), 4)
         assert not verdict.nonnegative
+
+    def test_equivalent_routes_agree_on_sample_images(self):
+        """The routes that interlacing_symmetric_decomposition no longer
+        runs: for a nonnegative split p = a + x b, b interlacing a is
+        equivalent to a interlacing p, to b interlacing p and to the
+        reversal of p interlacing p, and it forces p to be real rooted."""
+        inputs = []
+        for n in range(2, 9):
+            for c in theorem1_sample_cases(n, 3, n):
+                inputs.append((Poly.from_text(c.detail.split("image ")[1].split(";")[0]), n))
+            for c in derangement_sample_cases(n, 3, n):
+                image = Poly.from_text(c.detail.split("image ")[1].split(";")[0])
+                inputs.append((reciprocal(image, n), n))
+            for c in eulerian_combination_sample_cases(n, 3, n):
+                inputs.append((X * Poly.from_text(c.detail.split("s = ")[1]), n))
+        # random nonnegative splits, most of which do not interlace
+        rng = random.Random(20231108)
+        while len(inputs) < 200:
+            n = rng.randint(1, 7)
+            p = Poly([rng.randint(0, 20) for _ in range(n + 1)])
+            if p and interlacing_symmetric_decomposition(p, n).nonnegative:
+                inputs.append((p, n))
+        seen = set()
+        for p, n in inputs:
+            verdict = interlacing_symmetric_decomposition(p, n)
+            assert verdict.nonnegative, p
+            seen.add(verdict.interlacing)
+            routes = (
+                verdict.interlacing,
+                interlaces(verdict.a, p),
+                interlaces(verdict.b, p),
+                interlaces(reciprocal(p, n), p),
+            )
+            assert len(set(routes)) == 1, (p, n, routes)
+            assert is_real_rooted(p) or not verdict.interlacing, p
+        assert seen == {True, False}
 
     def test_window_too_small(self):
         with pytest.raises(ValueError):
