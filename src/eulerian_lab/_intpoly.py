@@ -33,7 +33,7 @@ def _primitive(cs: Sequence[int]) -> IntPoly:
     return tuple(c // content for c in cs[:n])
 
 
-def _int_poly(cs: Sequence[Fraction]) -> IntPoly:
+def _int_poly(cs: Sequence[int | Fraction]) -> IntPoly:
     """Rational coefficients cs, low degree first and without trailing
     zeros, rescaled by a positive rational to primitive integers."""
     if not cs:

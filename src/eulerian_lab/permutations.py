@@ -7,9 +7,13 @@ stay cheap.  Every generating polynomial here is an enumeration: no closed
 forms, no recurrences.  A family is read off one pass over its group:
 sweep_histogram counts the words of S_m by a tuple of raw statistics and
 project_family reads each S_n family from that count, and the signed and
-colored families are tallied the same way.  The closed-form counterparts
-live in transforms.py; suites.equivalence_cases and the tests compare the
-two routes.
+colored families are tallied the same way.  A projection walks the count
+once to group it by the family's (statistic, selecting field, mask field)
+and reads each k and j off the small groups, so a whole row of k and j
+costs one walk; flag_excedance_rows likewise reads every k off one tally
+by the largest zero-colour fixed point.  The closed-form counterparts live
+in transforms.py; suites.equivalence_cases and the tests compare the two
+routes.
 """
 
 from __future__ import annotations
@@ -311,34 +315,57 @@ def _expand(terms: dict[tuple[int, int], int]) -> Poly:
     return Poly(coeffs)
 
 
-def _poly(
-    hist: Counter, stat: int, keep=None, mask: int | None = None, k: int = 0
-) -> Poly:
-    """Sum over the kept keys of count * (1+x)^t * x^key[stat], where t is
-    the number of set bits of key[mask] among the first k (0 with no mask)."""
+def _group(
+    hist: Counter, stat: int, field: int | None, mask: int | None
+) -> dict[int, Counter]:
+    """One walk over hist: for each value of key[field], how many
+    permutations share each (key[mask], key[stat]).  A field or mask of None
+    reads as 0."""
+    groups: dict[int, Counter] = {}
+    for key, c in hist.items():
+        f = 0 if field is None else key[field]
+        group = groups.get(f)
+        if group is None:
+            group = groups[f] = Counter()
+        group[0 if mask is None else key[mask], key[stat]] += c
+    return groups
+
+
+def _read(group: Counter | None, k: int = 0, keep=None) -> Poly:
+    """Sum of c * (1+x)^t * x^s over the entries (mask, s) -> c of a group
+    (those whose mask keep accepts, when keep is given), where t is the
+    number of set bits of mask among the first k."""
     low = (1 << k) - 1
     terms: Counter = Counter()
-    for key, c in hist.items():
-        if keep is None or keep(key):
-            t = 0 if mask is None else (key[mask] & low).bit_count()
-            terms[t, key[stat]] += c
+    for (m, s), c in (group or {}).items():
+        if keep is None or keep(m):
+            terms[(m & low).bit_count(), s] += c
     return _expand(terms)
 
 
+def _run_classes(hist: Counter) -> Counter:
+    """hist summed down to (w(1), first decreasing run is a singleton, a
+    later one is a singleton, des)."""
+    classes: Counter = Counter()
+    for key, c in hist.items():
+        classes[key[_FIRST], key[_FIRST_SINGLE], key[_LATER_SINGLE], key[_DES]] += c
+    return classes
+
+
 def _xi_classes(
-    hist: Counter, n: int, k: int
+    classes: Counter, n: int, k: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     plus = [0] * (n // 2 + 1)
     minus = [0] * ((n - 1) // 2 + 1 if n >= 1 else 0)
     if n == 0:
         plus[0] = 1
         return tuple(plus), tuple(minus)
-    for key, c in hist.items():
-        runs = n - key[_DES]
-        if key[_FIRST] > n - k:
-            if not (key[_FIRST_SINGLE] or key[_LATER_SINGLE]):
+    for (first, first_single, later_single, des), c in classes.items():
+        runs = n - des
+        if first > n - k:
+            if not (first_single or later_single):
                 plus[runs] += c
-        elif not key[_LATER_SINGLE]:
+        elif not later_single:
             minus[runs - 1] += c
     return tuple(plus), tuple(minus)
 
@@ -353,13 +380,14 @@ def xi_counts(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range 0..{n}")
-    return _xi_classes(sweep_histogram(n), n, k)
+    return _xi_classes(_run_classes(sweep_histogram(n)), n, k)
 
 
 def flag_excedance_rows(n: int, r: int) -> tuple[Poly, ...]:
     """flag_excedance_poly(n, r, k) for k = 0..n, from one sweep that tallies
-    (fexc / r, largest zero-colour fixed point or 0) over the balanced words."""
-    hist: Counter = Counter()
+    fexc / r over the balanced words by their largest zero-colour fixed
+    point (0 if none); row k sums the tallies up to k."""
+    by_top = [Counter() for _ in range(n + 1)]
     for word, colors in colored_permutations(n, r):
         flag = sum(colors)
         if flag % r:
@@ -371,8 +399,13 @@ def flag_excedance_rows(n: int, r: int) -> tuple[Poly, ...]:
                     top = i + 1
                 elif word[i] > i + 1:
                     flag += r
-        hist[flag // r, top] += 1
-    return tuple(_poly(hist, 0, lambda key: key[1] <= k) for k in range(n + 1))
+        by_top[top][flag // r] += 1
+    rows = []
+    total: Counter = Counter()
+    for tally in by_top:
+        total.update(tally)
+        rows.append(_expand({(0, e): c for e, c in total.items()}))
+    return tuple(rows)
 
 
 def flag_excedance_poly(n: int, r: int, k: int) -> Poly:
@@ -406,6 +439,25 @@ _SWEPT_FAMILIES = {
     "xi": (0, "k"),
 }
 
+# The grouping each family other than xi reads: the statistic in the
+# exponent, the field whose value selects a group (k + 1 for the p families,
+# j + 1 for the qnkj ones, 0 otherwise: d reads the words without a fixed
+# point) and the mask whose first k bits weigh by 1 + x.
+_GROUPINGS = {
+    "A": (_DES, None, None),
+    "A-exc": (_EXC, None, None),
+    "p": (_DES, _FIRST, None),
+    "p-asc": (_DES, _LAST, None),
+    "p-exc": (_EXC, _INV1, None),
+    "q-fix": (_EXC, None, _FIX),
+    "q-bad": (_DES, None, _BAD),
+    "qnkj": (_EXC, _INV1, _FIX),
+    "qnkj-alt": (_DES, _FIRST, _BAD),
+    "qstar": (_EXC, _INV1, _FIX),
+    "d": (_EXC, _FIX, None),
+    "dnk": (_EXC, None, _FIX),
+}
+
 
 def _swept_size(family: str, n: int, k: int | None, j: int | None) -> int:
     """Check the parameters of an S_n family; return the size m of the
@@ -427,42 +479,56 @@ def _swept_size(family: str, n: int, k: int | None, j: int | None) -> int:
     return n + offset
 
 
+def _project_row(
+    family: str, hists: dict[int, Counter], n: int
+) -> dict[tuple[int, int], Poly]:
+    """Every polynomial of an S_n family at size n, keyed by (k, j) with 0
+    for a parameter the family does not take, read off one grouping of the
+    histogram that project_family reads; hists maps each size m to
+    sweep_histogram(m)."""
+    offset, takes = _SWEPT_FAMILIES[family]
+    hist = hists[n + offset]
+    ks = range(n + 2 if "j" in takes else n + 1) if "k" in takes else (0,)
+    js = range(n + 1) if "j" in takes else (0,)
+    row = {}
+    if family == "xi":
+        classes = _run_classes(hist)
+        for k in ks:
+            plus, minus = _xi_classes(classes, n, k)
+            terms = {(n - 2 * i, i): c for i, c in enumerate(plus)}
+            terms.update({(n - 1 - 2 * i, i): c for i, c in enumerate(minus)})
+            row[k, 0] = _expand(terms)
+        return row
+    stat, field, mask = _GROUPINGS[family]
+    groups = _group(hist, stat, field, mask)
+    for k in ks:
+        for j in js:
+            if family == "dnk":
+                q = _read(groups.get(0), keep=lambda m: m >> (n - k) == 0)
+            elif family == "p-asc":
+                # asc = n - des on S_{n+1}
+                q = reciprocal(_read(groups.get(k + 1)), n)
+            elif family in ("p", "p-exc"):
+                q = _read(groups.get(k + 1))
+            elif family in ("qnkj", "qnkj-alt", "qstar"):
+                q = _read(groups.get(j + 1), k)
+                if family == "qstar" and j == 0 and k >= 1:
+                    q = q.exact_div(one_plus_x_power(1))
+            else:
+                q = _read(groups.get(0), k)
+            row[k, j] = q
+    return row
+
+
 def project_family(
     family: str, hist: Counter, n: int, k: int | None = None, j: int | None = None
 ) -> Poly:
     """One S_n family of brute_force_family read off sweep_histogram(m),
     with m = n + 1 for the p and qnkj families and m = n for the others."""
-    _swept_size(family, n, k, j)
-    if family == "A":
-        return _poly(hist, _DES)
-    if family == "A-exc":
-        return _poly(hist, _EXC)
-    if family == "p":
-        return _poly(hist, _DES, lambda key: key[_FIRST] == k + 1)
-    if family == "p-asc":
-        # asc = n - des on S_{n+1}
-        return reciprocal(_poly(hist, _DES, lambda key: key[_LAST] == k + 1), n)
-    if family == "p-exc":
-        return _poly(hist, _EXC, lambda key: key[_INV1] == k + 1)
-    if family == "q-fix":
-        return _poly(hist, _EXC, mask=_FIX, k=k)
-    if family == "q-bad":
-        return _poly(hist, _DES, mask=_BAD, k=k)
-    if family == "qnkj-alt":
-        return _poly(hist, _DES, lambda key: key[_FIRST] == j + 1, _BAD, k)
-    if family in ("qnkj", "qstar"):
-        q = _poly(hist, _EXC, lambda key: key[_INV1] == j + 1, _FIX, k)
-        if family == "qstar" and j == 0 and k >= 1:
-            return q.exact_div(one_plus_x_power(1))
-        return q
-    if family == "d":
-        return _poly(hist, _EXC, lambda key: not key[_FIX])
-    if family == "dnk":
-        return _poly(hist, _EXC, lambda key: key[_FIX] >> (n - k) == 0)
-    plus, minus = _xi_classes(hist, n, k)
-    terms = {(n - 2 * i, i): c for i, c in enumerate(plus)}
-    terms.update({(n - 1 - 2 * i, i): c for i, c in enumerate(minus)})
-    return _expand(terms)
+    m = _swept_size(family, n, k, j)
+    takes = _SWEPT_FAMILIES[family][1]
+    key = (k if "k" in takes else 0, j if "j" in takes else 0)
+    return _project_row(family, {m: hist}, n)[key]
 
 
 def brute_force_family(

@@ -1,17 +1,27 @@
 """Dense univariate polynomials over the rationals.
 
-Coefficients are ``fractions.Fraction`` values stored low degree first with
-trailing zeros stripped, so the zero polynomial has an empty coefficient
-tuple and degree -1.  Floats are rejected everywhere: every computation in
-this package is exact.
+Coefficients are stored low degree first with trailing zeros stripped, so
+the zero polynomial has an empty coefficient tuple and degree -1.  Each
+stored coefficient is canonical: an ``int`` when it is integral, otherwise a
+``fractions.Fraction`` whose denominator is not 1.  The paper's polynomials
+have integer coefficients, so their sums, differences and products run on
+``int`` and build no ``Fraction``.  Floats are rejected everywhere: every
+computation in this package is exact.
 
-The public constructor ``Poly(...)`` validates and converts each
+The accessors ``leading()``, ``p[i]`` (``Fraction(0)`` past the degree) and
+``evaluate`` return ``Fraction`` whatever the stored type, so ``1 /
+p.leading()`` stays exact for every caller.  ``coeffs`` exposes the stored
+values; code inside the package reads it directly.  Equality, hashing and
+``to_text`` do not see the representation, since ``Fraction(3) == 3``,
+``hash(Fraction(3)) == hash(3)`` and ``str(Fraction(3)) == "3"``.
+
+The public constructor ``Poly(...)`` validates and canonicalises each
 coefficient.  Arithmetic builds its results through the private
-``Poly._of``, which only strips trailing zeros: it trusts that every entry
-of its list is a ``Fraction`` that this module computed from the
-coefficients of existing polynomials and from ``int`` or ``Fraction``
-scalars, or from the integers of a kernel tuple.  Nothing outside this
-module may call ``Poly._of``.
+``Poly._of``, which strips trailing zeros and turns an integral
+``Fraction`` into its numerator: it trusts that every entry of its list is
+an ``int`` or ``Fraction`` that this module computed from canonical
+coefficients and scalars, or from the integers of a kernel tuple.  Nothing
+outside this module may call ``Poly._of``.
 
 ``poly_gcd``, ``squarefree_decomposition`` and ``squarefree_part`` are thin
 wrappers over the package's one exact polynomial kernel, ``_intpoly``,
@@ -38,14 +48,34 @@ from ._intpoly import IntPoly, _gcd, _int_poly, _squarefree_part, _yun
 Scalar = Union[int, Fraction]
 
 
-def _as_fraction(value: object) -> Fraction:
-    if type(value) is Fraction:
+def _as_coeff(value: object) -> Scalar:
+    """value as a canonical coefficient: an int when it is integral (a bool
+    included), else a Fraction with denominator above 1."""
+    if type(value) is int:
         return value
+    if type(value) is Fraction:
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, float):
         raise TypeError("float coefficients are not allowed, use Fraction or int")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, Fraction):
+        return _as_coeff(Fraction(value))
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
+
+
+def _quotient(a: Scalar, b: Scalar) -> Scalar:
+    """The canonical coefficient a / b of two canonical coefficients, b != 0;
+    never the float that / gives on two ints."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    c = a / b
+    return c.numerator if c.denominator == 1 else c
+
+
+def _as_fraction(c: Scalar) -> Fraction:
+    return c if type(c) is Fraction else Fraction(c)
 
 
 _TERM_RE = re.compile(
@@ -65,10 +95,10 @@ class Poly:
 
     __slots__ = ("coeffs",)
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Scalar, ...]
 
     def __init__(self, coeffs: Iterable[object] = ()) -> None:
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [_as_coeff(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -77,14 +107,18 @@ class Poly:
         raise AttributeError("Poly is immutable")
 
     @classmethod
-    def _of(cls, cs: list[Fraction]) -> "Poly":
+    def _of(cls, cs: list[Scalar]) -> "Poly":
         """The polynomial with coefficients cs, which this call may modify.
 
-        No coefficient is checked or converted: every entry must already be
-        a Fraction computed by this module (see the module docstring).
+        No coefficient is checked: every entry must be an int or a Fraction
+        computed by this module (see the module docstring).  An integral
+        Fraction is replaced by its numerator.
         """
         while cs and not cs[-1]:
             cs.pop()
+        for i, c in enumerate(cs):
+            if type(c) is not int and c.denominator == 1:
+                cs[i] = c.numerator
         p = object.__new__(cls)
         object.__setattr__(p, "coeffs", tuple(cs))
         return p
@@ -149,18 +183,18 @@ class Poly:
     def __len__(self) -> int:
         return len(self.coeffs)
 
-    def __iter__(self) -> Iterator[Fraction]:
+    def __iter__(self) -> Iterator[Scalar]:
         return iter(self.coeffs)
 
     def __getitem__(self, i: int) -> Fraction:
         if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+            return _as_fraction(self.coeffs[i])
         return _FRACTION_ZERO
 
     def leading(self) -> Fraction:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return _as_fraction(self.coeffs[-1])
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
@@ -207,13 +241,13 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return ZERO
-            s = _as_fraction(other)
+            s = _as_coeff(other)
             return Poly._of([c * s for c in self.coeffs])
         if not isinstance(other, Poly):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return ZERO
-        out = [_FRACTION_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out: list[Scalar] = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -244,13 +278,12 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
         dn = other.deg()
-        lead = other.leading()
-        quot = [_FRACTION_ZERO] * max(len(rem) - dn, 0)
+        lead = other.coeffs[-1]
+        quot: list[Scalar] = [0] * max(len(rem) - dn, 0)
         for i in range(len(rem) - dn - 1, -1, -1):
-            c = rem[i + dn] / lead
-            if c == 0:
+            if not rem[i + dn]:
                 continue
-            quot[i] = c
+            c = quot[i] = _quotient(rem[i + dn], lead)
             for j, b in enumerate(other.coeffs):
                 rem[i + j] -= c * b
         return Poly._of(quot), Poly._of(rem)
@@ -269,11 +302,11 @@ class Poly:
 
     def evaluate(self, x: Scalar) -> Fraction:
         """Evaluate at a rational point by Horner's rule."""
-        x = _as_fraction(x)
-        acc = Fraction(0)
+        x = _as_coeff(x)
+        acc: Scalar = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
+        return _as_fraction(acc)
 
     def derivative(self) -> "Poly":
         return Poly._of([i * c for i, c in enumerate(self.coeffs) if i > 0])
@@ -283,7 +316,7 @@ class Poly:
             raise ValueError("negative shift")
         if self.is_zero():
             return ZERO
-        return Poly._of([_FRACTION_ZERO] * k + list(self.coeffs))
+        return Poly._of([0] * k + list(self.coeffs))
 
     # -- formatting ----------------------------------------------------------------
 
@@ -308,7 +341,7 @@ class Poly:
         return " ".join(parts)
 
 
-def _difference(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> Poly:
+def _difference(a: tuple[Scalar, ...], b: tuple[Scalar, ...]) -> Poly:
     """The polynomial with coefficients a minus the one with coefficients b."""
     common = min(len(a), len(b))
     out = [x - y for x, y in zip(a, b)]
@@ -337,7 +370,8 @@ def one_plus_x_power(k: int) -> Poly:
 
 def _monic(f: IntPoly) -> Poly:
     """The monic rational polynomial of a nonzero kernel tuple f."""
-    return Poly._of([Fraction(c, f[-1]) for c in f])
+    lead = f[-1]
+    return Poly._of([_quotient(c, lead) for c in f])
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -374,9 +408,7 @@ def reciprocal(p: Poly, n: int) -> Poly:
         raise ValueError("window degree must be nonnegative")
     if p.deg() > n:
         raise ValueError(f"degree {p.deg()} exceeds window {n}")
-    return Poly._of(
-        [_FRACTION_ZERO] * (n + 1 - len(p.coeffs)) + list(reversed(p.coeffs))
-    )
+    return Poly._of([0] * (n + 1 - len(p.coeffs)) + list(reversed(p.coeffs)))
 
 
 def is_symmetric(p: Poly, n: int) -> bool:

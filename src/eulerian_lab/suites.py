@@ -48,9 +48,9 @@ from .transforms import (
     typeB_eulerian,
 )
 from .permutations import (
+    _project_row,
     brute_force_family,
     flag_excedance_rows,
-    project_family,
     sweep_histogram,
 )
 from .simplicial import (
@@ -90,7 +90,10 @@ def _case(name: str, ok: bool, detail: str = "") -> CaseResult:
 
 
 def _eq_case(name: str, got: Poly, want: Poly) -> CaseResult:
-    return _case(name, got == want, f"got {got.to_text()}, want {want.to_text()}")
+    ok = got == want
+    want_text = want.to_text()
+    got_text = want_text if ok else got.to_text()
+    return _case(name, ok, f"got {got_text}, want {want_text}")
 
 
 GOLDEN_QNK = {
@@ -144,28 +147,20 @@ def equivalence_cases(n_max: int = 6) -> list[CaseResult]:
     """Closed forms against raw enumeration for every family, n <= n_max.
 
     Each symmetric group is swept once: the histogram of S_{n+1} read for
-    size n is reused as the histogram of S_n for size n + 1."""
+    size n is reused as the histogram of S_n for size n + 1.  Each family
+    reads its whole row, every k and j, off one grouping of its histogram."""
     cases = []
-    here = sweep_histogram(0)
+    hists = {0: sweep_histogram(0)}
     for n in range(n_max + 1):
-        up = sweep_histogram(n + 1)
+        hists[n + 1] = sweep_histogram(n + 1)
+        row = {f: _project_row(f, hists, n) for f in _EQUIVALENCE_FAMILIES}
+        cases.append(_eq_case(f"A-des-enumeration-{n}", row["A"][0, 0], eulerian(n)))
         cases.append(
-            _eq_case(
-                f"A-des-enumeration-{n}", project_family("A", here, n), eulerian(n)
-            )
+            _eq_case(f"A-exc-enumeration-{n}", row["A-exc"][0, 0], eulerian(n))
         )
         cases.append(
             _eq_case(
-                f"A-exc-enumeration-{n}",
-                project_family("A-exc", here, n),
-                eulerian(n),
-            )
-        )
-        cases.append(
-            _eq_case(
-                f"Atilde-enumeration-{n}",
-                project_family("q-fix", here, n, k=n),
-                binomial_eulerian(n),
+                f"Atilde-enumeration-{n}", row["q-fix"][n, 0], binomial_eulerian(n)
             )
         )
         for k in range(n + 1):
@@ -174,33 +169,21 @@ def equivalence_cases(n_max: int = 6) -> list[CaseResult]:
             ):
                 cases.append(
                     _eq_case(
-                        f"{name}-enumeration-{n}-{k}",
-                        project_family(family, up, n, k=k),
-                        pnk(n, k),
+                        f"{name}-enumeration-{n}-{k}", row[family][k, 0], pnk(n, k)
                     )
                 )
             for family in ("q-fix", "q-bad"):
                 cases.append(
                     _eq_case(
-                        f"{family}-enumeration-{n}-{k}",
-                        project_family(family, here, n, k=k),
-                        qnk(n, k),
+                        f"{family}-enumeration-{n}-{k}", row[family][k, 0], qnk(n, k)
                     )
                 )
         for k in range(n + 1):
             cases.append(
-                _eq_case(
-                    f"dnk-enumeration-{n}-{k}",
-                    project_family("dnk", here, n, k=k),
-                    dnk(n, k),
-                )
+                _eq_case(f"dnk-enumeration-{n}-{k}", row["dnk"][k, 0], dnk(n, k))
             )
             cases.append(
-                _eq_case(
-                    f"xi-reconstruction-{n}-{k}",
-                    project_family("xi", here, n, k=k),
-                    dnk(n, k),
-                )
+                _eq_case(f"xi-reconstruction-{n}-{k}", row["xi"][k, 0], dnk(n, k))
             )
         for k in range(n + 2):
             for j in range(n + 1):
@@ -209,7 +192,7 @@ def equivalence_cases(n_max: int = 6) -> list[CaseResult]:
                     cases.append(
                         _eq_case(
                             f"qnkj-{name}-enumeration-{n}-{k}-{j}",
-                            project_family(family, up, n, k=k, j=j),
+                            row[family][k, j],
                             closed,
                         )
                     )
@@ -217,7 +200,7 @@ def equivalence_cases(n_max: int = 6) -> list[CaseResult]:
                     cases.append(
                         _eq_case(
                             f"qstar-normalization-{n}-{k}-{j}",
-                            project_family("qstar", up, n, k=k, j=j),
+                            row["qstar"][k, j],
                             qnkj_star(n, k, j),
                         )
                     )
@@ -233,8 +216,14 @@ def equivalence_cases(n_max: int = 6) -> list[CaseResult]:
                     f"colored-r1-reduction-{n}-{k}", colored[k], dnk(n, n - k)
                 )
             )
-        here = up
     return cases
+
+
+# The S_n families that equivalence_cases reads a row of.
+_EQUIVALENCE_FAMILIES = (
+    "A", "A-exc", "p", "p-asc", "p-exc", "q-fix", "q-bad",
+    "qnkj", "qnkj-alt", "qstar", "dnk", "xi",
+)
 
 
 def identity_cases(n_max: int = 8) -> list[CaseResult]:

@@ -4,10 +4,12 @@ from collections import Counter
 
 import pytest
 
+from eulerian_lab import permutations as perms
 from eulerian_lab.budget import group_limit
 from eulerian_lab.errors import BudgetExceeded
 from eulerian_lab.permutations import (
     Permutation,
+    _project_row,
     bad_k,
     brute_force_family,
     colored_permutations,
@@ -15,12 +17,14 @@ from eulerian_lab.permutations import (
     fix_k,
     flag_excedance_poly,
     fundamental_transformation,
+    project_family,
     signed_permutations,
     stats,
+    sweep_histogram,
     symmetric_group,
     xi_counts,
 )
-from eulerian_lab.poly import Poly, one_plus_x_power
+from eulerian_lab.poly import Poly, one_plus_x_power, reciprocal
 
 
 def P(*coeffs) -> Poly:
@@ -298,3 +302,98 @@ class TestHistogramAgainstPerWordSweep:
             brute_force_family("qnkj", 3, k=4)  # j missing
         with pytest.raises(ValueError):
             brute_force_family("dnk", 3, k=4)
+
+
+# -- the projection route that read one (family, k, j) per walk over the
+# whole histogram, before project_family grouped it; kept as the oracle of
+# TestGroupedProjectionAgainstPerProjectionWalk.
+
+def oracle_poly(hist, stat, keep=None, mask=None, k=0):
+    """Sum over the kept keys of count * (1+x)^t * x^key[stat], where t is
+    the number of set bits of key[mask] among the first k (0 with no mask)."""
+    low = (1 << k) - 1
+    terms = Counter()
+    for key, c in hist.items():
+        if keep is None or keep(key):
+            t = 0 if mask is None else (key[mask] & low).bit_count()
+            terms[t, key[stat]] += c
+    return oracle_expand(terms)
+
+
+def oracle_expand(terms):
+    return sum(
+        (one_plus_x_power(t).times_x_power(e) * c for (t, e), c in terms.items()),
+        Poly(()),
+    )
+
+
+def oracle_project_family(family, hist, n, k=None, j=None):
+    DES, EXC, FIX, BAD = perms._DES, perms._EXC, perms._FIX, perms._BAD
+    FIRST, INV1, LAST = perms._FIRST, perms._INV1, perms._LAST
+    if family == "A":
+        return oracle_poly(hist, DES)
+    if family == "A-exc":
+        return oracle_poly(hist, EXC)
+    if family == "p":
+        return oracle_poly(hist, DES, lambda key: key[FIRST] == k + 1)
+    if family == "p-asc":
+        return reciprocal(oracle_poly(hist, DES, lambda key: key[LAST] == k + 1), n)
+    if family == "p-exc":
+        return oracle_poly(hist, EXC, lambda key: key[INV1] == k + 1)
+    if family == "q-fix":
+        return oracle_poly(hist, EXC, mask=FIX, k=k)
+    if family == "q-bad":
+        return oracle_poly(hist, DES, mask=BAD, k=k)
+    if family == "qnkj-alt":
+        return oracle_poly(hist, DES, lambda key: key[FIRST] == j + 1, BAD, k)
+    if family in ("qnkj", "qstar"):
+        q = oracle_poly(hist, EXC, lambda key: key[INV1] == j + 1, FIX, k)
+        if family == "qstar" and j == 0 and k >= 1:
+            return q.exact_div(one_plus_x_power(1))
+        return q
+    if family == "d":
+        return oracle_poly(hist, EXC, lambda key: not key[FIX])
+    if family == "dnk":
+        return oracle_poly(hist, EXC, lambda key: key[FIX] >> (n - k) == 0)
+    assert family == "xi"
+    plus = [0] * (n // 2 + 1)
+    minus = [0] * ((n - 1) // 2 + 1 if n >= 1 else 0)
+    if n == 0:
+        plus[0] = 1
+    for key, c in hist.items() if n else ():
+        runs = n - key[DES]
+        if key[FIRST] > n - k:
+            if not (key[perms._FIRST_SINGLE] or key[perms._LATER_SINGLE]):
+                plus[runs] += c
+        elif not key[perms._LATER_SINGLE]:
+            minus[runs - 1] += c
+    terms = {(n - 2 * i, i): c for i, c in enumerate(plus)}
+    terms.update({(n - 1 - 2 * i, i): c for i, c in enumerate(minus)})
+    return oracle_expand(terms)
+
+
+SWEPT_FAMILIES = (
+    "A", "A-exc", "p", "p-asc", "p-exc", "q-fix", "q-bad", "qnkj",
+    "qnkj-alt", "qstar", "d", "dnk", "xi",
+)
+WIDE_FAMILIES = ("p", "p-asc", "p-exc", "qnkj", "qnkj-alt", "qstar")
+
+
+class TestGroupedProjectionAgainstPerProjectionWalk:
+    @pytest.mark.parametrize("family", SWEPT_FAMILIES)
+    def test_every_parameter(self, family):
+        hists = {m: sweep_histogram(m) for m in range(8)}
+        for n in range(7):
+            hist = hists[n + 1 if family in WIDE_FAMILIES else n]
+            if family in ("A", "A-exc", "d"):
+                params = [(None, None)]
+            elif family in ("qnkj", "qnkj-alt", "qstar"):
+                params = [(k, j) for k in range(n + 2) for j in range(n + 1)]
+            else:
+                params = [(k, None) for k in range(n + 1)]
+            row = _project_row(family, hists, n)
+            assert len(row) == len(params), (n, sorted(row))
+            for k, j in params:
+                want = oracle_project_family(family, hist, n, k, j)
+                assert project_family(family, hist, n, k, j) == want, (n, k, j)
+                assert row[k or 0, j or 0] == want, (n, k, j)

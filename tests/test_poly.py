@@ -398,10 +398,17 @@ def random_pairs(seed: int, count: int):
 SCALARS = (0, 1, -3, 7, True, False, Fraction(0), Fraction(-2, 3), Fraction(5))
 
 
+def assert_canonical(p: Poly) -> None:
+    """Every stored coefficient is an int when integral, else a Fraction
+    with denominator above 1; no trailing zero."""
+    for c in p.coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), p.coeffs
+    assert not p.coeffs or p.coeffs[-1] != 0
+
+
 def assert_same(got: Poly, want: Poly) -> None:
     assert got.coeffs == want.coeffs
-    assert all(type(c) is Fraction for c in got.coeffs), got.coeffs
-    assert not got.coeffs or got.coeffs[-1] != 0
+    assert_canonical(got)
 
 
 class TestFastPathsAgainstConstructor:
@@ -467,3 +474,202 @@ class TestFastPathsAgainstConstructor:
             1.5 * p
         with pytest.raises(TypeError):
             p - 1.5
+
+
+# -- a reference on plain lists of Fractions, low degree first without
+# trailing zeros, that shares no code with Poly: TestCanonicalAgainstLists
+# checks every operation's values and stored types against it.
+
+def ref_trim(cs: list[Fraction]) -> list[Fraction]:
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def ref_add(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    n = max(len(a), len(b))
+    a, b = a + [Fraction(0)] * (n - len(a)), b + [Fraction(0)] * (n - len(b))
+    return ref_trim([x + y for x, y in zip(a, b)])
+
+
+def ref_scale(a: list[Fraction], s: Fraction) -> list[Fraction]:
+    return ref_trim([x * s for x in a])
+
+
+def ref_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    return ref_add(a, ref_scale(b, Fraction(-1)))
+
+
+def ref_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    rem = list(a)
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + len(b) - 1] / b[-1]
+        quot[i] = c
+        for j, y in enumerate(b):
+            rem[i + j] -= c * y
+    return ref_trim(quot), ref_trim(rem)
+
+
+def ref_derivative(a: list[Fraction]) -> list[Fraction]:
+    return ref_trim([i * x for i, x in enumerate(a)][1:])
+
+
+def ref_reciprocal(a: list[Fraction], n: int) -> list[Fraction]:
+    return ref_trim(list(reversed(a + [Fraction(0)] * (n + 1 - len(a)))))
+
+
+def ref_monic(a: list[Fraction]) -> list[Fraction]:
+    return [x / a[-1] for x in a]
+
+
+def ref_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return ref_monic(a) if a else []
+
+
+def ref_squarefree_part(a: list[Fraction]) -> list[Fraction]:
+    if len(a) <= 1:
+        return [Fraction(1)] if a else []
+    quot, rem = ref_divmod(a, ref_gcd(a, ref_derivative(a)))
+    assert not rem
+    return ref_monic(quot)
+
+
+def ref_evaluate(a: list[Fraction], x: Fraction) -> Fraction:
+    return sum((c * x**i for i, c in enumerate(a)), Fraction(0))
+
+
+def raw_coeff(rng: random.Random) -> object:
+    """A constructor input: an int, a bool, an integral Fraction or a
+    half, third or quarter, any of them negative."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.randint(-5, 5)
+    if kind == 1:
+        return rng.choice((True, False))
+    if kind == 2:
+        return Fraction(2 * rng.randint(-4, 4), 2)
+    return Fraction(rng.randint(-9, 9), rng.choice((2, 3, 4)))
+
+
+def raw_pair(rng: random.Random, index: int) -> tuple[list, list]:
+    """Constructor inputs of an operand pair.  Every third pair sums to an
+    integer polynomial (1/2 + 1/2 among them); every fifth has a zero
+    operand."""
+    a = [raw_coeff(rng) for _ in range(rng.randrange(6))]
+    if index % 3 == 0:
+        b = [rng.randint(-3, 3) - Fraction(x) for x in a] + [raw_coeff(rng)] * rng.randrange(2)
+    else:
+        b = [raw_coeff(rng) for _ in range(rng.randrange(6))]
+    if index % 5 == 0:
+        b = []
+    return a, b
+
+
+def ref_of(raw: list) -> list[Fraction]:
+    return ref_trim([Fraction(x) for x in raw])
+
+
+REF_SCALARS = (0, 1, -3, True, False, Fraction(0), Fraction(6, 3), Fraction(-2, 3), Fraction(1, 2))
+REF_POINTS = (0, 1, -2, Fraction(1, 2), Fraction(-3, 4))
+
+
+def assert_matches(got: Poly, want: list[Fraction]) -> None:
+    """got has the values want and canonical stored types, and its
+    accessors hand out Fractions."""
+    assert list(got.coeffs) == want, (got, want)
+    assert_canonical(got)
+    if got:
+        assert type(got.leading()) is Fraction and got.leading() == want[-1]
+    for i in range(-1, len(want) + 2):
+        assert type(got[i]) is Fraction
+        assert got[i] == (want[i] if 0 <= i < len(want) else 0)
+    for x in REF_POINTS:
+        value = got.evaluate(x)
+        assert type(value) is Fraction and value == ref_evaluate(want, Fraction(x))
+
+
+class TestCanonicalAgainstLists:
+    def test_ring_operations(self):
+        rng = random.Random(7129)
+        seen = dict.fromkeys(("zero", "negative", "cancels", "fraction", "inexact"), 0)
+        for index in range(300):
+            ra, rb = raw_pair(rng, index)
+            a, b = ref_of(ra), ref_of(rb)
+            p, q = Poly(ra), Poly(rb)
+            assert_matches(p, a)
+            assert_matches(q, b)
+            assert_matches(p + q, ref_add(a, b))
+            assert_matches(p - q, ref_sub(a, b))
+            assert_matches(q - p, ref_sub(b, a))
+            assert_matches(-p, ref_scale(a, Fraction(-1)))
+            assert_matches(p * q, ref_mul(a, b))
+            assert_matches(p.derivative(), ref_derivative(a))
+            for n in range(len(a), len(a) + 2):
+                assert_matches(reciprocal(p, max(n - 1, 0)), ref_reciprocal(a, max(n - 1, 0)))
+            if b:
+                quot, rem = divmod(p, q)
+                want_quot, want_rem = ref_divmod(a, b)
+                assert_matches(quot, want_quot)
+                assert_matches(rem, want_rem)
+                seen["inexact"] += any(c.denominator > 1 for c in want_quot)
+            fractional = any(c.denominator > 1 for c in a + b)
+            seen["zero"] += not a or not b
+            seen["negative"] += any(c < 0 for c in a + b)
+            seen["fraction"] += fractional
+            seen["cancels"] += fractional and bool(a + b) and all(
+                c.denominator == 1 for c in ref_add(a, b)
+            )
+        assert min(seen.values()) >= 20, seen
+
+    def test_scalars(self):
+        rng = random.Random(7130)
+        for index in range(100):
+            ra, _ = raw_pair(rng, index)
+            a, p = ref_of(ra), Poly(ra)
+            for s in REF_SCALARS:
+                fs = Fraction(s)
+                assert_matches(p * s, ref_scale(a, fs))
+                assert_matches(s * p, ref_scale(a, fs))
+                assert_matches(p + s, ref_add(a, ref_of([s])))
+                assert_matches(s - p, ref_sub(ref_of([s]), a))
+                if s:
+                    quot, rem = divmod(p, s)
+                    assert_matches(quot, ref_scale(a, 1 / fs))
+                    assert_matches(rem, [])
+
+    def test_gcd_and_squarefree_part(self):
+        rng = random.Random(7131)
+        for index in range(150):
+            ra, rb = raw_pair(rng, index)
+            shared = [raw_coeff(rng) for _ in range(rng.randrange(3))] + [rng.choice((1, 2, 3))]
+            a, b = ref_mul(ref_of(ra), ref_of(shared)), ref_mul(ref_of(rb), ref_of(shared))
+            a = ref_mul(a, a) if index % 4 == 0 else a
+            p, q = Poly(a), Poly(b)
+            assert_matches(poly_gcd(p, q), ref_gcd(a, b))
+            assert_matches(squarefree_part(p), ref_squarefree_part(a))
+            for f, _ in squarefree_decomposition(p):
+                assert_canonical(f)
+
+    def test_bool_and_integral_fraction_inputs(self):
+        p = Poly([True, Fraction(4, 2), False, Fraction(1, 2)])
+        assert p.coeffs == (1, 2, 0, Fraction(1, 2))
+        assert [type(c) for c in p.coeffs] == [int, int, int, Fraction]
+        assert_canonical(P(Fraction(1, 2)) + P(Fraction(1, 2)))
+        assert (P(Fraction(1, 2)) + P(Fraction(1, 2))).coeffs == (1,)
+        assert type((P(Fraction(3, 2)) * 2).coeffs[0]) is int
+        assert divmod(P(1, 2), P(2))[0].coeffs == (Fraction(1, 2), 1)
+        assert type(ONE.leading()) is Fraction and 1 / ONE.leading() == 1

@@ -213,3 +213,13 @@ class TestReciprocityBridge:
             for k in range(n + 1):
                 arg = one_plus_x_power(k).times_x_power(n - k)
                 assert reciprocal(qnk(n, k), n) == apply_transform(t, arg), (n, k)
+
+
+class TestEqualityCaseDetail:
+    def test_detail_renders_got_and_want(self):
+        from eulerian_lab.suites import _eq_case
+
+        same = _eq_case("same", qnk(3, 1), Poly.from_text("1 + 5x + 2x^2"))
+        assert same.ok and same.detail == "got 1 + 5x + 2x^2, want 1 + 5x + 2x^2"
+        differ = _eq_case("differ", X, ONE)
+        assert not differ.ok and differ.detail == "got x, want 1"
