@@ -11,7 +11,7 @@ gcds by primitive remainder sequences, squarefree parts, Yun
 decompositions and Sturm chains.  The decisions never isolate a root; they
 read Sturm signs at -inf and +inf only.  A polynomial is real rooted when
 its Sturm chain counts as many distinct real roots as it has distinct
-roots.  Interlacing rests on two facts:
+roots.  Interlacing rests on three facts:
 
 * the Wronskian criterion: for real rooted p, q with positive leading
   coefficients, p interlaces q exactly when W = p'q - pq' <= 0 on the whole
@@ -21,7 +21,13 @@ roots.  Interlacing rests on two facts:
   g = gcd(p, q), provided neither quotient keeps a repeated root; a root
   whose multiplicities in p and q differ by two or more breaks the
   alternation (S. Fisk, "Polynomials, roots, and interlacing",
-  arXiv:math/0612833).
+  arXiv:math/0612833);
+* the chain lemma: for real rooted, nonconstant f_0..f_n with positive
+  leading coefficients, f_i interlaces f_(i+1) for every i and f_0
+  interlaces f_n exactly when f_i interlaces f_j for all i < j (Braenden;
+  Fisk).  A sequence that meets these hypotheses is certified in n + 1
+  decisions, not n(n + 1)/2; any other sequence, and one that fails a
+  decision, is decided pair by pair.
 
 W <= 0 everywhere holds when W is zero, or when W has even degree, a
 negative leading coefficient, and no real root of odd multiplicity; the
@@ -284,7 +290,38 @@ def interlaces_checked(p: Poly, q: Poly) -> bool:
 
 
 def interlacing_failures(polys: Sequence[Poly]) -> list[tuple[int, int]]:
-    """Index pairs (i, j) with i < j where polys[i] fails to interlace polys[j]."""
+    """Index pairs (i, j) with i < j where polys[i] fails to interlace polys[j].
+
+    A row f_0..f_n is first tried with n + 1 decisions: the outer pair
+    (0, n) and the n consecutive pairs.  By the chain lemma (P. Braenden,
+    "Unimodality, log-concavity, real-rootedness and beyond", Handbook of
+    Enumerative Combinatorics, 2015; S. Fisk, "Polynomials, roots, and
+    interlacing", arXiv:math/0612833), if real rooted, nonconstant f_i
+    with positive leading coefficients satisfy f_i <= f_(i+1) for every i
+    and f_0 <= f_n, then f_i <= f_j for all i < j.  Counting roots >= t
+    with multiplicity as N_i(t), p <= q says 0 <= N_q(t) - N_p(t) <= 1 at
+    every t, so the counts grow with i and f_0 <= f_n bounds the growth
+    from i to j by 1.  The degree windows come along at t = -inf: each
+    consecutive degree step is 0 or 1, and the outer pair bounds their sum
+    by 1.
+
+    The shortcut applies only to rows of three or more members that are all
+    real rooted, nonconstant and with positive leading coefficients.  A
+    zero member would break it, since zero interlaces every real rooted
+    polynomial in both directions (the esd r = 2, n = 5 alternating row
+    ends in 0 and passes the chain, yet fails at (0, 3) and (0, 4)).  In
+    every other case, and whenever one of the n + 1 decisions fails, all
+    n(n + 1)/2 pairs are decided, so the failures listed are always the
+    complete list.
+    """
+    n = len(polys) - 1
+    if (
+        n >= 2
+        and all(p.deg() >= 1 and p.coeffs[-1] > 0 and is_real_rooted(p) for p in polys)
+        and interlaces(polys[0], polys[n])
+        and all(interlaces(polys[i], polys[i + 1]) for i in range(n))
+    ):
+        return []
     out = []
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
@@ -294,7 +331,17 @@ def interlacing_failures(polys: Sequence[Poly]) -> list[tuple[int, int]]:
 
 
 def is_interlacing_sequence(polys: Sequence[Poly]) -> bool:
-    """Whether every earlier entry interlaces every later one."""
+    """Whether every earlier entry interlaces every later one.
+
+    Through interlacing_failures, a row of real rooted, nonconstant members
+    with positive leading coefficients is certified by the chain lemma
+    (Braenden, Handbook of Enumerative Combinatorics, 2015; Fisk,
+    arXiv:math/0612833) in n + 1 decisions: f_i <= f_(i+1) for each i and
+    f_0 <= f_n.  Consecutive
+    degree steps are 0 or 1 and the outer pair bounds their sum by 1, so
+    every pair also meets its degree window.  Other rows are decided pair
+    by pair.
+    """
     return not interlacing_failures(polys)
 
 

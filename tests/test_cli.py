@@ -4,6 +4,7 @@ import argparse
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,9 @@ from eulerian_lab.simplicial import (
     trivial_triangulation,
 )
 from eulerian_lab.suites import GEOMETRY_FAMILIES, build_geometry_family
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -140,6 +144,22 @@ class TestCheckConjecture:
         code, _, err = run(capsys, "check-conjecture")
         assert code == 2
         assert "family" in err
+
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            # the alternating row ends in 0, which the chain lemma must not
+            # certify: its failing pairs (0, 3) and (0, 4) are reported
+            ("check-conjecture-esd-r2-n5.json", ["--family", "esd", "--r", "2", "--n", "5"]),
+            # the additive row starts with the constant 1 and its outer pair
+            # fails, so its failing pairs come from the all-pairs fallback
+            ("check-conjecture-trivial-n3.json", ["--family", "trivial", "--n", "3"]),
+        ],
+    )
+    def test_failing_pairs_pinned(self, capsys, golden, argv):
+        code, out, _ = run(capsys, "check-conjecture", *argv, "--format", "json")
+        assert code == 0
+        assert out == (DATA / golden).read_text()
 
 
 class TestFTriangleRoundTrip:

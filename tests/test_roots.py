@@ -16,13 +16,21 @@ from eulerian_lab.roots import (
     isolate_roots,
     sturm_distinct_real_roots,
 )
+from eulerian_lab.simplicial import (
+    barycentric_f_triangle,
+    colored_barycentric,
+    edgewise_subdivision,
+    f_triangle,
+    ft_lnk,
+    ft_qnk,
+)
 from eulerian_lab.suites import (
     binomial_base,
     derangement_sample_cases,
     eulerian_combination_sample_cases,
     theorem1_sample_cases,
 )
-from eulerian_lab.transforms import eulerian, generic_hnk, generic_lnk, qnk
+from eulerian_lab.transforms import dnk, eulerian, generic_hnk, generic_lnk, qnk
 
 
 def P(*coeffs) -> Poly:
@@ -298,6 +306,163 @@ class TestInterlacesAgainstRootLists:
         for f in (P(3, 4, 1), x2, P(-1, 3, -3, 1), P(1, 0, 1)):
             assert interlaces(f, f) == is_real_rooted(f)
             assert interlaces(f, -f * 2) == is_real_rooted(f)
+
+
+def oracle_interlacing_failures(polys) -> list[tuple[int, int]]:
+    """Every pair decided on its own: the route interlacing_failures takes
+    when the chain lemma does not certify the row."""
+    out = []
+    for i in range(len(polys)):
+        for j in range(i + 1, len(polys)):
+            if not interlaces(polys[i], polys[j]):
+                out.append((i, j))
+    return out
+
+
+def chain_decisions_pass(row) -> bool:
+    """The n + 1 decisions of the chain lemma, without its hypotheses."""
+    n = len(row) - 1
+    return interlaces(row[0], row[n]) and all(
+        interlaces(row[i], row[i + 1]) for i in range(n)
+    )
+
+
+def paper_rows():
+    """The rows the suites check: q and d for n <= 9, and the additive and
+    alternating rows of barycentric, built esd and built colored
+    f-triangles."""
+    for n in range(10):
+        yield f"qnk-{n}", [qnk(n, k) for k in range(n + 1)]
+        yield f"dnk-{n}", [dnk(n, k) for k in range(n + 1)]
+    triangles = [(f"barycentric-{n}", barycentric_f_triangle(n)) for n in range(11)]
+    for r in (2, 3):
+        triangles += [(f"esd-r{r}-{n}", f_triangle(edgewise_subdivision(n, r))) for n in range(6)]
+    triangles += [(f"colored-r2-{n}", f_triangle(colored_barycentric(n, 2))) for n in range(5)]
+    for label, triangle in triangles:
+        n = triangle.n
+        yield f"{label}-ft_qnk", [ft_qnk(triangle, n, k) for k in range(n + 1)]
+        yield f"{label}-ft_lnk", [ft_lnk(triangle, n, k) for k in range(n + 1)]
+
+
+GRID = tuple(Fraction(k, 2) for k in range(-8, 9))
+POSITIVE_LEADS = (1, 2, 3, Fraction(1, 2), Fraction(3, 2))
+
+
+def chain_roots(rng: random.Random) -> list[list[Fraction]]:
+    """Descending root lists of a row whose consecutive members interlace,
+    on a half integer grid.
+
+    Each member's roots e_1 >= e_2 >= ... sit between those of the one
+    before, e_k >= c_k >= e_(k+1), so a degree step is 0 or 1; roots often
+    stay put, which gives shared roots, and a coarse grid gives repeated
+    ones.  Small steps keep the outer pair interlacing in many rows, so the
+    chain lemma is put to work and not only its fallback.
+    """
+    roots = sorted((rng.choice(GRID) for _ in range(rng.randint(1, 3))), reverse=True)
+    row = [roots]
+    for _ in range(rng.randint(2, 5)):
+        upper = [GRID[-1]] + roots  # e_k lies in [c_k, c_(k-1)]
+        new = []
+        for k, c in enumerate(roots):
+            if rng.random() < 0.5:
+                new.append(c)
+            else:
+                new.append(rng.choice([g for g in GRID if c <= g <= upper[k]]))
+        if rng.random() < 0.2:
+            new.append(rng.choice([g for g in GRID if g <= roots[-1]]))
+        roots = new
+        row.append(roots)
+    return row
+
+
+def random_row(rng: random.Random) -> list[Poly]:
+    """A chain row, or one of independent members, often spoiled by a moved
+    root, a zero member, a constant, a sign flip, a factor without real
+    roots or a swap."""
+    if rng.random() < 0.15:
+        d = rng.randint(1, 3)
+        roots = [
+            [rng.choice(GRID) for _ in range(d + rng.randint(0, 1))]
+            for _ in range(rng.randint(3, 6))
+        ]
+    else:
+        roots = chain_roots(rng)
+    if rng.random() < 0.1:
+        moved = list(rng.choice(roots))
+        moved[rng.randrange(len(moved))] = rng.choice(GRID)
+        roots[rng.randrange(len(roots))] = moved
+    row = [from_roots(r, rng.choice(POSITIVE_LEADS)) for r in roots]
+    roll = rng.random()
+    i = rng.randrange(len(row))
+    if roll < 0.15:
+        row[rng.choice((i, -1))] = ZERO
+    elif roll < 0.23:
+        row[i] = P(rng.choice((1, -2, Fraction(1, 3))))
+    elif roll < 0.33:
+        row[i] = -row[i]
+    elif roll < 0.39:
+        row[i] = row[i] * NON_REAL
+    elif roll < 0.45:
+        j = rng.randrange(len(row))
+        row[i], row[j] = row[j], row[i]
+    return row
+
+
+class TestInterlacingSequences:
+    """interlacing_failures against the all-pairs oracle."""
+
+    def test_paper_rows_match_oracle(self):
+        outcomes = set()
+        for label, row in paper_rows():
+            expected = oracle_interlacing_failures(row)
+            assert interlacing_failures(row) == expected, label
+            outcomes.add(bool(expected))
+        assert outcomes == {True, False}
+
+    def test_random_rows_match_oracle(self):
+        rng = random.Random(20231109)
+        seen = dict.fromkeys(
+            ("certified", "certified-shared", "certified-repeated", "certified-degree-step",
+             "failing", "zero", "constant", "lead-", "non-real", "decisions-pass-row-fails"),
+            0,
+        )
+        for _ in range(600):
+            row = random_row(rng)
+            expected = oracle_interlacing_failures(row)
+            assert interlacing_failures(row) == expected, row
+            assert is_interlacing_sequence(row) == (not expected), row
+            seen["failing"] += bool(expected)
+            seen["zero"] += any(p.is_zero() for p in row)
+            seen["constant"] += any(p.deg() == 0 for p in row)
+            seen["lead-"] += any(p and p.leading() < 0 for p in row)
+            seen["non-real"] += not all(is_real_rooted(p) for p in row)
+            if not chain_decisions_pass(row):
+                continue
+            if expected:
+                # the chain lemma leaves only one way for the n + 1
+                # decisions to pass on a failing row
+                assert any(p.is_zero() for p in row), row
+                seen["decisions-pass-row-fails"] += 1
+            elif all(p.deg() >= 1 and p.leading() > 0 for p in row):
+                seen["certified"] += 1
+                seen["certified-shared"] += any(
+                    poly_gcd(p, q).deg() > 0 for p, q in zip(row, row[1:])
+                )
+                seen["certified-repeated"] += any(
+                    squarefree_part(p).deg() < p.deg() for p in row
+                )
+                seen["certified-degree-step"] += row[0].deg() < row[-1].deg()
+        assert min(seen.values()) >= 10, seen
+
+    def test_zero_member_row(self):
+        # the alternating row of the built esd r = 2, n = 5 triangulation
+        # ends in 0: the chain and the outer pair pass, two pairs do not
+        triangle = f_triangle(edgewise_subdivision(5, 2))
+        row = [ft_lnk(triangle, 5, k) for k in range(6)]
+        assert row[-1] == ZERO
+        assert chain_decisions_pass(row)
+        assert interlacing_failures(row) == [(0, 3), (0, 4)]
+        assert not is_interlacing_sequence(row)
 
 
 class TestRealRootedCache:
