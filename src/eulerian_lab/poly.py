@@ -20,8 +20,14 @@ coefficient.  Arithmetic builds its results through the private
 ``Poly._of``, which strips trailing zeros and turns an integral
 ``Fraction`` into its numerator: it trusts that every entry of its list is
 an ``int`` or ``Fraction`` that this module computed from canonical
-coefficients and scalars, or from the integers of a kernel tuple.  Nothing
-outside this module may call ``Poly._of``.
+coefficients and scalars, or from the integers of a kernel tuple.  Its
+callers are the ring operations, ``times_x_power``, ``derivative``,
+``reciprocal``, ``_monic`` and ``linear_combination``.  Nothing outside this
+module may call ``Poly._of``.
+
+``linear_combination`` is the one way library code sums polynomials: it
+takes (c, p, shift) terms and accumulates every c * p * x^shift into one
+coefficient list, so a sum of k terms builds one ``Poly`` and not 3k.
 
 ``poly_gcd``, ``squarefree_decomposition`` and ``squarefree_part`` are thin
 wrappers over the package's one exact polynomial kernel, ``_intpoly``,
@@ -349,6 +355,29 @@ def _difference(a: tuple[Scalar, ...], b: tuple[Scalar, ...]) -> Poly:
     return Poly._of(out)
 
 
+def linear_combination(terms: Iterable[tuple[object, Poly, int]]) -> Poly:
+    """The sum of c * p * x^shift over the (c, p, shift) terms.
+
+    Each c is canonicalised first, so a float raises TypeError, and a
+    negative shift raises ValueError; terms with c = 0 are then skipped,
+    and no terms at all give ZERO.
+    """
+    out: list[Scalar] = []
+    for c, p, shift in terms:
+        c = _as_coeff(c)
+        if shift < 0:
+            raise ValueError("negative shift")
+        if not c:
+            continue
+        cs = p.coeffs
+        grow = shift + len(cs) - len(out)
+        if grow > 0:
+            out += [0] * grow
+        for i, a in enumerate(cs, shift):
+            out[i] += c * a
+    return Poly._of(out)
+
+
 def _coerce(value: object) -> Poly | None:
     if isinstance(value, Poly):
         return value
@@ -450,11 +479,9 @@ class GammaVector:
     gammas: tuple[Fraction, ...]
 
     def reconstruct(self) -> "Poly":
-        total = ZERO
-        for k, g in enumerate(self.gammas):
-            if g != 0:
-                total = total + one_plus_x_power(self.n - 2 * k).times_x_power(k) * g
-        return total
+        return linear_combination(
+            (g, one_plus_x_power(self.n - 2 * k), k) for k, g in enumerate(self.gammas)
+        )
 
     def is_nonnegative(self) -> bool:
         return all(g >= 0 for g in self.gammas)
@@ -531,8 +558,6 @@ def basis_p_combination(coeffs: Sequence[Scalar], n: int) -> Poly:
     """Inverse of basis_p_coeffs: sum of c_k x^(n-k) (1+x)^k."""
     if len(coeffs) != n + 1:
         raise ValueError(f"expected {n + 1} coefficients, got {len(coeffs)}")
-    total = ZERO
-    for k, c in enumerate(coeffs):
-        if c != 0:
-            total = total + one_plus_x_power(k).times_x_power(n - k) * c
-    return total
+    return linear_combination(
+        (c, one_plus_x_power(k), n - k) for k, c in enumerate(coeffs)
+    )

@@ -26,6 +26,7 @@ from .poly import (
     is_gamma_positive,
     is_symmetric,
     is_unimodal,
+    linear_combination,
     reciprocal,
 )
 from .roots import interlaces, is_real_rooted
@@ -125,11 +126,26 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** (len(f) - 1) for f in self.faces if f)
 
+    @classmethod
+    def _trusted(cls, faces: frozenset, order: tuple) -> "SimplicialComplex":
+        """The complex with these faces and this vertex order, unchecked: the
+        faces must be frozensets, downward closed, and order must list
+        their vertices once each."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "faces", faces)
+        object.__setattr__(c, "vertex_order", order)
+        object.__setattr__(c, "_index", {v: i for i, v in enumerate(order)})
+        return c
+
     def induced(self, keep: Iterable) -> "SimplicialComplex":
         keep_set = set(keep)
-        faces = [f for f in self.faces if f <= keep_set]
+        # No re-validation: every subface of a kept face is a face of self
+        # and lies inside keep, so the kept faces are downward closed, and
+        # each kept vertex v of self keeps its face {v}, so order lists the
+        # vertices of the kept faces exactly.
+        faces = frozenset(f for f in self.faces if f <= keep_set)
         order = tuple(v for v in self.vertex_order if v in keep_set)
-        return SimplicialComplex(faces, order)
+        return SimplicialComplex._trusted(faces, order)
 
     def _face_key(self, f: frozenset) -> tuple:
         return (len(f), tuple(sorted(self._index[v] for v in f)))
@@ -143,11 +159,9 @@ def h_poly(complex: SimplicialComplex, n: int) -> Poly:
     fv = complex.f_vector()
     if len(fv) - 1 > n:
         raise ValueError(f"window n={n} below the top face size {len(fv) - 1}")
-    total = ZERO
-    for size, count in enumerate(fv):
-        if count:
-            total = total + _one_minus_x_power(n - size).times_x_power(size) * count
-    return total
+    return linear_combination(
+        (count, _one_minus_x_power(n - size), size) for size, count in enumerate(fv)
+    )
 
 
 def faces_as_index_lines(complex: SimplicialComplex) -> list[str]:
@@ -173,6 +187,7 @@ class CarriedTriangulation:
         "base_vertices",
         "carrier",
         "counts",
+        "_base_index",
         "_h_cache",
         "_local_cache",
     )
@@ -219,6 +234,7 @@ class CarriedTriangulation:
             self, "carrier", {u: frozenset(carrier[u]) for u in complex.vertex_order}
         )
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "_base_index", base_index)
         object.__setattr__(self, "_h_cache", {})
         object.__setattr__(self, "_local_cache", {})
 
@@ -230,7 +246,7 @@ class CarriedTriangulation:
         return len(self.base_vertices)
 
     def base_mask(self, face: Iterable) -> int:
-        index = {v: i for i, v in enumerate(self.base_vertices)}
+        index = self._base_index
         mask = 0
         for v in face:
             if v not in index:
@@ -250,10 +266,11 @@ class CarriedTriangulation:
         if cached is not None:
             return cached
         m = int.bit_count(fmask)
-        total = ZERO
-        for (mask, size), count in self.counts.items():
-            if mask & ~fmask == 0:
-                total = total + _one_minus_x_power(m - size).times_x_power(size) * count
+        total = linear_combination(
+            (count, _one_minus_x_power(m - size), size)
+            for (mask, size), count in self.counts.items()
+            if mask & ~fmask == 0
+        )
         self._h_cache[fmask] = total
         return total
 
@@ -261,23 +278,21 @@ class CarriedTriangulation:
         """h-polynomial of the boundary of the restriction (faces whose
         carrier is a proper subface), in the window |fmask| - 1."""
         m = int.bit_count(fmask)
-        total = ZERO
-        for (mask, size), count in self.counts.items():
-            if mask & ~fmask == 0 and mask != fmask:
-                total = (
-                    total
-                    + _one_minus_x_power(m - 1 - size).times_x_power(size) * count
-                )
-        return total
+        return linear_combination(
+            (count, _one_minus_x_power(m - 1 - size), size)
+            for (mask, size), count in self.counts.items()
+            if mask & ~fmask == 0 and mask != fmask
+        )
 
     def interior_h(self, fmask: int) -> Poly:
         """Interior h-polynomial of the restriction; certified against the
         reversal of the plain h-polynomial."""
         m = int.bit_count(fmask)
-        total = ZERO
-        for (mask, size), count in self.counts.items():
-            if mask == fmask:
-                total = total + _one_minus_x_power(m - size).times_x_power(size) * count
+        total = linear_combination(
+            (count, _one_minus_x_power(m - size), size)
+            for (mask, size), count in self.counts.items()
+            if mask == fmask
+        )
         expected = reciprocal(self.restriction_h(fmask), m)
         if total != expected:
             raise CertificationError(
@@ -302,13 +317,10 @@ class CarriedTriangulation:
         if cached is not None:
             return cached
         m = int.bit_count(fmask)
-        total = ZERO
-        for gmask in _submasks_over(emask, fmask):
-            term = self.restriction_h(gmask)
-            if (m - int.bit_count(gmask)) % 2:
-                total = total - term
-            else:
-                total = total + term
+        total = linear_combination(
+            ((-1) ** (m - int.bit_count(g)), self.restriction_h(g), 0)
+            for g in _submasks_over(emask, fmask)
+        )
         self._local_cache[emask, fmask] = total
         return total
 
@@ -629,12 +641,9 @@ def ft_h(triangle: FTriangle, m: int) -> Poly:
     """h-polynomial of the restriction to an m-element base face."""
     if not 0 <= m <= triangle.n:
         raise ValueError(f"m={m} out of range 0..{triangle.n}")
-    total = ZERO
-    for i in range(m + 1):
-        c = triangle.f(i, m)
-        if c:
-            total = total + _one_minus_x_power(m - i).times_x_power(i) * c
-    return total
+    return linear_combination(
+        (triangle.f(i, m), _one_minus_x_power(m - i), i) for i in range(m + 1)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -652,10 +661,10 @@ def ft_h_interior(triangle: FTriangle, m: int) -> Poly:
     the reversal of ft_h, else the triangle is not a triangulation."""
     if not 0 <= m <= triangle.n:
         raise ValueError(f"m={m} out of range 0..{triangle.n}")
-    total = ZERO
-    for i, c in enumerate(_ft_interior_counts(triangle, m)):
-        if c:
-            total = total + _one_minus_x_power(m - i).times_x_power(i) * c
+    total = linear_combination(
+        (c, _one_minus_x_power(m - i), i)
+        for i, c in enumerate(_ft_interior_counts(triangle, m))
+    )
     expected = reciprocal(ft_h(triangle, m), m)
     if total != expected:
         raise ValueError(
@@ -677,11 +686,9 @@ def ft_boundary_h(triangle: FTriangle, m: int) -> Poly:
         raise ValueError(
             f"boundary face counts at size {m} are impossible: {boundary}"
         )
-    total = ZERO
-    for i in range(m):
-        if boundary[i]:
-            total = total + _one_minus_x_power(m - 1 - i).times_x_power(i) * boundary[i]
-    return total
+    return linear_combination(
+        (boundary[i], _one_minus_x_power(m - 1 - i), i) for i in range(m)
+    )
 
 
 def ft_theta(triangle: FTriangle, m: int) -> Poly:
@@ -795,6 +802,7 @@ def identity_suite(
     def record(name: str, detail: str, ok: bool) -> None:
         cases.append(IdentityCase(name=name, detail=detail, ok=ok))
 
+    thetas: dict[int, Poly] = {}
     for fmask in range(1 << n):
         m = int.bit_count(fmask)
         try:
@@ -803,39 +811,38 @@ def identity_suite(
         except CertificationError:
             ok = False
         record("interior-reciprocity", f"face mask {fmask}", ok)
-        record(
-            "theta-symmetric",
-            f"face mask {fmask}",
-            is_symmetric(t.theta(fmask), m),
-        )
+        theta = thetas[fmask] = t.theta(fmask)
+        record("theta-symmetric", f"face mask {fmask}", is_symmetric(theta, m))
 
-    thetas = {fmask: t.theta(fmask) for fmask in range(1 << n)}
-
+    # Each right-hand side is summed term by term: one (1, summand, 0) term
+    # per face mask, so the identity checked is the sum written out.
     lhs = t.restriction_h(full)
-    rhs = ZERO
-    for fmask, theta in thetas.items():
-        rhs = rhs + theta * eulerian(n - int.bit_count(fmask))
+    rhs = linear_combination(
+        (1, theta * eulerian(n - int.bit_count(fmask)), 0)
+        for fmask, theta in thetas.items()
+    )
     record("h-from-theta", f"{lhs!r} vs {rhs!r}", lhs == rhs)
 
     lhs = t.local_h()
-    rhs = ZERO
-    for fmask, theta in thetas.items():
-        rhs = rhs + theta * derangement(n - int.bit_count(fmask))
+    rhs = linear_combination(
+        (1, theta * derangement(n - int.bit_count(fmask)), 0)
+        for fmask, theta in thetas.items()
+    )
     record("local-h-from-theta", f"{lhs!r} vs {rhs!r}", lhs == rhs)
 
     for emask in range(1 << n):
         e = int.bit_count(emask)
         lhs = t.local_h(emask)
-        rhs = ZERO
-        for fmask, theta in thetas.items():
-            union = int.bit_count(emask | fmask)
-            rhs = rhs + theta * dnk(n - int.bit_count(fmask), n - union)
+        rhs = linear_combination(
+            (1, theta * dnk(n - int.bit_count(f), n - int.bit_count(emask | f)), 0)
+            for f, theta in thetas.items()
+        )
         record("relative-local-h-from-theta", f"E mask {emask}", lhs == rhs)
 
-        rhs = ZERO
         comp = full & ~emask
-        for fmask in _submasks_over(comp, full):
-            rhs = rhs + t.local_h(0, fmask)
+        rhs = linear_combination(
+            (1, t.local_h(0, fmask), 0) for fmask in _submasks_over(comp, full)
+        )
         record(
             "relative-local-h-from-restrictions",
             f"E mask {emask}",
@@ -851,9 +858,10 @@ def identity_suite(
             )
 
         for gmask in _submasks_over(emask, full):
-            rhs = ZERO
-            for fmask in _submasks_over(emask, gmask):
-                rhs = rhs + t.local_h(emask, fmask)
+            rhs = linear_combination(
+                (1, t.local_h(emask, fmask), 0)
+                for fmask in _submasks_over(emask, gmask)
+            )
             record(
                 "h-from-relative-local-h",
                 f"E mask {emask} G mask {gmask}",

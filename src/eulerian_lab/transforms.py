@@ -15,7 +15,7 @@ from functools import lru_cache, partial
 from math import comb
 from typing import Callable, Sequence
 
-from .poly import ONE, X, ZERO, Poly, one_plus_x_power
+from .poly import ONE, X, ZERO, Poly, linear_combination, one_plus_x_power
 
 
 @lru_cache(maxsize=None)
@@ -55,10 +55,7 @@ def qnk(n: int, k: int) -> Poly:
     by 1+x, by the binomial form q_{n,k} = sum(C(k,i) x^i A_{n-i})."""
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range 0..{n}")
-    total = ZERO
-    for i in range(k + 1):
-        total = total + eulerian(n - i).times_x_power(i) * comb(k, i)
-    return total
+    return linear_combination((comb(k, i), eulerian(n - i), i) for i in range(k + 1))
 
 
 def binomial_eulerian(n: int) -> Poly:
@@ -85,9 +82,10 @@ def qnkj_star(n: int, k: int, j: int) -> Poly:
     if j == 0:
         return qnk(n, k - 1)
     level = k - 1 if j <= k - 1 else k
-    low = sum((qnkj_star(n - 1, level, i) for i in range(j)), ZERO)
-    high = sum((qnkj_star(n - 1, level, i) for i in range(j, n)), ZERO)
-    return X * low + high
+    # x times the members below j plus the members from j on
+    return linear_combination(
+        (1, qnkj_star(n - 1, level, i), 1 if i < j else 0) for i in range(n)
+    )
 
 
 def qnkj(n: int, k: int, j: int) -> Poly:
@@ -106,10 +104,9 @@ def dnk(n: int, k: int) -> Poly:
     d_{n,k} = sum((-1)^i C(k,i) A_{n-i})."""
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range 0..{n}")
-    total = ZERO
-    for i in range(k + 1):
-        total = total + eulerian(n - i) * ((-1) ** i * comb(k, i))
-    return total
+    return linear_combination(
+        ((-1) ** i * comb(k, i), eulerian(n - i), 0) for i in range(k + 1)
+    )
 
 
 def derangement(n: int) -> Poly:
@@ -141,10 +138,9 @@ def typeB_derangement_image(n: int) -> Poly:
     x^n under the type B analogue of the derangement transform."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total = ZERO
-    for i in range(n + 1):
-        total = total + typeB_eulerian(n - i) * ((-1) ** i * comb(n, i))
-    return total
+    return linear_combination(
+        ((-1) ** i * comb(n, i), typeB_eulerian(n - i), 0) for i in range(n + 1)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -155,10 +151,7 @@ def generic_hnk(hs: tuple[Poly, ...], n: int, k: int) -> Poly:
         raise ValueError(f"k={k} out of range 0..{n}")
     if n >= len(hs):
         raise ValueError(f"base sequence too short for n={n}")
-    total = ZERO
-    for i in range(k + 1):
-        total = total + hs[n - i].times_x_power(i) * comb(k, i)
-    return total
+    return linear_combination((comb(k, i), hs[n - i], i) for i in range(k + 1))
 
 
 @lru_cache(maxsize=None)
@@ -170,10 +163,9 @@ def generic_lnk(hs: tuple[Poly, ...], n: int, k: int) -> Poly:
         raise ValueError(f"k={k} out of range 0..{n}")
     if n >= len(hs):
         raise ValueError(f"base sequence too short for n={n}")
-    total = ZERO
-    for i in range(k + 1):
-        total = total + hs[n - i] * ((-1) ** i * comb(k, i))
-    return total
+    return linear_combination(
+        ((-1) ** i * comb(k, i), hs[n - i], 0) for i in range(k + 1)
+    )
 
 
 def binomial_base(n: int) -> tuple[Poly, ...]:
@@ -232,11 +224,10 @@ def apply_transform(transform: LinearTransform, p: Poly) -> Poly:
             f"degree {p.deg()} exceeds the bound {transform.n} of "
             f"transform {transform.name}"
         )
-    total = ZERO
-    for m, c in enumerate(p):
-        if c:
-            total = total + transform.image(m) * c
-    return total
+    # only the monomials of p are imaged: an image may raise
+    return linear_combination(
+        (c, transform.image(m), 0) for m, c in enumerate(p.coeffs) if c
+    )
 
 
 def eulerian_transform(n: int) -> LinearTransform:

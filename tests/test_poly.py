@@ -16,6 +16,7 @@ from eulerian_lab.poly import (
     is_gamma_positive,
     is_symmetric,
     is_unimodal,
+    linear_combination,
     one_plus_x_power,
     poly_gcd,
     reciprocal,
@@ -673,3 +674,96 @@ class TestCanonicalAgainstLists:
         assert type((P(Fraction(3, 2)) * 2).coeffs[0]) is int
         assert divmod(P(1, 2), P(2))[0].coeffs == (Fraction(1, 2), 1)
         assert type(ONE.leading()) is Fraction and 1 / ONE.leading() == 1
+
+
+def oracle_linear_combination(terms) -> Poly:
+    """The summing loop that linear_combination replaced: one shifted,
+    scaled and added Poly per term."""
+    total = ZERO
+    for c, p, shift in terms:
+        total = total + p.times_x_power(shift) * c
+    return total
+
+
+def random_term(rng: random.Random) -> tuple:
+    """A (c, p, shift) term: c an int, a bool, an integral or a proper
+    Fraction or zero; p an integer, a Fraction or the zero polynomial."""
+    kind = rng.randrange(6)
+    if kind == 5:
+        c = rng.choice((0, Fraction(0), False))
+    elif kind == 4:
+        c = True
+    else:
+        c = raw_coeff(rng)
+    if rng.randrange(6) == 0:
+        p = ZERO
+    else:
+        integral = rng.randrange(2)
+        p = Poly(
+            rng.randint(-5, 5) if integral else raw_coeff(rng)
+            for _ in range(rng.randrange(1, 6))
+        )
+    return c, p, rng.randrange(5)
+
+
+def random_term_lists(seed: int, count: int):
+    """Seeded term lists: every tenth is empty, every seventh is followed
+    by the negation of each of its terms, so its sum cancels to ZERO."""
+    rng = random.Random(seed)
+    for index in range(count):
+        size = 0 if index % 10 == 0 else rng.randrange(1, 7)
+        terms = [random_term(rng) for _ in range(size)]
+        if index % 7 == 3:
+            terms += [(-c, p, shift) for c, p, shift in terms]
+            rng.shuffle(terms)
+        yield terms
+
+
+class TestLinearCombinationAgainstLoop:
+    def test_random_term_lists(self):
+        seen = dict.fromkeys(
+            ("empty", "cancels", "bool", "fraction", "zero-c", "zero-p", "integral-sum"), 0
+        )
+        shifts = set()
+        for terms in random_term_lists(seed=9001, count=600):
+            want = oracle_linear_combination(terms)
+            assert_same(linear_combination(terms), want)
+            assert_same(linear_combination(iter(terms)), want)
+            seen["empty"] += not terms
+            seen["cancels"] += bool(terms) and not want
+            seen["bool"] += any(type(c) is bool for c, _, _ in terms)
+            seen["fraction"] += any(
+                type(c) is Fraction and c.denominator > 1 for c, _, _ in terms
+            )
+            seen["zero-c"] += any(c == 0 for c, _, _ in terms)
+            seen["zero-p"] += any(not p for _, p, _ in terms)
+            seen["integral-sum"] += (
+                bool(want)
+                and any(type(c) is Fraction for _, p, _ in terms for c in p.coeffs)
+                and all(type(c) is int for c in want.coeffs)
+            )
+            shifts.update(shift for _, _, shift in terms)
+        assert min(seen.values()) >= 10, seen
+        assert shifts == set(range(5))
+
+    def test_float_coefficient_rejected(self):
+        rng = random.Random(9002)
+        for index in range(50):
+            terms = [random_term(rng) for _ in range(rng.randrange(4))]
+            _, p, shift = random_term(rng)
+            c = 0.0 if index % 2 else 1.5
+            terms.insert(rng.randrange(len(terms) + 1), (c, p, shift))
+            with pytest.raises(TypeError):
+                oracle_linear_combination(terms)
+            with pytest.raises(TypeError):
+                linear_combination(terms)
+
+    def test_examples(self):
+        assert_same(linear_combination([]), ZERO)
+        assert_same(linear_combination([(2, ONE, 3), (-1, X, 0)]), P(0, -1, 0, 2))
+        half = Fraction(1, 2)
+        assert_same(linear_combination([(half, X, 1), (half, X, 1)]), P(0, 0, 1))
+        assert_same(linear_combination([(1, P(1, 1), 0), (-1, P(1, 1), 0)]), ZERO)
+        for c in (1, 0):
+            with pytest.raises(ValueError):
+                linear_combination([(c, ONE, -1)])

@@ -1,6 +1,7 @@
 """Complexes, carried triangulations, f-triangles and their invariants."""
 
 import json
+import random
 
 import pytest
 
@@ -351,3 +352,37 @@ class TestLocalHCache:
             assert bary.local_h(emask, fmask) == alternating_restriction_sum(
                 barycentric_subdivision(3), emask, fmask
             )
+
+
+def induced_oracle_complexes():
+    """The complexes of the four local-h families at n <= 4, and their
+    antiprism spheres at n <= 3."""
+    for family in sorted(LOCAL_H_FAMILIES):
+        for n in range(5):
+            t = LOCAL_H_FAMILIES[family](n)
+            yield f"{family}-{n}", t.complex
+            if n <= 3:
+                yield f"{family}-{n}-antiprism", antiprism_sphere(t).complex
+
+
+class TestInducedAgainstValidatingConstructor:
+    def test_seeded_vertex_subsets(self):
+        rng = random.Random(4242)
+        checked = 0
+        for name, c in induced_oracle_complexes():
+            order = c.vertex_order
+            keeps = [set(), set(order) | {("foreign", 0), "foreign"}]
+            for _ in range(6):
+                p = rng.random()
+                keeps.append({v for v in order if rng.random() < p})
+            keeps.append(set(rng.sample(order, len(order) // 2)) | {-1})
+            for keep in keeps:
+                got = c.induced(keep)
+                faces = [f for f in c.faces if f <= keep]
+                want = SimplicialComplex(faces, [v for v in order if v in keep])
+                assert got.faces == want.faces, (name, keep)
+                assert got.vertex_order == want.vertex_order, (name, keep)
+                kept = want.vertex_order
+                assert [got.index(v) for v in kept] == [want.index(v) for v in kept]
+                checked += 1
+        assert checked == 36 * 9
