@@ -28,9 +28,9 @@ from .simplicial import (
     antiprism_sphere,
     barycentric_subdivision,
     faces_as_index_lines,
+    family_f_triangle,
 )
 from .suites import (
-    CLOSED_F_TRIANGLES,
     GEOMETRY_FAMILIES,
     GOLDEN_DNK,
     GOLDEN_QNK,
@@ -41,7 +41,6 @@ from .suites import (
     d_interlacing_cases,
     derangement_sample_cases,
     equivalence_cases,
-    family_f_triangle,
     generic_conjecture_cases,
     geometry_cases,
     golden_table_cases,
@@ -362,11 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--family",
-        # closed-form families first, each group in name order
-        choices=sorted(
-            GEOMETRY_FAMILIES, key=lambda f: (f not in CLOSED_F_TRIANGLES, f)
-        )
-        + ["generic-binomial"],
+        # the order of the choices is part of the --help text
+        choices=["barycentric", "trivial", "colored", "esd", "generic-binomial"],
         default=None,
     )
     p.add_argument("--ft-file", default=None, help="load an f-triangle JSON file")

@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .budget import face_limit
+from .budget import check_face_budget, face_limit
 from .errors import BudgetExceeded, CertificationError
 from .poly import (
     ZERO,
@@ -27,6 +27,7 @@ from .poly import (
     is_symmetric,
     is_unimodal,
     linear_combination,
+    one_plus_x_power,
     reciprocal,
 )
 from .roots import interlaces, is_real_rooted
@@ -43,6 +44,14 @@ from .transforms import (
 @lru_cache(maxsize=None)
 def _one_minus_x_power(k: int) -> Poly:
     return Poly((1, -1)) ** k
+
+
+def _h_from_counts(counts: Iterable[tuple[int, int]], window: int) -> Poly:
+    """sum(count x^size (1-x)^(window-size)) over (size, count) pairs: the
+    h-polynomial, in the degree window, of faces counted by size."""
+    return linear_combination(
+        (count, _one_minus_x_power(window - size), size) for size, count in counts
+    )
 
 
 class SimplicialComplex:
@@ -86,10 +95,10 @@ class SimplicialComplex:
     def from_facets(
         cls, facets: Iterable[Iterable], vertex_order: Sequence | None = None
     ) -> "SimplicialComplex":
+        facets = [tuple(frozenset(facet)) for facet in facets]
+        check_face_budget(sum(1 << len(f) for f in facets), "the closure of the facets")
         faces: set[frozenset] = set()
-        for facet in facets:
-            base = frozenset(facet)
-            members = tuple(base)
+        for members in facets:
             for mask in range(1 << len(members)):
                 faces.add(frozenset(members[i] for i in range(len(members)) if mask >> i & 1))
         faces.add(frozenset())
@@ -159,9 +168,7 @@ def h_poly(complex: SimplicialComplex, n: int) -> Poly:
     fv = complex.f_vector()
     if len(fv) - 1 > n:
         raise ValueError(f"window n={n} below the top face size {len(fv) - 1}")
-    return linear_combination(
-        (count, _one_minus_x_power(n - size), size) for size, count in enumerate(fv)
-    )
+    return _h_from_counts(enumerate(fv), n)
 
 
 def faces_as_index_lines(complex: SimplicialComplex) -> list[str]:
@@ -259,40 +266,34 @@ class CarriedTriangulation:
             v for i, v in enumerate(self.base_vertices) if mask >> i & 1
         )
 
+    def _h_where(self, keep, window: int) -> Poly:
+        """h-polynomial, in the window, of the faces whose carrier passes keep."""
+        return _h_from_counts(
+            ((size, c) for (mask, size), c in self.counts.items() if keep(mask)), window
+        )
+
     def restriction_h(self, fmask: int) -> Poly:
         """h-polynomial of the restriction to the base face fmask, in the
         window |fmask|."""
         cached = self._h_cache.get(fmask)
         if cached is not None:
             return cached
-        m = int.bit_count(fmask)
-        total = linear_combination(
-            (count, _one_minus_x_power(m - size), size)
-            for (mask, size), count in self.counts.items()
-            if mask & ~fmask == 0
-        )
+        total = self._h_where(lambda mask: mask & ~fmask == 0, int.bit_count(fmask))
         self._h_cache[fmask] = total
         return total
 
     def boundary_h(self, fmask: int) -> Poly:
         """h-polynomial of the boundary of the restriction (faces whose
         carrier is a proper subface), in the window |fmask| - 1."""
-        m = int.bit_count(fmask)
-        return linear_combination(
-            (count, _one_minus_x_power(m - 1 - size), size)
-            for (mask, size), count in self.counts.items()
-            if mask & ~fmask == 0 and mask != fmask
+        return self._h_where(
+            lambda mask: mask & ~fmask == 0 and mask != fmask, int.bit_count(fmask) - 1
         )
 
     def interior_h(self, fmask: int) -> Poly:
         """Interior h-polynomial of the restriction; certified against the
         reversal of the plain h-polynomial."""
         m = int.bit_count(fmask)
-        total = linear_combination(
-            (count, _one_minus_x_power(m - size), size)
-            for (mask, size), count in self.counts.items()
-            if mask == fmask
-        )
+        total = self._h_where(lambda mask: mask == fmask, m)
         expected = reciprocal(self.restriction_h(fmask), m)
         if total != expected:
             raise CertificationError(
@@ -610,30 +611,55 @@ def f_triangle(t: CarriedTriangulation) -> FTriangle:
     return FTriangle(n=n, rows=tuple(rows))
 
 
+def _simplex_hilbert(m: int, t: int) -> int:
+    return comb(t + m - 1, m - 1)  # degree-t monomials in m variables
+
+
+def _barycentric_hilbert(m: int, t: int) -> int:
+    return (t + 1) ** m - t**m  # maps [m] -> {0..t} that reach t
+
+
+# family -> (Hilbert function H_m(t), t >= 1, of the face ring of its base
+# triangulation of 2^[m]; whether it is the r-fold edgewise one, with H_m(rt))
+_HILBERT_FUNCTIONS = {
+    "trivial": (_simplex_hilbert, False),
+    "barycentric": (_barycentric_hilbert, False),
+    "esd": (_simplex_hilbert, True),
+    "colored": (_barycentric_hilbert, True),
+}
+
+
+def family_f_triangle(family: str, n: int, r: int = 2) -> FTriangle:
+    """A geometry family's f-triangle in closed form, without building it.
+
+    Row m is the f-vector of the restriction to an m-element base face:
+    its h-polynomial is (1-x)^m sum_t H_m(rt) x^t cut off at degree m (the
+    Veronese construction, Brenti-Welker 2009), and f_i = sum_k h_k
+    C(m-k, i-k) is the coefficient of x^i in sum_k h_k x^k (1+x)^(m-k).
+    r is ignored by trivial and barycentric."""
+    if family not in _HILBERT_FUNCTIONS:
+        raise ValueError(f"unknown geometry family {family!r}")
+    hilbert, veronese = _HILBERT_FUNCTIONS[family]
+    if veronese and r < 1:
+        raise ValueError("r must be positive")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    step = r if veronese else 1
+    rows = []
+    for m in range(n + 1):
+        series = Poly([1] + [hilbert(m, step * t) for t in range(1, m + 1)])
+        h = (series * _one_minus_x_power(m)).coeffs[: m + 1]
+        f = linear_combination((c, one_plus_x_power(m - k), k) for k, c in enumerate(h))
+        rows.append(f.coeffs)
+    return FTriangle(n=n, rows=tuple(rows))
+
+
 def trivial_f_triangle(n: int) -> FTriangle:
-    return FTriangle(
-        n=n, rows=tuple(tuple(comb(j, i) for i in range(j + 1)) for j in range(n + 1))
-    )
+    return family_f_triangle("trivial", n)
 
 
 def barycentric_f_triangle(n: int) -> FTriangle:
-    """Chain counts of the barycentric subdivision, by closed recursion:
-    d[i][m] counts i-chains of nonempty subsets of [m] topped by [m]."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    d = [[0] * (n + 1) for _ in range(n + 1)]
-    d[0][0] = 1
-    for i in range(1, n + 1):
-        for m in range(n + 1):
-            d[i][m] = sum(comb(m, mm) * d[i - 1][mm] for mm in range(m))
-    rows = []
-    for j in range(n + 1):
-        rows.append(
-            tuple(
-                sum(comb(j, m) * d[i][m] for m in range(j + 1)) for i in range(j + 1)
-            )
-        )
-    return FTriangle(n=n, rows=tuple(rows))
+    return family_f_triangle("barycentric", n)
 
 
 @lru_cache(maxsize=None)
@@ -641,9 +667,7 @@ def ft_h(triangle: FTriangle, m: int) -> Poly:
     """h-polynomial of the restriction to an m-element base face."""
     if not 0 <= m <= triangle.n:
         raise ValueError(f"m={m} out of range 0..{triangle.n}")
-    return linear_combination(
-        (triangle.f(i, m), _one_minus_x_power(m - i), i) for i in range(m + 1)
-    )
+    return _h_from_counts(enumerate(triangle.rows[m]), m)
 
 
 @lru_cache(maxsize=None)
@@ -661,10 +685,7 @@ def ft_h_interior(triangle: FTriangle, m: int) -> Poly:
     the reversal of ft_h, else the triangle is not a triangulation."""
     if not 0 <= m <= triangle.n:
         raise ValueError(f"m={m} out of range 0..{triangle.n}")
-    total = linear_combination(
-        (c, _one_minus_x_power(m - i), i)
-        for i, c in enumerate(_ft_interior_counts(triangle, m))
-    )
+    total = _h_from_counts(enumerate(_ft_interior_counts(triangle, m)), m)
     expected = reciprocal(ft_h(triangle, m), m)
     if total != expected:
         raise ValueError(
@@ -686,9 +707,7 @@ def ft_boundary_h(triangle: FTriangle, m: int) -> Poly:
         raise ValueError(
             f"boundary face counts at size {m} are impossible: {boundary}"
         )
-    return linear_combination(
-        (boundary[i], _one_minus_x_power(m - 1 - i), i) for i in range(m)
-    )
+    return _h_from_counts(enumerate(boundary[:m]), m - 1)
 
 
 def ft_theta(triangle: FTriangle, m: int) -> Poly:

@@ -63,6 +63,7 @@ from .simplicial import (
     colored_barycentric,
     edgewise_subdivision,
     f_triangle,
+    family_f_triangle,
     ft_lnk,
     ft_qnk,
     ft_theta,
@@ -530,17 +531,13 @@ def eulerian_combination_sample_cases(
 
 
 # The geometry families: name -> triangulation of the (n-1)-simplex from
-# (n, r), in the order of the dump-complex and ft-from-family choices, and
-# the families whose f-triangle has a closed form in n.
+# (n, r), in the order of the dump-complex and ft-from-family choices.  Each
+# family's f-triangle comes in closed form from simplicial.family_f_triangle.
 GEOMETRY_FAMILIES = {
     "trivial": lambda n, r: trivial_triangulation(n),
     "barycentric": lambda n, r: barycentric_subdivision(n),
     "esd": edgewise_subdivision,
     "colored": colored_barycentric,
-}
-CLOSED_F_TRIANGLES = {
-    "trivial": trivial_f_triangle,
-    "barycentric": barycentric_f_triangle,
 }
 
 
@@ -548,14 +545,6 @@ def build_geometry_family(family: str, n: int, r: int = 2) -> CarriedTriangulati
     if family not in GEOMETRY_FAMILIES:
         raise ValueError(f"unknown geometry family {family!r}")
     return GEOMETRY_FAMILIES[family](n, r)
-
-
-def family_f_triangle(family: str, n: int, r: int = 2) -> FTriangle:
-    """A geometry family's f-triangle: its closed form where it has one,
-    else counted on the built triangulation."""
-    if family in CLOSED_F_TRIANGLES:
-        return CLOSED_F_TRIANGLES[family](n)
-    return f_triangle(build_geometry_family(family, n, r))
 
 
 def geometry_cases(
@@ -589,13 +578,9 @@ def geometry_cases(
             )
         )
 
-    if family in CLOSED_F_TRIANGLES:
-        cases.append(
-            _case(
-                f"{label}-ft-matches-closed-form",
-                triangle == CLOSED_F_TRIANGLES[family](n),
-            )
-        )
+    if family in ("trivial", "barycentric"):
+        closed = family_f_triangle(family, n, r)
+        cases.append(_case(f"{label}-ft-matches-closed-form", triangle == closed))
     if family == "barycentric":
         for emask in range(1 << n):
             e = emask.bit_count()

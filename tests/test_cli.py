@@ -4,6 +4,7 @@ import argparse
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,13 +13,12 @@ import eulerian_lab.cli as cli_mod
 from eulerian_lab.cli import build_parser, main
 from eulerian_lab.simplicial import (
     FTriangle,
-    barycentric_f_triangle,
     barycentric_subdivision,
     colored_barycentric,
     edgewise_subdivision,
     f_triangle,
     faces_as_index_lines,
-    trivial_f_triangle,
+    family_f_triangle,
     trivial_triangulation,
 )
 from eulerian_lab.suites import GEOMETRY_FAMILIES, build_geometry_family
@@ -163,6 +163,20 @@ class TestCheckConjecture:
 
 
 class TestFTriangleRoundTrip:
+    def test_colored_past_the_build_budget(self, capsys):
+        # building colored n = 7, r = 2 needs more than 10^6 faces; the
+        # closed form does not build it
+        code, out, _ = run(capsys, "ft-from-family", "--family", "colored",
+                           "--n", "7", "--r", "2")
+        assert code == 0
+        assert FTriangle.from_json(out) == family_f_triangle("colored", 7, 2)
+
+    @pytest.mark.parametrize("family", ["esd", "colored"])
+    def test_zero_r_exits_two(self, capsys, family):
+        code, out, err = run(capsys, "ft-from-family", "--family", family,
+                             "--n", "3", "--r", "0")
+        assert code == 2 and not out and "r must be positive" in err
+
     def test_export_then_check(self, tmp_path, capsys):
         path = tmp_path / "esd.json"
         code, _, _ = run(capsys, "ft-from-family", "--family", "esd",
@@ -206,10 +220,6 @@ class TestGeometryRegistry:
         "esd": lambda n: edgewise_subdivision(n, 2),
         "colored": lambda n: colored_barycentric(n, 2),
     }
-    CLOSED_FORMS = {
-        "trivial": trivial_f_triangle,
-        "barycentric": barycentric_f_triangle,
-    }
 
     def test_family_choices(self):
         sub = next(
@@ -236,8 +246,6 @@ class TestGeometryRegistry:
         want = self.CONSTRUCTORS[family](n)
         assert faces_as_index_lines(built.complex) == faces_as_index_lines(want.complex)
         counted = f_triangle(built)
-        if family in self.CLOSED_FORMS:
-            assert self.CLOSED_FORMS[family](n) == counted
 
         code, out, _ = run(capsys, "ft-from-family", "--family", family, "--n", str(n))
         assert code == 0
@@ -294,6 +302,14 @@ class TestBudgetAndErrors:
         code, _, err = run(capsys, "verify-identities", "--n", "6",
                            "--part", "families")
         assert code == 2 and "budget" in err.lower()
+
+    @pytest.mark.parametrize("family", ["trivial", "antiprism"])
+    def test_oversized_complex_refused_at_once(self, capsys, family):
+        # one 40-vertex facet has 2^40 faces: refused before any is built
+        started = time.perf_counter()
+        code, out, err = run(capsys, "dump-complex", "--family", family, "--n", "40")
+        assert code == 2 and not out and "budget" in err
+        assert time.perf_counter() - started < 5
 
     def test_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -2,10 +2,11 @@
 
 import json
 import random
+from math import comb
 
 import pytest
 
-from eulerian_lab.errors import CertificationError
+from eulerian_lab.errors import BudgetExceeded, CertificationError
 from eulerian_lab.poly import ONE, Poly, reciprocal
 from eulerian_lab.simplicial import (
     FTriangle,
@@ -18,6 +19,7 @@ from eulerian_lab.simplicial import (
     edgewise_subdivision,
     f_triangle,
     faces_as_index_lines,
+    family_f_triangle,
     ft_boundary_h,
     ft_h,
     ft_h_interior,
@@ -51,6 +53,11 @@ class TestSimplicialComplex:
         assert c.f_vector() == (1, 3, 2)
         assert c.euler_characteristic() == 1
         assert sorted(map(sorted, c.facets())) == [[1, 2], [2, 3]]
+
+    def test_from_facets_budget(self):
+        # the 2^40 subsets of one 40-vertex facet are refused before any is made
+        with pytest.raises(BudgetExceeded, match="budget"):
+            SimplicialComplex.from_facets([range(40)])
 
     def test_void_and_point(self):
         void = SimplicialComplex(faces=(), vertex_order=())
@@ -243,6 +250,70 @@ class TestFTriangle:
         ft = trivial_f_triangle(3)
         assert ft.f(0, 2) == 1
         assert ft.f(2, 1) == 0  # more vertices than the face has
+
+
+def chain_recursion_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Barycentric f-triangle by counting chains: d[i][m] counts i-chains of
+    nonempty subsets of [m] topped by [m]."""
+    d = [[0] * (n + 1) for _ in range(n + 1)]
+    d[0][0] = 1
+    for i in range(1, n + 1):
+        for m in range(n + 1):
+            d[i][m] = sum(comb(m, mm) * d[i - 1][mm] for mm in range(m))
+    return tuple(
+        tuple(sum(comb(j, m) * d[i][m] for m in range(j + 1)) for i in range(j + 1))
+        for j in range(n + 1)
+    )
+
+
+def binomial_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The simplex: the restriction to j base vertices has C(j, i) i-faces."""
+    return tuple(tuple(comb(j, i) for i in range(j + 1)) for j in range(n + 1))
+
+
+class TestClosedFTriangle:
+    """The Veronese route against independent counts: the chain recursion
+    and binomial rows it replaced, and the built complexes."""
+
+    @pytest.mark.parametrize("n", range(21))
+    def test_barycentric_matches_chain_recursion(self, n):
+        assert barycentric_f_triangle(n).rows == chain_recursion_rows(n)
+
+    @pytest.mark.parametrize("n", range(21))
+    def test_trivial_matches_binomial_rows(self, n):
+        assert trivial_f_triangle(n).rows == binomial_rows(n)
+
+    @pytest.mark.parametrize("r, n_max", [(1, 6), (2, 6), (3, 5), (4, 3)])
+    def test_esd_matches_built(self, r, n_max):
+        for n in range(n_max + 1):
+            built = f_triangle(edgewise_subdivision(n, r))
+            assert family_f_triangle("esd", n, r) == built, n
+
+    @pytest.mark.parametrize("r, n_max", [(1, 5), (2, 5), (3, 4), (4, 3)])
+    def test_colored_matches_built(self, r, n_max):
+        for n in range(n_max + 1):
+            built = f_triangle(colored_barycentric(n, r))
+            assert family_f_triangle("colored", n, r) == built, n
+
+    @pytest.mark.parametrize("family", ["esd", "colored"])
+    def test_veronese_families_need_positive_r(self, family):
+        with pytest.raises(ValueError, match="r must be positive"):
+            family_f_triangle(family, 3, 0)
+
+    @pytest.mark.parametrize("family", ["trivial", "barycentric"])
+    def test_other_families_ignore_r(self, family):
+        want = family_f_triangle(family, 4, 1)
+        assert family_f_triangle(family, 4, 0) == want
+        assert family_f_triangle(family, 4, 5) == want
+
+    @pytest.mark.parametrize("family", ["trivial", "barycentric", "esd", "colored"])
+    def test_negative_n_rejected(self, family):
+        with pytest.raises(ValueError):
+            family_f_triangle(family, -1, 2)
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError, match="unknown geometry family"):
+            family_f_triangle("cubical", 2)
 
 
 class TestFTriangleInvariants:
