@@ -76,7 +76,6 @@ __all__ = [
     "IsolatingInterval",
     "isolate_roots",
     "interlaces",
-    "interlaces_checked",
     "is_interlacing_sequence",
     "interlacing_failures",
     "DecompositionVerdict",
@@ -279,14 +278,6 @@ def interlaces(p: Poly, q: Poly) -> bool:
         for factor, mult in _yun(w)
         if mult % 2
     )
-
-
-def interlaces_checked(p: Poly, q: Poly) -> bool:
-    """Like interlaces, but refuses non real rooted input outright."""
-    for which, f in (("first", p), ("second", q)):
-        if not is_real_rooted(f):
-            raise ValueError(f"{which} argument is not real rooted: {f!r}")
-    return interlaces(p, q)
 
 
 def interlacing_failures(polys: Sequence[Poly]) -> list[tuple[int, int]]:

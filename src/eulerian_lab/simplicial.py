@@ -18,8 +18,8 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .budget import check_face_budget, face_limit
-from .errors import BudgetExceeded, CertificationError
+from .budget import check_face_budget
+from .errors import CertificationError
 from .poly import (
     ZERO,
     Poly,
@@ -379,11 +379,22 @@ def barycentric_subdivision(
     )
 
 
+def _subdivision_face_count(complex: SimplicialComplex, family: str, r: int = 1) -> int:
+    """Faces of the family's subdivision of complex, counted before it is
+    built: each lies in the relative interior of the subdivision of exactly
+    one face of complex, so the count is sum_j f_j sum_i f^int(i, j)."""
+    fv = complex.f_vector()
+    triangle = family_f_triangle(family, max(len(fv) - 1, 0), r)
+    return sum(c * sum(_ft_interior_counts(triangle, j)) for j, c in enumerate(fv))
+
+
 def sd_complex(complex: SimplicialComplex) -> SimplicialComplex:
     """Order complex of the poset of nonempty faces."""
+    check_face_budget(
+        _subdivision_face_count(complex, "barycentric"), "the barycentric subdivision"
+    )
     key = complex._face_key
     cells = sorted((f for f in complex.faces if f), key=key)
-    limit = face_limit()
     chains: list[frozenset] = [frozenset()]
     ending: dict[frozenset, list[frozenset]] = {}
     for s in cells:
@@ -393,10 +404,6 @@ def sd_complex(complex: SimplicialComplex) -> SimplicialComplex:
                 mine.extend(c | {s} for c in ending[t])
         ending[s] = mine
         chains.extend(mine)
-        if len(chains) > limit:
-            raise BudgetExceeded(
-                f"barycentric subdivision needs more than {limit} faces"
-            )
     return SimplicialComplex(chains, tuple(cells))
 
 
@@ -415,9 +422,11 @@ def edgewise_subdivision(
         raise ValueError("r must be positive")
     t = trivial_triangulation(arg) if isinstance(arg, int) else arg
     base_complex = t.complex
+    check_face_budget(
+        _subdivision_face_count(base_complex, "esd", r), "the edgewise subdivision"
+    )
     order = base_complex.vertex_order
     positions = len(order)
-    limit = face_limit()
 
     vertex_label: dict[tuple, tuple] = {}
     vertex_iota: dict[tuple, tuple[int, ...]] = {}
@@ -470,10 +479,6 @@ def edgewise_subdivision(
         def extend(clique: tuple[int, ...], allowed: int) -> None:
             if clique:
                 faces.add(frozenset(pool[i] for i in clique))
-                if len(faces) > limit:
-                    raise BudgetExceeded(
-                        f"edgewise subdivision needs more than {limit} faces"
-                    )
             m = allowed
             while m:
                 j = (m & -m).bit_length() - 1
@@ -506,12 +511,10 @@ def antiprism_sphere(t: CarriedTriangulation) -> AntiprismSphere:
     """Faces are unions of {u_i : i in I} with a face of the restriction of
     t to the complementary base face."""
     n = t.n
-    limit = face_limit()
-    projected = sum(
-        count << (n - int.bit_count(mask)) for (mask, _), count in t.counts.items()
+    check_face_budget(
+        sum(count << (n - int.bit_count(mask)) for (mask, _), count in t.counts.items()),
+        "the antiprism sphere",
     )
-    if projected > limit:
-        raise BudgetExceeded(f"antiprism sphere needs {projected} faces")
     u_vertices = tuple(("u", i) for i in range(1, n + 1))
     vmask = {u: t.base_mask(t.carrier[u]) for u in t.complex.vertex_order}
     by_carrier: dict[int, list[frozenset]] = {}
@@ -629,6 +632,8 @@ _HILBERT_FUNCTIONS = {
 }
 
 
+# cached: every transform and subdivision face count asks for its triangle
+@lru_cache(maxsize=128)
 def family_f_triangle(family: str, n: int, r: int = 2) -> FTriangle:
     """A geometry family's f-triangle in closed form, without building it.
 
@@ -680,6 +685,7 @@ def _ft_interior_counts(triangle: FTriangle, m: int) -> tuple[int, ...]:
     )
 
 
+@lru_cache(maxsize=None)
 def ft_h_interior(triangle: FTriangle, m: int) -> Poly:
     """Interior h-polynomial via inclusion-exclusion over subfaces; must be
     the reversal of ft_h, else the triangle is not a triangulation."""
@@ -742,18 +748,23 @@ def ft_interior_transform(triangle: FTriangle) -> LinearTransform:
     )
 
 
-def ft_h_transform(triangle: FTriangle) -> LinearTransform:
-    """x^m -> h of the size-m restriction."""
-    return LinearTransform(
-        name="restriction-h", n=triangle.n, image=lambda m: ft_h(triangle, m)
-    )
-
-
 def ft_local_transform(triangle: FTriangle) -> LinearTransform:
     """x^m -> local h of the size-m restriction."""
     return LinearTransform(
         name="local-h", n=triangle.n, image=lambda m: ft_lnk(triangle, m, m)
     )
+
+
+def eulerian_transform(n: int) -> LinearTransform:
+    """The interior transform of the barycentric subdivision: x^0 -> 1 and
+    x^m -> x A_m for m >= 1."""
+    return ft_interior_transform(barycentric_f_triangle(n))
+
+
+def derangement_transform(n: int) -> LinearTransform:
+    """The local transform of the barycentric subdivision: x^m -> d_m; sends
+    (1+x)^n to A_n."""
+    return ft_local_transform(barycentric_f_triangle(n))
 
 
 @dataclass(frozen=True)
@@ -801,9 +812,7 @@ class IdentityCase:
     ok: bool
 
 
-def identity_suite(
-    t: CarriedTriangulation, strict: bool = True
-) -> list[IdentityCase]:
+def identity_suite(t: CarriedTriangulation) -> list[IdentityCase]:
     """Certify the face-count identities tying h, theta and local h together
     on one carried triangulation.
 
@@ -811,8 +820,8 @@ def identity_suite(
     interior reciprocity, theta symmetry, the Eulerian and derangement
     expansions of h and local h over theta, the relative expansion, the
     reconstruction of restriction h from relative local h, and the
-    subdivision-sum form of relative local h.  With strict=True any failure
-    raises CertificationError.
+    subdivision-sum form of relative local h.  A failed identity is a case
+    with ok False; nothing is raised.
     """
     n = t.n
     full = (1 << n) - 1
@@ -887,10 +896,4 @@ def identity_suite(
                 t.restriction_h(gmask) == rhs,
             )
 
-    failures = [c for c in cases if not c.ok]
-    if strict and failures:
-        names = sorted({c.name for c in failures})
-        raise CertificationError(
-            f"{len(failures)} geometric identity checks failed: {', '.join(names)}"
-        )
     return cases

@@ -35,10 +35,8 @@ from .transforms import (
     apply_transform,
     binomial_base,
     binomial_eulerian,
-    derangement_transform,
     dnk,
     eulerian,
-    eulerian_transform,
     generic_hnk,
     generic_lnk,
     pnk,
@@ -61,10 +59,14 @@ from .simplicial import (
     barycentric_f_triangle,
     barycentric_subdivision,
     colored_barycentric,
+    derangement_transform,
     edgewise_subdivision,
+    eulerian_transform,
     f_triangle,
     family_f_triangle,
+    ft_interior_transform,
     ft_lnk,
+    ft_local_transform,
     ft_qnk,
     ft_theta,
     h_poly,
@@ -232,6 +234,10 @@ def identity_cases(n_max: int = 8) -> list[CaseResult]:
     checked exactly for all indices up to n_max."""
     cases = []
     for n in range(n_max + 1):
+        # the Eulerian and derangement transforms are the barycentric
+        # interior and local transforms
+        bary = barycentric_f_triangle(n)
+        interior, local = ft_interior_transform(bary), ft_local_transform(bary)
         # additive recurrence and both closed forms of the q family
         for k in range(n + 1):
             if k < n:
@@ -254,8 +260,7 @@ def identity_cases(n_max: int = 8) -> list[CaseResult]:
                     f"qnk-via-interior-eulerian-{n}-{k}",
                     reciprocal(qnk(n, k), n),
                     apply_transform(
-                        eulerian_transform(n),
-                        one_plus_x_power(k).times_x_power(n - k),
+                        interior, one_plus_x_power(k).times_x_power(n - k)
                     ),
                 )
             )
@@ -321,27 +326,25 @@ def identity_cases(n_max: int = 8) -> list[CaseResult]:
                     f"dnk-via-derangement-transform-{n}-{k}",
                     dnk(n, k),
                     apply_transform(
-                        derangement_transform(n),
-                        one_plus_x_power(n - k).times_x_power(k),
+                        local, one_plus_x_power(n - k).times_x_power(k)
                     ),
                 )
             )
         cases.append(
             _eq_case(
                 f"derangement-binomial-{n}",
-                apply_transform(derangement_transform(n), one_plus_x_power(n)),
+                apply_transform(local, one_plus_x_power(n)),
                 eulerian(n),
             )
         )
         cases.append(
             _eq_case(
                 f"Atilde-via-interior-eulerian-{n}",
-                apply_transform(eulerian_transform(n), one_plus_x_power(n)),
+                apply_transform(interior, one_plus_x_power(n)),
                 binomial_eulerian(n),
             )
         )
         # the abstract two-index families over the f-triangle h-sequences
-        bary = barycentric_f_triangle(n)
         triv = trivial_f_triangle(n)
         for m in range(n + 1):
             for k in range(m + 1):
@@ -547,9 +550,7 @@ def build_geometry_family(family: str, n: int, r: int = 2) -> CarriedTriangulati
     return GEOMETRY_FAMILIES[family](n, r)
 
 
-def geometry_cases(
-    family: str, n: int, r: int = 2, with_antiprism: bool = True
-) -> list[CaseResult]:
+def geometry_cases(family: str, n: int, r: int = 2) -> list[CaseResult]:
     """Everything the face-count calculus promises for one triangulation:
     the identity suite, uniformity of the f-triangle, theta symmetry, the
     cross-checks against the permutation families, and the antiprism
@@ -558,7 +559,7 @@ def geometry_cases(
     label = f"{family}-{n}" + (f"-r{r}" if family in ("esd", "colored") else "")
     cases = []
 
-    for c in identity_suite(t, strict=False):
+    for c in identity_suite(t):
         cases.append(_case(f"{label}-{c.name}", c.ok, c.detail))
 
     try:
@@ -602,25 +603,24 @@ def geometry_cases(
                 )
             )
 
-    if with_antiprism:
-        sphere = antiprism_sphere(t)
-        euler = sphere.complex.euler_characteristic()
+    sphere = antiprism_sphere(t)
+    euler = sphere.complex.euler_characteristic()
+    cases.append(
+        _case(
+            f"{label}-antiprism-euler",
+            euler == 1 + (-1) ** (n - 1) if n >= 1 else euler == 0,
+            f"chi = {euler}",
+        )
+    )
+    for k in range(n + 1):
+        partial = antiprism_partial(sphere, k)
         cases.append(
-            _case(
-                f"{label}-antiprism-euler",
-                euler == 1 + (-1) ** (n - 1) if n >= 1 else euler == 0,
-                f"chi = {euler}",
+            _eq_case(
+                f"{label}-antiprism-partial-h-{k}",
+                h_poly(partial, n),
+                ft_qnk(triangle, n, k),
             )
         )
-        for k in range(n + 1):
-            partial = antiprism_partial(sphere, k)
-            cases.append(
-                _eq_case(
-                    f"{label}-antiprism-partial-h-{k}",
-                    h_poly(partial, n),
-                    ft_qnk(triangle, n, k),
-                )
-            )
     return cases
 
 

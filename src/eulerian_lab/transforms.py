@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable
 
 from .poly import ONE, X, ZERO, Poly, linear_combination, one_plus_x_power
 
@@ -228,44 +228,3 @@ def apply_transform(transform: LinearTransform, p: Poly) -> Poly:
     return linear_combination(
         (c, transform.image(m), 0) for m, c in enumerate(p.coeffs) if c
     )
-
-
-def eulerian_transform(n: int) -> LinearTransform:
-    """x^0 -> 1 and x^m -> x A_m for m >= 1."""
-
-    def image(m: int) -> Poly:
-        return ONE if m == 0 else X * eulerian(m)
-
-    return LinearTransform(name="eulerian-interior", n=n, image=image)
-
-
-def plain_eulerian_transform(n: int) -> LinearTransform:
-    """x^m -> A_m."""
-    return LinearTransform(name="eulerian", n=n, image=eulerian)
-
-
-def derangement_transform(n: int) -> LinearTransform:
-    """x^m -> d_m; sends (1+x)^n to A_n."""
-    return LinearTransform(name="derangement", n=n, image=derangement)
-
-
-def typeB_transform(n: int) -> LinearTransform:
-    """x^m -> B_m."""
-    return LinearTransform(name="typeB-eulerian", n=n, image=typeB_eulerian)
-
-
-def typeB_derangement_transform(n: int) -> LinearTransform:
-    """x^m -> the alternating B sum; the type B derangement analogue."""
-    return LinearTransform(
-        name="typeB-derangement", n=n, image=typeB_derangement_image
-    )
-
-
-def basis_sequence(images: Sequence[Poly], name: str) -> LinearTransform:
-    """Transform with explicitly listed monomial images."""
-    imgs = tuple(images)
-
-    def image(m: int) -> Poly:
-        return imgs[m]
-
-    return LinearTransform(name=name, n=len(imgs) - 1, image=image)

@@ -311,6 +311,22 @@ class TestBudgetAndErrors:
         assert code == 2 and not out and "budget" in err
         assert time.perf_counter() - started < 5
 
+    @pytest.mark.parametrize(
+        "argv, faces",
+        [
+            (["--family", "barycentric", "--n", "8"], 1091670),
+            (["--family", "esd", "--n", "12", "--r", "2"], 1254464),
+            (["--family", "colored", "--n", "7", "--r", "2"], 5014886),
+        ],
+    )
+    def test_oversized_subdivision_refused_before_building(self, capsys, argv, faces):
+        # the face count comes from the f-triangle, before any face is made
+        started = time.perf_counter()
+        code, out, err = run(capsys, "dump-complex", *argv)
+        assert code == 2 and not out and "budget" in err
+        assert f"needs {faces} faces" in err
+        assert time.perf_counter() - started < 5
+
     def test_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["table", "--family", "A"])  # missing --n

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
+from eulerian_lab import eulerian_transform
 from eulerian_lab.poly import (
     ONE,
     X,
@@ -30,7 +31,7 @@ from eulerian_lab.poly import (
     symmetric_decomposition,
 )
 from eulerian_lab.roots import interlaces, is_real_rooted
-from eulerian_lab.transforms import apply_transform, eulerian_transform
+from eulerian_lab.transforms import apply_transform
 
 SUITE = settings(
     max_examples=1000,

@@ -8,7 +8,6 @@ import pytest
 from eulerian_lab.poly import ONE, X, ZERO, Poly, poly_gcd, reciprocal, squarefree_part
 from eulerian_lab.roots import (
     interlaces,
-    interlaces_checked,
     interlacing_failures,
     interlacing_symmetric_decomposition,
     is_interlacing_sequence,
@@ -170,8 +169,6 @@ class TestInterlaces:
 
     def test_non_real_rooted_refused(self):
         assert not interlaces(P(1, 1, 1), P(1, 1, 1, 1))
-        with pytest.raises(ValueError):
-            interlaces_checked(P(1, 1, 1), P(1, 1))
 
     def test_eulerian_chain(self):
         for n in range(1, 8):

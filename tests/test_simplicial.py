@@ -9,6 +9,7 @@ import pytest
 from eulerian_lab.errors import BudgetExceeded, CertificationError
 from eulerian_lab.poly import ONE, Poly, reciprocal
 from eulerian_lab.simplicial import (
+    CarriedTriangulation,
     FTriangle,
     SimplicialComplex,
     antiprism_partial,
@@ -105,6 +106,44 @@ class TestBarycentric:
         face = t.base_vertices[:2]
         r = restriction(t, face)
         assert f_triangle(r) == barycentric_f_triangle(2)
+
+
+# name -> (build of the complex to subdivide from n, subdivision of it)
+SUBDIVISIONS = {
+    "barycentric": (trivial_triangulation, barycentric_subdivision),
+    **{
+        f"esd-r{r}": (trivial_triangulation, lambda t, r=r: edgewise_subdivision(t, r))
+        for r in (1, 2, 3)
+    },
+    "colored-r2": (barycentric_subdivision, lambda t: edgewise_subdivision(t, 2)),
+    "sd-of-esd": (lambda n: edgewise_subdivision(n, 2), barycentric_subdivision),
+    "sd-of-sd": (barycentric_subdivision, barycentric_subdivision),
+}
+
+
+class TestSubdivisionBudget:
+    """A subdivision is counted before it is built, so a face budget of its
+    exact face count lets it through and one face less refuses it."""
+
+    @pytest.mark.parametrize("name", sorted(SUBDIVISIONS))
+    def test_counted_exactly_before_building(self, name, monkeypatch):
+        base, subdivide = SUBDIVISIONS[name]
+        for n in range(6 if name != "sd-of-sd" else 5):
+            t = base(n)
+            faces = len(subdivide(t).complex.faces)
+            monkeypatch.setenv("EULERIAN_LAB_BUDGET", str(faces))
+            assert len(subdivide(t).complex.faces) == faces
+            monkeypatch.setenv("EULERIAN_LAB_BUDGET", str(faces - 1))
+            with pytest.raises(BudgetExceeded, match=f"needs {faces} faces"):
+                subdivide(t)
+            monkeypatch.delenv("EULERIAN_LAB_BUDGET")
+
+    def test_antiprism_sphere_counted_exactly(self, monkeypatch):
+        t = barycentric_subdivision(3)
+        faces = len(antiprism_sphere(t).complex.faces)
+        monkeypatch.setenv("EULERIAN_LAB_BUDGET", str(faces - 1))
+        with pytest.raises(BudgetExceeded, match=f"antiprism sphere needs {faces}"):
+            antiprism_sphere(t)
 
 
 class TestTrivialAndLocal:
@@ -345,8 +384,14 @@ class TestFTriangleInvariants:
         assert cases and all(c.ok for c in cases)
 
     def test_identity_suite_nonstrict_collects(self):
-        cases = identity_suite(edgewise_subdivision(3, 2), strict=False)
+        cases = identity_suite(edgewise_subdivision(3, 2))
         assert all(c.ok for c in cases)
+        # a stray vertex inside the segment breaks interior reciprocity: the
+        # suite reports the failure as a case instead of raising
+        stray = SimplicialComplex.from_facets([(1, 2), (3,)])
+        bad = CarriedTriangulation(stray, (1, 2), {1: {1}, 2: {2}, 3: {1, 2}})
+        failed = {c.name for c in identity_suite(bad) if not c.ok}
+        assert "interior-reciprocity" in failed
 
 
 LOCAL_H_FAMILIES = {
@@ -393,7 +438,7 @@ class TestLocalHCache:
         build = LOCAL_H_FAMILIES[family]
         for n in range(5):
             t, fresh = build(n), build(n)
-            assert all(c.ok for c in identity_suite(t, strict=False))
+            assert all(c.ok for c in identity_suite(t))
             for emask, fmask in mask_pairs(n):
                 want = alternating_restriction_sum(fresh, emask, fmask)
                 assert t.local_h(emask, fmask) == want, (family, n, emask, fmask)

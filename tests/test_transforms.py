@@ -1,30 +1,34 @@
 """Polynomial families and the linear transforms built from them."""
 
+import random
+from fractions import Fraction
 from math import comb
 
 import pytest
 
+from eulerian_lab import derangement_transform, eulerian_transform
 from eulerian_lab.poly import ONE, X, Poly, one_plus_x_power, reciprocal
+from eulerian_lab.simplicial import (
+    family_f_triangle,
+    ft_interior_transform,
+    ft_lnk,
+    ft_local_transform,
+    ft_qnk,
+)
 from eulerian_lab.transforms import (
     apply_transform,
-    basis_sequence,
     binomial_eulerian,
     derangement,
-    derangement_transform,
     dnk,
     eulerian,
-    eulerian_transform,
     generic_hnk,
     generic_lnk,
-    plain_eulerian_transform,
     pnk,
     qnk,
     qnkj,
     qnkj_star,
     typeB_derangement_image,
-    typeB_derangement_transform,
     typeB_eulerian,
-    typeB_transform,
 )
 
 
@@ -169,10 +173,6 @@ class TestLinearTransforms:
             t = eulerian_transform(n)
             assert apply_transform(t, one_plus_x_power(n)) == binomial_eulerian(n)
 
-    def test_plain_eulerian_transform(self):
-        t = plain_eulerian_transform(5)
-        assert apply_transform(t, P(0, 0, 1)) == eulerian(2)
-
     def test_derangement_binomial_identity(self):
         # the derangement transform sends (1+x)^n to A_n
         for n in range(7):
@@ -187,21 +187,80 @@ class TestLinearTransforms:
                 arg = one_plus_x_power(n - k).times_x_power(k)
                 assert apply_transform(t, arg) == dnk(n, k)
 
-    def test_type_b_transforms(self):
-        tb = typeB_transform(4)
-        assert apply_transform(tb, P(0, 0, 1)) == typeB_eulerian(2)
-        td = typeB_derangement_transform(4)
-        assert apply_transform(td, P(0, 0, 1)) == typeB_derangement_image(2)
-
     def test_degree_window_enforced(self):
         t = eulerian_transform(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="transform interior-h"):
             apply_transform(t, P(0, 0, 0, 1))
+        with pytest.raises(ValueError, match="transform local-h"):
+            apply_transform(derangement_transform(2), P(0, 0, 0, 1))
 
-    def test_basis_sequence(self):
-        t = basis_sequence([ONE, P(0, 2)], "double")
-        assert apply_transform(t, P(3, 1)) == P(3, 2)
-        assert t.name == "double"
+    def test_negative_size_refused(self):
+        for build in (eulerian_transform, derangement_transform):
+            with pytest.raises(ValueError, match="nonnegative"):
+                build(-1)
+
+
+def interior_eulerian_image(m: int) -> Poly:
+    """The hand-written interior Eulerian transform: x^0 -> 1, x^m -> x A_m."""
+    return ONE if m == 0 else X * eulerian(m)
+
+
+def random_poly(rng: random.Random, n: int) -> Poly:
+    return Poly(
+        [Fraction(rng.randrange(-50, 50), rng.randrange(1, 8)) for _ in range(n + 1)]
+    )
+
+
+class TestBarycentricTransforms:
+    """The Eulerian and derangement transforms are the interior and local
+    transforms of the barycentric f-triangle; the hand-written images stay
+    as their oracles."""
+
+    ORACLES = (
+        (eulerian_transform, interior_eulerian_image),
+        (derangement_transform, derangement),
+    )
+
+    def test_images_match_the_hand_written_ones(self):
+        for build, oracle in self.ORACLES:
+            for n in range(13):
+                t = build(n)
+                assert t.n == n
+                for m in range(n + 1):
+                    assert t.image(m) == oracle(m), (build.__name__, n, m)
+
+    def test_applied_to_random_inputs(self):
+        rng = random.Random(20231)
+        for build, oracle in self.ORACLES:
+            for n in range(13):
+                t = build(n)
+                for _ in range(3):
+                    p = random_poly(rng, n)
+                    want = sum(
+                        (oracle(m) * c for m, c in enumerate(p.coeffs)), Poly(())
+                    )
+                    assert apply_transform(t, p) == want, (build.__name__, n, p)
+
+
+class TestFTriangleTransforms:
+    """For every f-triangle the interior transform sends x^(n-k) (1+x)^k to
+    the reversal of q_{n,k} and the local transform sends x^k (1+x)^(n-k)
+    to l_{n,k}, both of which are read off the h-sequence directly."""
+
+    @pytest.mark.parametrize("family", ["trivial", "barycentric", "esd", "colored"])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_basis_images(self, family, r):
+        for n in range(7):
+            triangle = family_f_triangle(family, n, r)
+            interior = ft_interior_transform(triangle)
+            local = ft_local_transform(triangle)
+            for k in range(n + 1):
+                arg = one_plus_x_power(k).times_x_power(n - k)
+                want = reciprocal(ft_qnk(triangle, n, k), n)
+                assert apply_transform(interior, arg) == want, (family, r, n, k)
+                arg = one_plus_x_power(n - k).times_x_power(k)
+                want = ft_lnk(triangle, n, k)
+                assert apply_transform(local, arg) == want, (family, r, n, k)
 
 
 class TestReciprocityBridge:
