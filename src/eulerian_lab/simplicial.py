@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -379,11 +380,11 @@ def barycentric_subdivision(
     )
 
 
-def _subdivision_face_count(complex: SimplicialComplex, family: str, r: int = 1) -> int:
-    """Faces of the family's subdivision of complex, counted before it is
-    built: each lies in the relative interior of the subdivision of exactly
-    one face of complex, so the count is sum_j f_j sum_i f^int(i, j)."""
-    fv = complex.f_vector()
+def _subdivision_face_count(fv: Sequence[int], family: str, r: int = 1) -> int:
+    """Faces of the family's subdivision of a complex with f-vector fv,
+    counted before it is built: each lies in the relative interior of the
+    subdivision of exactly one face of the complex, so the count is
+    sum_j f_j sum_i f^int(i, j)."""
     triangle = family_f_triangle(family, max(len(fv) - 1, 0), r)
     return sum(c * sum(_ft_interior_counts(triangle, j)) for j, c in enumerate(fv))
 
@@ -391,7 +392,8 @@ def _subdivision_face_count(complex: SimplicialComplex, family: str, r: int = 1)
 def sd_complex(complex: SimplicialComplex) -> SimplicialComplex:
     """Order complex of the poset of nonempty faces."""
     check_face_budget(
-        _subdivision_face_count(complex, "barycentric"), "the barycentric subdivision"
+        _subdivision_face_count(complex.f_vector(), "barycentric"),
+        "the barycentric subdivision",
     )
     key = complex._face_key
     cells = sorted((f for f in complex.faces if f), key=key)
@@ -412,66 +414,49 @@ def edgewise_subdivision(
 ) -> CarriedTriangulation:
     """The r-fold edgewise subdivision.
 
-    Vertices are weightings of a face summing to r (encoded as sorted
-    tuples of (vertex index, weight) pairs); two weightings are joinable
-    when their prefix-sum difference over the global vertex order never
-    spans both +1 and -1.  Faces are assembled facet by facet as cliques
-    of that relation and glued.
+    Vertices are weightings of a face summing to r, encoded as sorted
+    tuples of (vertex index, weight) pairs.  Each facet of the input, with
+    vertex indices idx_1 < ... < idx_L, contributes its lattice points
+    directly as the prefix sums s_1 <= ... <= s_L = r of their weights.
+    Two of them are joinable when the difference of their prefix sums
+    spans at most 1 (it never holds both +1 and -1); prefix sums over the
+    whole vertex order would only repeat these values.  The faces of each
+    facet are the cliques of that relation, and the facets are glued.
     """
     if r < 1:
         raise ValueError("r must be positive")
     t = trivial_triangulation(arg) if isinstance(arg, int) else arg
     base_complex = t.complex
     check_face_budget(
-        _subdivision_face_count(base_complex, "esd", r), "the edgewise subdivision"
+        _subdivision_face_count(base_complex.f_vector(), "esd", r),
+        "the edgewise subdivision",
     )
     order = base_complex.vertex_order
-    positions = len(order)
 
-    vertex_label: dict[tuple, tuple] = {}
-    vertex_iota: dict[tuple, tuple[int, ...]] = {}
     vertex_carrier: dict[tuple, frozenset] = {}
-
-    def register(weights: dict[int, int]) -> tuple:
-        label = tuple(sorted(weights.items()))
-        if label not in vertex_iota:
-            running = 0
-            iota = []
-            for i in range(positions):
-                running += weights.get(i, 0)
-                iota.append(running)
-            vertex_iota[label] = tuple(iota)
-            vertex_carrier[label] = frozenset().union(
-                *(t.carrier[order[i]] for i in weights)
-            )
-        return label
-
-    def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-        if parts == 0:
-            if total == 0:
-                yield ()
-            return
-        for first in range(1, total - parts + 2):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
     faces: set[frozenset] = {frozenset()}
     for facet in base_complex.facets():
+        if not facet:  # the empty complex's one facet has no lattice points
+            continue
         idx = sorted(base_complex.index(v) for v in facet)
         pool: list[tuple] = []
-        for submask in range(1, 1 << len(idx)):
-            support = [idx[i] for i in range(len(idx)) if submask >> i & 1]
-            if len(support) > r:
-                continue
-            for comp in compositions(r, len(support)):
-                pool.append(register(dict(zip(support, comp))))
-        pool.sort()
-        iotas = [vertex_iota[lbl] for lbl in pool]
+        sums: list[tuple[int, ...]] = []
+        for cuts in combinations_with_replacement(range(r + 1), len(idx) - 1):
+            s = cuts + (r,)
+            label = tuple(
+                (i, hi - lo) for i, lo, hi in zip(idx, (0,) + cuts, s) if hi > lo
+            )
+            if label not in vertex_carrier:
+                vertex_carrier[label] = frozenset().union(
+                    *(t.carrier[order[i]] for i, _ in label)
+                )
+            pool.append(label)
+            sums.append(s)
         size = len(pool)
         adj = [0] * size
         for a in range(size):
             for b in range(a + 1, size):
-                diff = [x - y for x, y in zip(iotas[a], iotas[b])]
+                diff = [x - y for x, y in zip(sums[a], sums[b])]
                 if max(diff) - min(diff) <= 1:
                     adj[a] |= 1 << b
                     adj[b] |= 1 << a
@@ -487,14 +472,23 @@ def edgewise_subdivision(
 
         extend((), (1 << size) - 1)
 
-    complex = SimplicialComplex(faces, tuple(sorted(vertex_iota)))
+    complex = SimplicialComplex(faces, tuple(sorted(vertex_carrier)))
     return CarriedTriangulation(complex, t.base_vertices, vertex_carrier)
 
 
 def colored_barycentric(n: int, r: int) -> CarriedTriangulation:
     """The r-colored barycentric subdivision of the simplex 2^[n]: the
-    r-fold edgewise subdivision of the barycentric one."""
-    return edgewise_subdivision(barycentric_subdivision(n), r)
+    r-fold edgewise subdivision of the barycentric one.
+
+    Its face count is checked before the barycentric subdivision is built.
+    Only the simplex comes first, so that its own budget check bounds n
+    before the closed-form count is computed."""
+    simplex = trivial_triangulation(n)
+    check_face_budget(
+        _subdivision_face_count(barycentric_f_triangle(n).rows[n], "esd", r),
+        "the edgewise subdivision",
+    )
+    return edgewise_subdivision(barycentric_subdivision(simplex), r)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from eulerian_lab import simplicial
 from eulerian_lab.errors import BudgetExceeded, CertificationError
 from eulerian_lab.poly import ONE, Poly, reciprocal
 from eulerian_lab.simplicial import (
@@ -203,6 +204,88 @@ class TestEdgewise:
         assert ft_lnk(f_triangle(t), 3, 3) == P()
 
 
+def global_prefix_sum_edgewise(t: CarriedTriangulation, r: int):
+    """The r-fold edgewise subdivision built the earlier way, as an oracle:
+    every lattice point of every face of each facet, a composition of r
+    over a support, with its prefix sums over all base vertices; two points
+    are joinable when their prefix-sum difference spans at most 1.
+    Returns (faces, vertex_order, carrier)."""
+    base = t.complex
+    order = base.vertex_order
+    iota: dict[tuple, tuple[int, ...]] = {}
+    carrier: dict[tuple, frozenset] = {}
+
+    def compositions(total: int, parts: int):
+        if parts == 0:
+            if total == 0:
+                yield ()
+            return
+        for first in range(1, total - parts + 2):
+            for rest in compositions(total - first, parts - 1):
+                yield (first,) + rest
+
+    faces = {frozenset()}
+    for facet in base.facets():
+        idx = sorted(base.index(v) for v in facet)
+        pool = []
+        for submask in range(1, 1 << len(idx)):
+            support = [idx[i] for i in range(len(idx)) if submask >> i & 1]
+            for comp in compositions(r, len(support)):
+                weights = dict(zip(support, comp))
+                label = tuple(sorted(weights.items()))
+                running, sums = 0, []
+                for i in range(len(order)):
+                    running += weights.get(i, 0)
+                    sums.append(running)
+                iota[label] = tuple(sums)
+                carrier[label] = frozenset().union(*(t.carrier[order[i]] for i in weights))
+                pool.append(label)
+
+        def joinable(a, b) -> bool:
+            diff = [x - y for x, y in zip(iota[a], iota[b])]
+            return max(diff) - min(diff) <= 1
+
+        def extend(clique: tuple, candidates: list) -> None:
+            if clique:
+                faces.add(frozenset(clique))
+            for k, v in enumerate(candidates):
+                extend(clique + (v,), [w for w in candidates[k + 1 :] if joinable(v, w)])
+
+        extend((), sorted(pool))
+    return faces, tuple(sorted(iota)), carrier
+
+
+# name -> (the complex to subdivide, the fold sizes r to compare)
+EDGEWISE_ORACLE_CASES = {
+    **{f"esd-{n}": (lambda n=n: trivial_triangulation(n), range(1, 5)) for n in range(6)},
+    **{
+        f"colored-{n}": (lambda n=n: barycentric_subdivision(n), range(1, 4))
+        for n in range(6)
+    },
+    "esd-of-esd-3-2": (lambda: edgewise_subdivision(3, 2), range(1, 4)),
+}
+
+
+class TestEdgewiseAgainstGlobalPrefixSums:
+    @pytest.mark.parametrize("name", sorted(EDGEWISE_ORACLE_CASES))
+    def test_same_faces_order_and_carriers(self, name):
+        build, folds = EDGEWISE_ORACLE_CASES[name]
+        base = build()
+        for r in folds:
+            faces, vertex_order, carrier = global_prefix_sum_edgewise(base, r)
+            t = edgewise_subdivision(base, r)
+            assert t.complex.faces == faces, r
+            assert t.complex.vertex_order == vertex_order, r
+            assert t.carrier == carrier, r
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_edgewise_of_edgewise_is_edgewise(self, n):
+        # esd_r of esd_2 is esd_2r
+        for r in range(1, 4 if n < 4 else 3):
+            t = edgewise_subdivision(edgewise_subdivision(n, 2), r)
+            assert f_triangle(t) == family_f_triangle("esd", n, 2 * r), r
+
+
 class TestColored:
     def test_colored_reduces_to_barycentric_at_r1(self):
         t1 = colored_barycentric(3, 1)
@@ -213,6 +296,14 @@ class TestColored:
         # from enumeration
         assert ft_h(f_triangle(colored_barycentric(2, 2)), 2) == P(1, 3)
         assert ft_h(f_triangle(colored_barycentric(3, 2)), 3) == P(1, 16, 7)
+
+    def test_oversized_refused_before_the_barycentric_subdivision(self, monkeypatch):
+        def unbuilt(complex):
+            raise AssertionError("the barycentric subdivision was built")
+
+        monkeypatch.setattr(simplicial, "sd_complex", unbuilt)
+        with pytest.raises(BudgetExceeded, match="edgewise subdivision needs 5014886 faces"):
+            colored_barycentric(7, 2)
 
     def test_colored_local_h_is_flag_excedance(self):
         from eulerian_lab.permutations import flag_excedance_poly
