@@ -1,10 +1,11 @@
 """The exact polynomial kernel: integer coefficient tuples.
 
-Every gcd, squarefree part, Yun decomposition and Sturm chain in the
-package runs here.  ``poly`` wraps the gcd and Yun routines into its public
-``poly_gcd``, ``squarefree_decomposition`` and ``squarefree_part``;
-``roots`` decides real rootedness and interlacing and isolates roots on
-top of them.  The module imports neither, so both can import it.
+Every gcd, squarefree part, Yun decomposition and signed remainder
+sequence in the package runs here.  ``poly`` wraps the gcd and Yun
+routines into its public ``poly_gcd``, ``squarefree_decomposition`` and
+``squarefree_part``; ``roots`` decides real rootedness and interlacing and
+isolates roots on top of them.  The module imports neither, so both can
+import it.
 """
 
 from __future__ import annotations
@@ -56,17 +57,6 @@ def _sub(a: IntPoly, b: IntPoly) -> IntPoly:
         out[i] -= c
     while out and not out[-1]:
         out.pop()
-    return tuple(out)
-
-
-def _mul(a: IntPoly, b: IntPoly) -> IntPoly:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
     return tuple(out)
 
 
@@ -130,10 +120,6 @@ def _squarefree_part(f: IntPoly) -> IntPoly:
     return _quo(f, _gcd(f, _derivative(f)))
 
 
-def _has_repeated_root(f: IntPoly) -> bool:
-    return len(_gcd(f, _derivative(f))) > 1
-
-
 def _yun(f: IntPoly) -> list[tuple[IntPoly, int]]:
     """Yun's squarefree decomposition of a nonconstant f: pairs (a_i, i)
     with f a nonzero multiple of the product of the a_i^i.
@@ -157,17 +143,22 @@ def _yun(f: IntPoly) -> list[tuple[IntPoly, int]]:
     return out
 
 
-def _sturm_chain(f: IntPoly) -> list[IntPoly]:
-    """Signed remainder sequence f, f', -rem, ... of a nonconstant f, each
-    entry a positive multiple of the rational one.  Its last entry is
-    gcd(f, f') up to a nonzero constant, so on a squarefree f it is the
-    classical Sturm chain."""
-    chain = [f]
-    d = _primitive(_derivative(f))
-    while d:
-        chain.append(d)
-        d = _neg(_prem(chain[-2], d))
+def _signed_remainders(a: IntPoly, b: IntPoly) -> list[IntPoly]:
+    """Signed remainder sequence a, b, -rem(a, b), ... of a nonzero a, each
+    entry a positive multiple of the rational one; it stops before the
+    first zero, so its last entry is gcd(a, b) up to a nonzero constant."""
+    chain = [a]
+    while b:
+        chain.append(b)
+        b = _neg(_prem(chain[-2], b))
     return chain
+
+
+def _sturm_chain(f: IntPoly) -> list[IntPoly]:
+    """Signed remainder sequence f, f', -rem, ... of a nonconstant f.  Its
+    last entry is gcd(f, f') up to a nonzero constant, so on a squarefree f
+    it is the classical Sturm chain."""
+    return _signed_remainders(f, _primitive(_derivative(f)))
 
 
 def _sign(x: int) -> int:
@@ -210,6 +201,8 @@ def _variations_pos_inf(chain: Sequence[IntPoly]) -> int:
     return _variations(_sign(f[-1]) for f in chain)
 
 
-def _real_root_count(chain: Sequence[IntPoly]) -> int:
-    """Distinct real roots of chain[0], from the signs at -inf and +inf."""
+def _cauchy_index(chain: Sequence[IntPoly]) -> int:
+    """Sign variations at -inf minus those at +inf of a signed remainder
+    sequence a, b, ...: the Cauchy index of b/a over the real line.  On a
+    Sturm chain f, f', ... it is the number of distinct real roots of f."""
     return _variations_neg_inf(chain) - _variations_pos_inf(chain)

@@ -7,32 +7,30 @@ rooted polynomials.
 
 All of it runs on the package's one exact polynomial kernel, ``_intpoly``:
 primitive integer coefficient tuples, sign preserving pseudo remainders,
-gcds by primitive remainder sequences, squarefree parts, Yun
-decompositions and Sturm chains.  The decisions never isolate a root; they
-read Sturm signs at -inf and +inf only.  A polynomial is real rooted when
-its Sturm chain counts as many distinct real roots as it has distinct
-roots.  Interlacing rests on three facts:
+signed remainder sequences, gcds, squarefree parts and Yun decompositions.
+The decisions never isolate a root; they read the signs of one signed
+remainder sequence at -inf and +inf only.  A polynomial is real rooted
+when its Sturm chain counts as many distinct real roots as it has
+distinct roots.  Interlacing rests on two facts:
 
-* the Wronskian criterion: for real rooted p, q with positive leading
-  coefficients, p interlaces q exactly when W = p'q - pq' <= 0 on the whole
-  real line (P. Braenden, "Unimodality, log-concavity, real-rootedness and
-  beyond", Handbook of Enumerative Combinatorics, 2015);
-* common factors: p interlaces q exactly when p/g interlaces q/g for
-  g = gcd(p, q), provided neither quotient keeps a repeated root; a root
-  whose multiplicities in p and q differ by two or more breaks the
-  alternation (S. Fisk, "Polynomials, roots, and interlacing",
-  arXiv:math/0612833);
+* the Cauchy index: for q != 0, the signed remainder sequence
+  q, p, -rem(q, p), ... ends in gcd(p, q), and its sign variations at
+  -inf minus those at +inf are the Cauchy index Ind(p/q) over the real
+  line (Sturm-Tarski; S. Basu, R. Pollack and M.-F. Roy, "Algorithms in
+  Real Algebraic Geometry", Thm 2.58).  For real rooted p, q with
+  positive leading coefficients and deg q - deg p in {0, 1}, p interlaces
+  q exactly when Ind(p/q) = deg q - deg gcd(p, q) (S. Fisk, "Polynomials,
+  roots, and interlacing", arXiv:math/0612833; the proof is in
+  ``interlaces``).  Real rootedness is checked first, since the index does
+  not see a common factor of p and q without real roots;
 * the chain lemma: for real rooted, nonconstant f_0..f_n with positive
   leading coefficients, f_i interlaces f_(i+1) for every i and f_0
-  interlaces f_n exactly when f_i interlaces f_j for all i < j (Braenden;
-  Fisk).  A sequence that meets these hypotheses is certified in n + 1
-  decisions, not n(n + 1)/2; any other sequence, and one that fails a
-  decision, is decided pair by pair.
-
-W <= 0 everywhere holds when W is zero, or when W has even degree, a
-negative leading coefficient, and no real root of odd multiplicity; the
-last condition is a Sturm count at +-inf on each odd multiplicity factor
-of the Yun decomposition of W.
+  interlaces f_n exactly when f_i interlaces f_j for all i < j
+  (P. Braenden, "Unimodality, log-concavity, real-rootedness and beyond",
+  Handbook of Enumerative Combinatorics, 2015; Fisk).  A sequence that
+  meets these hypotheses is certified in n + 1 decisions, not
+  n(n + 1)/2; any other sequence, and one that fails a decision, is
+  decided pair by pair.
 
 Root isolation (``isolate_roots``) bisects on Sturm counts of the
 squarefree part at rational points and reads each multiplicity off the
@@ -51,18 +49,13 @@ from typing import Sequence
 
 from ._intpoly import (
     IntPoly,
-    _derivative,
-    _gcd,
-    _has_repeated_root,
+    _cauchy_index,
     _int_poly,
-    _mul,
     _neg,
-    _quo,
-    _real_root_count,
     _sign_at,
+    _signed_remainders,
     _squarefree_part,
     _sturm_chain,
-    _sub,
     _variations_at,
     _variations_neg_inf,
     _variations_pos_inf,
@@ -123,7 +116,7 @@ def is_real_rooted(p: Poly) -> bool:
     if p.deg() <= 0:
         return True
     chain = _sturm_chain(_int_poly(p.coeffs))
-    return _real_root_count(chain) == p.deg() - (len(chain[-1]) - 1)
+    return _cauchy_index(chain) == p.deg() - (len(chain[-1]) - 1)
 
 
 # -- root isolation -----------------------------------------------------------
@@ -238,14 +231,20 @@ def interlaces(p: Poly, q: Poly) -> bool:
     Shared roots and repeated roots are compared exactly.
 
     No root is isolated.  After the checks on degrees and real rootedness,
-    both polynomials are divided by g = gcd(p, q); a quotient with a
-    repeated root means some root has multiplicities in p and q that differ
-    by two or more, which no alternation allows (Fisk).  Otherwise p/g
-    interlaces q/g exactly when p interlaces q, and with both leading
-    coefficients made positive that holds exactly when the Wronskian
-    W = p'q - pq' of the quotients is <= 0 on the real line (Braenden):
-    W is zero, or W has even degree, a negative leading coefficient and no
-    real root of odd multiplicity.
+    both leading coefficients are made positive and one signed remainder
+    sequence q, p, -rem(q, p), ... is formed.  Its last entry is
+    g = gcd(p, q), and its sign variations at -inf minus those at +inf are
+    the Cauchy index Ind(p/q) (Basu, Pollack and Roy, Thm 2.58).  p
+    interlaces q exactly when Ind(p/q) = deg(q/g).  Each real pole of
+    p/q = (p/g)/(q/g) adds +1, -1 or 0 to the index, so the equality holds
+    exactly when q/g has deg(q/g) simple real roots and p/q has a positive
+    residue (p/g)(b)/(q/g)'(b) at each of them.  Since (q/g)' alternates
+    in sign over consecutive roots, so does p/g: it has a root strictly
+    between any two, and, when deg p = deg q, one below the least, as p/q
+    tends to lc(p)/lc(q) > 0 at -inf from below.  q/g squarefree also
+    means that no shared root has multiplicities in p and q that differ by
+    two or more (Fisk).  That is exactly the alternation.  When p = c*q the
+    quotient q/g is constant and the index is 0 = deg(q/g).
     """
     if p.is_zero():
         return is_real_rooted(q)
@@ -258,26 +257,12 @@ def interlaces(p: Poly, q: Poly) -> bool:
     if not (is_real_rooted(p) and is_real_rooted(q)):
         return False
     f, h = _int_poly(p.coeffs), _int_poly(q.coeffs)
-    g = _gcd(f, h)
-    f, h = _quo(f, g), _quo(h, g)
-    if _has_repeated_root(f) or _has_repeated_root(h):
-        return False
     if f[-1] < 0:
         f = _neg(f)
     if h[-1] < 0:
         h = _neg(h)
-    w = _sub(_mul(_derivative(f), h), _mul(f, _derivative(h)))
-    if not w:
-        return True
-    # odd degree would also show up as an odd multiplicity real root below,
-    # but the parity test is free
-    if len(w) % 2 == 0 or w[-1] > 0:
-        return False
-    return all(
-        _real_root_count(_sturm_chain(factor)) == 0
-        for factor, mult in _yun(w)
-        if mult % 2
-    )
+    chain = _signed_remainders(h, f)
+    return _cauchy_index(chain) == len(h) - len(chain[-1])
 
 
 def interlacing_failures(polys: Sequence[Poly]) -> list[tuple[int, int]]:

@@ -161,6 +161,14 @@ class TestCheckConjecture:
         assert code == 0
         assert out == (DATA / golden).read_text()
 
+    def test_theorem1_samples_pinned(self, capsys):
+        # the detail of every Theorem 1 and derangement sample and of the q
+        # and d rows, byte for byte
+        code, out, _ = run(capsys, "sample-theorem1", "--n", "8", "--samples", "20",
+                           "--format", "json")
+        assert code == 0
+        assert out == (DATA / "sample-theorem1-n8-s20.json").read_text()
+
 
 class TestFTriangleRoundTrip:
     def test_colored_past_the_build_budget(self, capsys):

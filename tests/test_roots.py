@@ -1,10 +1,23 @@
 """Sturm counting, root isolation and interlacing decisions."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from eulerian_lab._intpoly import (
+    IntPoly,
+    _cauchy_index,
+    _derivative,
+    _gcd,
+    _int_poly,
+    _neg,
+    _quo,
+    _sturm_chain,
+    _sub,
+    _yun,
+)
 from eulerian_lab.poly import ONE, X, ZERO, Poly, poly_gcd, reciprocal, squarefree_part
 from eulerian_lab.roots import (
     interlaces,
@@ -25,6 +38,7 @@ from eulerian_lab.simplicial import (
 )
 from eulerian_lab.suites import (
     binomial_base,
+    conjecture_cases,
     derangement_sample_cases,
     eulerian_combination_sample_cases,
     theorem1_sample_cases,
@@ -297,12 +311,194 @@ class TestInterlacesAgainstRootLists:
         assert interlaces(p, q) and root_list_interlaces(p, q)
         assert not interlaces(q, p) and not root_list_interlaces(q, p)
         # triple roots: W = -3x^2 (x-1)^2 <= 0, but 0, 0, 0 against 1, 1, 1
-        # does not alternate, which only the repeated-root step sees
+        # does not alternate; the Cauchy index of x^3 / (x-1)^3 is 1, not 3
         cube, shifted = P(0, 0, 0, 1), P(-1, 3, -3, 1)
         assert not interlaces(cube, shifted) and not root_list_interlaces(cube, shifted)
         for f in (P(3, 4, 1), x2, P(-1, 3, -3, 1), P(1, 0, 1)):
             assert interlaces(f, f) == is_real_rooted(f)
             assert interlaces(f, -f * 2) == is_real_rooted(f)
+
+
+def _product(a: IntPoly, b: IntPoly) -> IntPoly:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def oracle_interlaces_wronskian(p: Poly, q: Poly) -> bool:
+    """The Wronskian route to the interlacing decision, the reference that
+    interlaces is compared against.
+
+    After the same checks on degrees and real rootedness, both polynomials
+    are divided by g = gcd(p, q); a quotient with a repeated root means some
+    root has multiplicities in p and q that differ by two or more (Fisk).
+    Otherwise, with both leading coefficients made positive, p interlaces q
+    exactly when the Wronskian W = p'q - pq' of the quotients is <= 0 on
+    the real line (Braenden): W is zero, or W has even degree, a negative
+    leading coefficient and no real root of odd multiplicity.
+    """
+    if p.is_zero():
+        return is_real_rooted(q)
+    if q.is_zero():
+        return is_real_rooted(p)
+    if p.deg() == 0:
+        return q.deg() <= 1
+    if q.deg() - p.deg() not in (0, 1):
+        return False
+    if not (is_real_rooted(p) and is_real_rooted(q)):
+        return False
+    f, h = _int_poly(p.coeffs), _int_poly(q.coeffs)
+    g = _gcd(f, h)
+    f, h = _quo(f, g), _quo(h, g)
+    if any(len(_gcd(u, _derivative(u))) > 1 for u in (f, h)):
+        return False
+    if f[-1] < 0:
+        f = _neg(f)
+    if h[-1] < 0:
+        h = _neg(h)
+    w = _sub(_product(_derivative(f), h), _product(f, _derivative(h)))
+    if not w:
+        return True
+    if len(w) % 2 == 0 or w[-1] > 0:
+        return False
+    return all(
+        _cauchy_index(_sturm_chain(factor)) == 0 for factor, mult in _yun(w) if mult % 2
+    )
+
+
+def agreement_pair(rng: random.Random):
+    """A pair (p, q) built from rational roots, with the root multisets it
+    was built from (None where a factor with irrational or non real roots
+    or a constant shift was added).
+
+    deg q - deg p is -1, 0, 1 or 2.  Most pairs start from one sorted list
+    dealt out alternately, so they interlace until a moved root, an extra
+    or shared power of a linear factor, a factor without rational roots, a
+    zero or constant member, or a swap breaks them."""
+    gap = rng.choice((-1, 0, 1, 2))
+    m = rng.randint(1, 4)
+    dp, dq = m + max(0, -gap), m + max(0, gap)
+    if rng.random() < 0.6 and abs(dq - dp) <= 1:
+        merged = sorted((rng.choice(ORACLE_ROOTS) for _ in range(dp + dq)), reverse=True)
+        b_roots, a_roots = (merged[::2], merged[1::2]) if dq >= dp else (merged[1::2], merged[::2])
+        if rng.random() < 0.3:
+            a_roots[rng.randrange(len(a_roots))] = rng.choice(ORACLE_ROOTS)
+    else:
+        a_roots = [rng.choice(ORACLE_ROOTS) for _ in range(dp)]
+        b_roots = [rng.choice(ORACLE_ROOTS) for _ in range(dq)]
+    roll = rng.random()
+    if roll < 0.2:
+        # a power of a linear factor on one side, often at a root of the
+        # other, so a shared root gets a multiplicity gap of 1, 2 or 3
+        r = rng.choice(a_roots + b_roots + [rng.choice(ORACLE_ROOTS)])
+        k = rng.choice((1, 2, 2))
+        if rng.random() < 0.5:
+            a_roots += [r] * k
+        else:
+            b_roots += [r] * k
+    elif roll < 0.35:
+        shared = [rng.choice(ORACLE_ROOTS)] * rng.randint(1, 2)
+        a_roots, b_roots = a_roots + shared, b_roots + shared
+    p = from_roots(a_roots, rng.choice(ORACLE_LEADS))
+    q = from_roots(b_roots, rng.choice(ORACLE_LEADS))
+    roots = [a_roots, b_roots]
+    roll = rng.random()
+    if roll < 0.1:
+        common = rng.choice(IRRATIONAL + (NON_REAL,))
+        p, q, roots = p * common, q * common, [None, None]
+    elif roll < 0.2:
+        side = rng.randrange(2)
+        extra = rng.choice((NON_REAL,) + IRRATIONAL)
+        if side:
+            q = q * extra
+        else:
+            p = p * extra
+        roots[side] = None
+    elif roll < 0.25:
+        # a small constant shift, which often pushes two roots off the line
+        side = rng.randrange(2)
+        shift = Fraction(rng.choice((-1, 1)), rng.choice((8, 64)))
+        if side:
+            q = q + shift
+        else:
+            p = p + shift
+        roots[side] = None
+    elif roll < 0.3:
+        p, roots[0] = ZERO, []
+    elif roll < 0.35:
+        p, roots[0] = P(rng.choice(ORACLE_LEADS)), []
+    elif roll < 0.38:
+        q, roots[1] = ZERO, []
+    if p.deg() == q.deg() and rng.random() < 0.5:
+        p, q, roots = q, p, roots[::-1]
+    return p, q, roots
+
+
+class TestInterlacesAgainstWronskian:
+    def test_random_pairs_agree(self):
+        rng = random.Random(20231110)
+        seen = dict.fromkeys(
+            ("true", "false", "shared", "mult-gap-1", "mult-gap-2", "lead-", "non-integer",
+             "gap-1", "gap0", "gap1", "gap2", "non-real", "zero", "constant"),
+            0,
+        )
+        disagreements = []
+        pairs = 6000
+        for _ in range(pairs):
+            p, q, roots = agreement_pair(rng)
+            expected = oracle_interlaces_wronskian(p, q)
+            if interlaces(p, q) != expected:
+                disagreements.append((p, q))
+            seen["true" if expected else "false"] += 1
+            if None not in roots:
+                a, b = (Counter(r) for r in roots)
+                gaps = {abs(a[r] - b[r]) for r in a.keys() & b.keys()}
+                seen["shared"] += bool(gaps)
+                seen["mult-gap-1"] += 1 in gaps
+                seen["mult-gap-2"] += any(d >= 2 for d in gaps)
+            seen["lead-"] += any(f and f.leading() < 0 for f in (p, q))
+            seen["non-integer"] += any(c.denominator > 1 for f in (p, q) for c in f)
+            if not (p.is_zero() or q.is_zero()):
+                gap = q.deg() - p.deg()
+                if gap in (-1, 0, 1, 2):
+                    seen[f"gap{gap}"] += 1
+            seen["non-real"] += not (is_real_rooted(p) and is_real_rooted(q))
+            seen["zero"] += p.is_zero() or q.is_zero()
+            seen["constant"] += p.deg() == 0 or q.deg() == 0
+        assert disagreements == [], f"{len(disagreements)} of {pairs} pairs disagree"
+        assert min(seen.values()) >= 100, seen
+
+    @pytest.mark.parametrize("c", [-1, -2, Fraction(-1, 3)])
+    def test_negative_multiple(self, c):
+        # p = c q shares every root with q, so the Cauchy index is 0 and
+        # so is deg(q / gcd); a negative c changes no verdict
+        for q in (P(3, 4, 1), P(0, 0, 1), P(-1, 3, -3, 1), P(2, -3, 1) * P(0, 1) ** 2,
+                  P(1, 0, 1), P(1, 1, 1) * P(2, 1)):
+            expected = is_real_rooted(q)
+            assert interlaces(q * c, q) == interlaces(q, q * c) == expected, (c, q)
+            assert oracle_interlaces_wronskian(q * c, q) == expected, (c, q)
+            assert oracle_interlaces_wronskian(q, q * c) == expected, (c, q)
+
+    def test_esd_zero_member_row(self):
+        # the alternating row of the built esd r = 2, n = 5 triangulation,
+        # which ends in 0, decided pair by pair in both orientations
+        triangle = f_triangle(edgewise_subdivision(5, 2))
+        row = [ft_lnk(triangle, 5, k) for k in range(6)]
+        for i, p in enumerate(row):
+            for j, q in enumerate(row):
+                assert interlaces(p, q) == oracle_interlaces_wronskian(p, q), (i, j)
+        assert oracle_interlacing_failures(row) == [(0, 3), (0, 4)]
+
+
+class TestScale:
+    def test_barycentric_n20_conjecture_passes(self):
+        # rows of degree 20 with wide coefficients, twice the size that the
+        # acceptance loop reaches; each decision is one remainder sequence
+        cases, summary = conjecture_cases(barycentric_f_triangle(20))
+        assert summary["hypothesis"] is True
+        assert [c.name for c in cases if not c.ok] == []
 
 
 def oracle_interlacing_failures(polys) -> list[tuple[int, int]]:
