@@ -24,18 +24,18 @@ from .errors import BudgetExceeded, CertificationError
 from .poly import Poly, is_gamma_positive, is_symmetric, is_unimodal
 from .roots import is_real_rooted
 from .simplicial import (
+    GEOMETRY_FAMILIES,
     FTriangle,
     antiprism_sphere,
     barycentric_subdivision,
+    build_geometry_family,
     faces_as_index_lines,
     family_f_triangle,
 )
 from .suites import (
-    GEOMETRY_FAMILIES,
     GOLDEN_DNK,
     GOLDEN_QNK,
     CaseResult,
-    build_geometry_family,
     conjecture_cases,
     counterexample_cases,
     d_interlacing_cases,
@@ -234,6 +234,8 @@ def _load_triangle(args: argparse.Namespace) -> FTriangle:
 def _cmd_check_conjecture(args: argparse.Namespace) -> int:
     if args.ft_file is None and args.family is None:
         raise ValueError("provide --family or --ft-file")
+    if args.ft_file is not None and args.family is not None:
+        raise ValueError("provide --family or --ft-file, not both")
     if args.family == "generic-binomial":
         cases, summary = generic_conjecture_cases(
             binomial_base(args.n), args.n, args.part

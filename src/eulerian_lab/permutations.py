@@ -6,8 +6,9 @@ while iterators and statistics work on raw tuples so that full-group sweeps
 stay cheap.  Every generating polynomial here is an enumeration: no closed
 forms, no recurrences.  A family is read off one pass over its group:
 sweep_histogram counts the words of S_m by a tuple of raw statistics and
-project_family reads each S_n family from that count, and the signed and
-colored families are tallied the same way.  A projection walks the count
+project_row reads each S_n family from that count, and the signed and
+colored families are tallied the same way.  One table gives each S_n
+family's group size, parameters and grouping: a projection walks the count
 once to group it by the family's (statistic, selecting field, mask field)
 and reads each k and j off the small groups, so a whole row of k and j
 costs one walk; flag_excedance_rows likewise reads every k off one tally
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 from .budget import check_group_budget
-from .poly import Poly, one_plus_x_power, reciprocal
+from .poly import Poly, linear_combination, one_plus_x_power, reciprocal
 
 Word = Sequence[int]
 PermLike = Union["Permutation", Word]
@@ -308,11 +309,9 @@ def sweep_histogram(m: int) -> Counter:
 
 def _expand(terms: dict[tuple[int, int], int]) -> Poly:
     """Sum of c * (1+x)^t * x^e over the entries (t, e) -> c."""
-    coeffs = [0] * (max((t + e for t, e in terms), default=-1) + 1)
-    for (t, e), c in terms.items():
-        for i in range(t + 1):
-            coeffs[e + i] += c * math.comb(t, i)
-    return Poly(coeffs)
+    return linear_combination(
+        (c, one_plus_x_power(t), e) for (t, e), c in terms.items()
+    )
 
 
 def _group(
@@ -421,50 +420,37 @@ def flag_excedance_poly(n: int, r: int, k: int) -> Poly:
     return flag_excedance_rows(n, r)[k]
 
 
-# The S_n families: how far past n the swept group reaches, and which of
-# the parameters k and j they take.
-_SWEPT_FAMILIES = {
-    "A": (0, ""),
-    "A-exc": (0, ""),
-    "p": (1, "k"),
-    "p-asc": (1, "k"),
-    "p-exc": (1, "k"),
-    "q-fix": (0, "k"),
-    "q-bad": (0, "k"),
-    "qnkj": (1, "kj"),
-    "qnkj-alt": (1, "kj"),
-    "qstar": (1, "kj"),
-    "d": (0, ""),
-    "dnk": (0, "k"),
-    "xi": (0, "k"),
-}
-
-# The grouping each family other than xi reads: the statistic in the
-# exponent, the field whose value selects a group (k + 1 for the p families,
-# j + 1 for the qnkj ones, 0 otherwise: d reads the words without a fixed
-# point) and the mask whose first k bits weigh by 1 + x.
-_GROUPINGS = {
-    "A": (_DES, None, None),
-    "A-exc": (_EXC, None, None),
-    "p": (_DES, _FIRST, None),
-    "p-asc": (_DES, _LAST, None),
-    "p-exc": (_EXC, _INV1, None),
-    "q-fix": (_EXC, None, _FIX),
-    "q-bad": (_DES, None, _BAD),
-    "qnkj": (_EXC, _INV1, _FIX),
-    "qnkj-alt": (_DES, _FIRST, _BAD),
-    "qstar": (_EXC, _INV1, _FIX),
-    "d": (_EXC, _FIX, None),
-    "dnk": (_EXC, None, _FIX),
+# The S_n families: how far past n the swept group reaches, which of the
+# parameters k and j they take, and the grouping of the histogram that each
+# family other than xi reads: the statistic in the exponent, the field whose
+# value selects a group (k + 1 for the p families, j + 1 for the qnkj ones,
+# 0 otherwise: d reads the words without a fixed point) and the mask whose
+# first k bits weigh by 1 + x.
+_FAMILIES = {
+    "A": (0, "", (_DES, None, None)),
+    "A-exc": (0, "", (_EXC, None, None)),
+    "p": (1, "k", (_DES, _FIRST, None)),
+    "p-asc": (1, "k", (_DES, _LAST, None)),
+    "p-exc": (1, "k", (_EXC, _INV1, None)),
+    "q-fix": (0, "k", (_EXC, None, _FIX)),
+    "q-bad": (0, "k", (_DES, None, _BAD)),
+    "qnkj": (1, "kj", (_EXC, _INV1, _FIX)),
+    "qnkj-alt": (1, "kj", (_DES, _FIRST, _BAD)),
+    "qstar": (1, "kj", (_EXC, _INV1, _FIX)),
+    "d": (0, "", (_EXC, _FIX, None)),
+    "dnk": (0, "k", (_EXC, None, _FIX)),
+    "xi": (0, "k", None),
 }
 
 
-def _swept_size(family: str, n: int, k: int | None, j: int | None) -> int:
+def _checked_key(
+    family: str, n: int, k: int | None, j: int | None
+) -> tuple[int, tuple[int, int]]:
     """Check the parameters of an S_n family; return the size m of the
-    group S_m whose sweep_histogram project_family reads."""
-    if family not in _SWEPT_FAMILIES:
+    group S_m whose sweep_histogram it reads and its key in project_row."""
+    if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    offset, params = _SWEPT_FAMILIES[family]
+    offset, params, _ = _FAMILIES[family]
     if "k" in params:
         top = n + 1 if "j" in params else n
         if k is None:
@@ -476,17 +462,17 @@ def _swept_size(family: str, n: int, k: int | None, j: int | None) -> int:
             raise ValueError("family requires parameter j")
         if not 0 <= j <= n:
             raise ValueError(f"j={j} out of range 0..{n}")
-    return n + offset
+    return n + offset, (k if "k" in params else 0, j if "j" in params else 0)
 
 
-def _project_row(
+def project_row(
     family: str, hists: dict[int, Counter], n: int
 ) -> dict[tuple[int, int], Poly]:
     """Every polynomial of an S_n family at size n, keyed by (k, j) with 0
     for a parameter the family does not take, read off one grouping of the
     histogram that project_family reads; hists maps each size m to
     sweep_histogram(m)."""
-    offset, takes = _SWEPT_FAMILIES[family]
+    offset, takes, grouping = _FAMILIES[family]
     hist = hists[n + offset]
     ks = range(n + 2 if "j" in takes else n + 1) if "k" in takes else (0,)
     js = range(n + 1) if "j" in takes else (0,)
@@ -499,8 +485,7 @@ def _project_row(
             terms.update({(n - 1 - 2 * i, i): c for i, c in enumerate(minus)})
             row[k, 0] = _expand(terms)
         return row
-    stat, field, mask = _GROUPINGS[family]
-    groups = _group(hist, stat, field, mask)
+    groups = _group(hist, *grouping)
     for k in ks:
         for j in js:
             if family == "dnk":
@@ -525,10 +510,8 @@ def project_family(
 ) -> Poly:
     """One S_n family of brute_force_family read off sweep_histogram(m),
     with m = n + 1 for the p and qnkj families and m = n for the others."""
-    m = _swept_size(family, n, k, j)
-    takes = _SWEPT_FAMILIES[family][1]
-    key = (k if "k" in takes else 0, j if "j" in takes else 0)
-    return _project_row(family, {m: hist}, n)[key]
+    m, key = _checked_key(family, n, k, j)
+    return project_row(family, {m: hist}, n)[key]
 
 
 def brute_force_family(
@@ -557,7 +540,7 @@ def brute_force_family(
     - "B": x^des_B over signed permutations of size n
     - "colored-local": flag_excedance_poly(n, r, k)
 
-    The S_n families are project_family over one sweep_histogram.
+    The S_n families are read by project_row off one sweep_histogram.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -567,5 +550,5 @@ def brute_force_family(
         if k is None or r is None:
             raise ValueError("family requires parameters k and r")
         return flag_excedance_poly(n, r, k)
-    m = _swept_size(family, n, k, j)
-    return project_family(family, sweep_histogram(m), n, k, j)
+    m, key = _checked_key(family, n, k, j)
+    return project_row(family, {m: sweep_histogram(m)}, n)[key]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .budget import check_face_budget
 from .errors import CertificationError
@@ -580,7 +580,13 @@ class FTriangle:
         # only JSON integers: a bool, float or string is not a face count
         if type(n) is not int or any(type(c) is not int for row in rows for c in row):
             raise ValueError("n and every f-triangle entry must be JSON integers")
-        return cls(n=n, rows=rows)
+        triangle = cls(n=n, rows=rows)
+        # a file is trusted only as a triangulation's f-triangle: each
+        # restriction must pass the reciprocity and boundary-count checks
+        for m in range(n + 1):
+            ft_h_interior(triangle, m)
+            ft_boundary_h(triangle, m)
+        return triangle
 
 
 def f_triangle(t: CarriedTriangulation) -> FTriangle:
@@ -616,14 +622,35 @@ def _barycentric_hilbert(m: int, t: int) -> int:
     return (t + 1) ** m - t**m  # maps [m] -> {0..t} that reach t
 
 
-# family -> (Hilbert function H_m(t), t >= 1, of the face ring of its base
-# triangulation of 2^[m]; whether it is the r-fold edgewise one, with H_m(rt))
-_HILBERT_FUNCTIONS = {
-    "trivial": (_simplex_hilbert, False),
-    "barycentric": (_barycentric_hilbert, False),
-    "esd": (_simplex_hilbert, True),
-    "colored": (_barycentric_hilbert, True),
+class GeometryFamily(NamedTuple):
+    """A geometry family: its triangulation of 2^[n] from (n, r); the
+    Hilbert function H_m(t), t >= 1, of the face ring of its base
+    triangulation of 2^[m]; and whether r applies, the family then being
+    the r-fold edgewise subdivision of that base, with H_m(rt)."""
+
+    build: Callable[[int, int], CarriedTriangulation]
+    hilbert: Callable[[int, int], int]
+    takes_r: bool
+
+
+# The one registry of geometry families, in the order of the dump-complex
+# and ft-from-family choices.
+GEOMETRY_FAMILIES = {
+    "trivial": GeometryFamily(
+        lambda n, r: trivial_triangulation(n), _simplex_hilbert, False
+    ),
+    "barycentric": GeometryFamily(
+        lambda n, r: barycentric_subdivision(n), _barycentric_hilbert, False
+    ),
+    "esd": GeometryFamily(edgewise_subdivision, _simplex_hilbert, True),
+    "colored": GeometryFamily(colored_barycentric, _barycentric_hilbert, True),
 }
+
+
+def build_geometry_family(family: str, n: int, r: int = 2) -> CarriedTriangulation:
+    if family not in GEOMETRY_FAMILIES:
+        raise ValueError(f"unknown geometry family {family!r}")
+    return GEOMETRY_FAMILIES[family].build(n, r)
 
 
 # cached: every transform and subdivision face count asks for its triangle
@@ -636,14 +663,14 @@ def family_f_triangle(family: str, n: int, r: int = 2) -> FTriangle:
     Veronese construction, Brenti-Welker 2009), and f_i = sum_k h_k
     C(m-k, i-k) is the coefficient of x^i in sum_k h_k x^k (1+x)^(m-k).
     r is ignored by trivial and barycentric."""
-    if family not in _HILBERT_FUNCTIONS:
+    if family not in GEOMETRY_FAMILIES:
         raise ValueError(f"unknown geometry family {family!r}")
-    hilbert, veronese = _HILBERT_FUNCTIONS[family]
-    if veronese and r < 1:
+    _, hilbert, takes_r = GEOMETRY_FAMILIES[family]
+    if takes_r and r < 1:
         raise ValueError("r must be positive")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    step = r if veronese else 1
+    step = r if takes_r else 1
     rows = []
     for m in range(n + 1):
         series = Poly([1] + [hilbert(m, step * t) for t in range(1, m + 1)])

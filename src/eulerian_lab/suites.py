@@ -46,21 +46,19 @@ from .transforms import (
     typeB_eulerian,
 )
 from .permutations import (
-    _project_row,
     brute_force_family,
     flag_excedance_rows,
+    project_row,
     sweep_histogram,
 )
 from .simplicial import (
-    CarriedTriangulation,
+    GEOMETRY_FAMILIES,
     FTriangle,
     antiprism_partial,
     antiprism_sphere,
     barycentric_f_triangle,
-    barycentric_subdivision,
-    colored_barycentric,
+    build_geometry_family,
     derangement_transform,
-    edgewise_subdivision,
     eulerian_transform,
     f_triangle,
     family_f_triangle,
@@ -73,7 +71,6 @@ from .simplicial import (
     identity_suite,
     theta_flags,
     trivial_f_triangle,
-    trivial_triangulation,
 )
 
 
@@ -156,7 +153,7 @@ def equivalence_cases(n_max: int = 6) -> list[CaseResult]:
     hists = {0: sweep_histogram(0)}
     for n in range(n_max + 1):
         hists[n + 1] = sweep_histogram(n + 1)
-        row = {f: _project_row(f, hists, n) for f in _EQUIVALENCE_FAMILIES}
+        row = {f: project_row(f, hists, n) for f in _EQUIVALENCE_FAMILIES}
         cases.append(_eq_case(f"A-des-enumeration-{n}", row["A"][0, 0], eulerian(n)))
         cases.append(
             _eq_case(f"A-exc-enumeration-{n}", row["A-exc"][0, 0], eulerian(n))
@@ -533,30 +530,13 @@ def eulerian_combination_sample_cases(
     return cases
 
 
-# The geometry families: name -> triangulation of the (n-1)-simplex from
-# (n, r), in the order of the dump-complex and ft-from-family choices.  Each
-# family's f-triangle comes in closed form from simplicial.family_f_triangle.
-GEOMETRY_FAMILIES = {
-    "trivial": lambda n, r: trivial_triangulation(n),
-    "barycentric": lambda n, r: barycentric_subdivision(n),
-    "esd": edgewise_subdivision,
-    "colored": colored_barycentric,
-}
-
-
-def build_geometry_family(family: str, n: int, r: int = 2) -> CarriedTriangulation:
-    if family not in GEOMETRY_FAMILIES:
-        raise ValueError(f"unknown geometry family {family!r}")
-    return GEOMETRY_FAMILIES[family](n, r)
-
-
 def geometry_cases(family: str, n: int, r: int = 2) -> list[CaseResult]:
     """Everything the face-count calculus promises for one triangulation:
     the identity suite, uniformity of the f-triangle, theta symmetry, the
     cross-checks against the permutation families, and the antiprism
     subcomplex formula."""
     t = build_geometry_family(family, n, r)
-    label = f"{family}-{n}" + (f"-r{r}" if family in ("esd", "colored") else "")
+    label = f"{family}-{n}" + (f"-r{r}" if GEOMETRY_FAMILIES[family].takes_r else "")
     cases = []
 
     for c in identity_suite(t):

@@ -1,7 +1,12 @@
 """Closed forms and recurrences for the polynomial families.
 
 Each family is computed here one way; where the literature offers a choice,
-the route kept is the one that does not recurse on n.  The other routes and
+the route kept is the one that does not recurse on n.  Every two-index
+family is a binomial transform of one base sequence, and generic_hnk and
+generic_lnk are the one place that sums it: q and d over the Eulerian
+polynomials, the type B derangement image over B_n, the generic families
+over (1+x)^m and the f-triangle families (simplicial.py) over the
+h-polynomials of a uniform triangulation.  The other routes and
 the enumeration oracles of permutations.py are checked against these forms
 in one place, suites.py (identity_cases, equivalence_cases,
 worpitzky_cases), and in the tests, so nothing here depends on group
@@ -50,12 +55,16 @@ def eulerian(n: int) -> Poly:
 
 
 @lru_cache(maxsize=None)
+def _eulerian_base(n: int) -> tuple[Poly, ...]:
+    """A_0, ..., A_n: the base sequence of the q and d families."""
+    return tuple(eulerian(m) for m in range(n + 1))
+
+
 def qnk(n: int, k: int) -> Poly:
     """Eulerian polynomial with the first k fixed-point positions inflated
-    by 1+x, by the binomial form q_{n,k} = sum(C(k,i) x^i A_{n-i})."""
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} out of range 0..{n}")
-    return linear_combination((comb(k, i), eulerian(n - i), i) for i in range(k + 1))
+    by 1+x: generic_hnk over the Eulerian base,
+    q_{n,k} = sum(C(k,i) x^i A_{n-i})."""
+    return generic_hnk(_eulerian_base(n), n, k)
 
 
 def binomial_eulerian(n: int) -> Poly:
@@ -97,16 +106,11 @@ def qnkj(n: int, k: int, j: int) -> Poly:
     return base
 
 
-@lru_cache(maxsize=None)
 def dnk(n: int, k: int) -> Poly:
     """Excedance polynomial over permutations whose fixed points avoid the
-    last k positions, by the alternating binomial sum
+    last k positions: generic_lnk over the Eulerian base,
     d_{n,k} = sum((-1)^i C(k,i) A_{n-i})."""
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} out of range 0..{n}")
-    return linear_combination(
-        ((-1) ** i * comb(k, i), eulerian(n - i), 0) for i in range(k + 1)
-    )
+    return generic_lnk(_eulerian_base(n), n, k)
 
 
 def derangement(n: int) -> Poly:
@@ -134,13 +138,12 @@ def typeB_eulerian(n: int) -> Poly:
 
 
 def typeB_derangement_image(n: int) -> Poly:
-    """Alternating binomial sum of type B Eulerian polynomials; the image of
-    x^n under the type B analogue of the derangement transform."""
+    """Alternating binomial sum of type B Eulerian polynomials, generic_lnk
+    over the base B_0, ..., B_n at k = n; the image of x^n under the type B
+    analogue of the derangement transform."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return linear_combination(
-        ((-1) ** i * comb(n, i), typeB_eulerian(n - i), 0) for i in range(n + 1)
-    )
+    return generic_lnk(tuple(typeB_eulerian(m) for m in range(n + 1)), n, n)
 
 
 @lru_cache(maxsize=None)
@@ -157,8 +160,7 @@ def generic_hnk(hs: tuple[Poly, ...], n: int, k: int) -> Poly:
 @lru_cache(maxsize=None)
 def generic_lnk(hs: tuple[Poly, ...], n: int, k: int) -> Poly:
     """The alternating two-index family from an arbitrary base sequence:
-    l_{n,k} = sum((-1)^i C(k,i) h_{n-i}).  With the Eulerian base this is
-    dnk."""
+    l_{n,k} = sum((-1)^i C(k,i) h_{n-i})."""
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range 0..{n}")
     if n >= len(hs):

@@ -1,6 +1,7 @@
 """Command line behavior: formats, determinism and exit codes."""
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from eulerian_lab.simplicial import (
     trivial_triangulation,
 )
 from eulerian_lab.suites import GEOMETRY_FAMILIES, build_geometry_family
+from eulerian_lab.transforms import TABLE_FAMILIES
 
 
 DATA = Path(__file__).parent / "data"
@@ -66,6 +68,38 @@ class TestTable:
                     "generic-h", "generic-l"):
             code, out, _ = run(capsys, "table", "--family", fam, "--n", "3")
             assert code == 0 and out
+
+
+class TestPinnedOutputs:
+    # sha256 of stdout, recorded before the closed forms were routed through
+    # generic_hnk and generic_lnk; the verify-identities report is 471 KB
+    TABLE_N6_JSON = {
+        "A": "e7d493954832085c070de6bb6ff28998952406ef2c120fbe87636bdd53395a57",
+        "Atilde": "ddc2c0195dc7106c3a27f6ef25b2dc754fb360b557b1a82d4e96b426fb666889",
+        "B": "f68e92ef125bb49eda07578563e223a8c9196f0853dbf13345ccc8e9da892ffe",
+        "DB": "87fb82884b566d0081122d27326079210d2888c616e86bd5cae5eee028054d08",
+        "d": "14bb10c3a8bb3312956838b52766d5af93c057393dbc2a8c05e948cfd25d52a7",
+        "dnk": "3e29913f7b01a838093dd0b4cd23827608b8fe38333eb993610a54ecea674b58",
+        "p": "83c238f589f6d111e59e5e3f23f8537f79dc889bcd6813454bbe66ad368b2811",
+        "q": "b0f752edf8ea0dbe52f1ddbbb8dd535756b397c660626b92990d4fcfab63d8d9",
+        "qnk": "c5c80faae4b4e23089dfaedb641b3557c5c27251610b3a010876a675ace4d173",
+        "qstar": "57f0dd37e858cf4249ad7c41150d2387b5a1068bc12700761a8a67fb80ea2fa1",
+        "generic-h": "478dc8e548fbb96657f31dab17d4085f35de9c62004125ecef565afe69aa52ee",
+        "generic-l": "eeaebc7c2262f3e1c66a427636458c82a7b6591dc50f11d93658558ea6ecc920",
+    }
+    VERIFY_N6_JSON = "13fd18162daf21757eb78148f7edd689a6376d936cc2aa820e2e4fd1c9ea2404"
+
+    @pytest.mark.parametrize("family", list(TABLE_FAMILIES))
+    def test_table_json_pinned(self, capsys, family):
+        code, out, _ = run(capsys, "table", "--family", family, "--n", "6",
+                           "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.TABLE_N6_JSON[family]
+
+    def test_verify_identities_json_pinned(self, capsys):
+        code, out, _ = run(capsys, "verify-identities", "--n", "6", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.VERIFY_N6_JSON
 
 
 class TestDeterminism:
@@ -205,14 +239,27 @@ class TestFTriangleRoundTrip:
             '{"n": 1, "f": [[1], ["1", "2"]]}',
             '{"n": true, "f": [[1], [1, 1]]}',
             '{"n": 1, "f": [[1], [1, 1e400]]}',
+            # well-formed, but no triangulation has these face counts: a
+            # segment with 3 vertices and 3 edges, and a point with 5 vertices
+            '{"n": 2, "f": [[1], [1, 1], [1, 3, 3]]}',
+            '{"n": 1, "f": [[1], [1, 5]]}',
         ],
-        ids=["missing-f", "fraction", "string", "bool-n", "overflow"],
+        ids=["missing-f", "fraction", "string", "bool-n", "overflow",
+             "three-edge-segment", "five-vertex-point"],
     )
     def test_malformed_file_exits_two(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
         code, out, err = run(capsys, "check-conjecture", "--ft-file", str(path))
         assert code == 2 and err and not out
+
+    def test_family_and_file_together_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "b4.json"
+        path.write_text(family_f_triangle("barycentric", 4).to_json())
+        for family in ("esd", "generic-binomial"):
+            code, out, err = run(capsys, "check-conjecture", "--family", family,
+                                 "--ft-file", str(path))
+            assert code == 2 and not out and "not both" in err
 
     def test_missing_file_exits_two(self, capsys):
         code, _, _ = run(capsys, "check-conjecture", "--ft-file",

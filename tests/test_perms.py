@@ -9,7 +9,6 @@ from eulerian_lab.budget import group_limit
 from eulerian_lab.errors import BudgetExceeded
 from eulerian_lab.permutations import (
     Permutation,
-    _project_row,
     bad_k,
     brute_force_family,
     colored_permutations,
@@ -18,6 +17,7 @@ from eulerian_lab.permutations import (
     flag_excedance_poly,
     fundamental_transformation,
     project_family,
+    project_row,
     signed_permutations,
     stats,
     sweep_histogram,
@@ -391,7 +391,7 @@ class TestGroupedProjectionAgainstPerProjectionWalk:
                 params = [(k, j) for k in range(n + 2) for j in range(n + 1)]
             else:
                 params = [(k, None) for k in range(n + 1)]
-            row = _project_row(family, hists, n)
+            row = project_row(family, hists, n)
             assert len(row) == len(params), (n, sorted(row))
             for k, j in params:
                 want = oracle_project_family(family, hist, n, k, j)

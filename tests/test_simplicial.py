@@ -10,6 +10,7 @@ from eulerian_lab import simplicial
 from eulerian_lab.errors import BudgetExceeded, CertificationError
 from eulerian_lab.poly import ONE, Poly, reciprocal
 from eulerian_lab.simplicial import (
+    GEOMETRY_FAMILIES,
     CarriedTriangulation,
     FTriangle,
     SimplicialComplex,
@@ -371,6 +372,19 @@ class TestFTriangle:
     def test_json_entries_must_be_integers(self, text):
         with pytest.raises(ValueError):
             FTriangle.from_json(text)
+
+    def test_json_of_every_triangulation_loads(self):
+        triangles = [
+            family_f_triangle(family, n, r)
+            for family in GEOMETRY_FAMILIES
+            for n in range(7)
+            for r in (1, 2, 3)
+        ]
+        triangles.append(f_triangle(colored_barycentric(4, 2)))
+        for ft in triangles:
+            assert FTriangle.from_json(ft.to_json()) == ft
+        segment = '{"n": 2, "f": [[1], [1, 1], [1, 2, 1]]}'
+        assert FTriangle.from_json(segment) == trivial_f_triangle(2)
 
     def test_trivial_closed_form(self):
         for n in range(6):
