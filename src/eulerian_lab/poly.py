@@ -22,12 +22,16 @@ coefficient.  Arithmetic builds its results through the private
 an ``int`` or ``Fraction`` that this module computed from canonical
 coefficients and scalars, or from the integers of a kernel tuple.  Its
 callers are the ring operations, ``times_x_power``, ``derivative``,
-``reciprocal``, ``_monic`` and ``linear_combination``.  Nothing outside this
-module may call ``Poly._of``.
+``reciprocal``, ``_monic``, ``linear_combination`` and
+``series_numerator``.  Nothing outside this module may call ``Poly._of``.
 
 ``linear_combination`` is the one way library code sums polynomials: it
 takes (c, p, shift) terms and accumulates every c * p * x^shift into one
 coefficient list, so a sum of k terms builds one ``Poly`` and not 3k.
+
+``series_numerator`` reads the numerator N of a series N / (1-x)^d off the
+series' first values: the one route to A_n, p_{n,k} and B_n (Worpitzky) and
+to the h-rows of ``simplicial.family_f_triangle`` (Veronese).
 
 ``poly_gcd``, ``squarefree_decomposition`` and ``squarefree_part`` are thin
 wrappers over the package's one exact polynomial kernel, ``_intpoly``,
@@ -375,6 +379,18 @@ def linear_combination(terms: Iterable[tuple[object, Poly, int]]) -> Poly:
             out += [0] * grow
         for i, a in enumerate(cs, shift):
             out[i] += c * a
+    return Poly._of(out)
+
+
+def series_numerator(values: Sequence[object], d: int) -> Poly:
+    """The first len(values) coefficients of (1-x)^d sum(values[t] x^t): the
+    numerator N of the series N / (1-x)^d when deg N < len(values).  Each
+    factor 1-x is one backward difference pass over the values."""
+    if d < 0:
+        raise ValueError("d must be nonnegative")
+    out = [_as_coeff(v) for v in values]
+    for _ in range(d):
+        out[1:] = [b - a for a, b in zip(out, out[1:])]
     return Poly._of(out)
 
 

@@ -30,6 +30,7 @@ from .poly import (
     linear_combination,
     one_plus_x_power,
     reciprocal,
+    series_numerator,
 )
 from .roots import interlaces, is_real_rooted
 from .transforms import (
@@ -659,7 +660,7 @@ def family_f_triangle(family: str, n: int, r: int = 2) -> FTriangle:
     """A geometry family's f-triangle in closed form, without building it.
 
     Row m is the f-vector of the restriction to an m-element base face:
-    its h-polynomial is (1-x)^m sum_t H_m(rt) x^t cut off at degree m (the
+    its h-polynomial is the numerator of sum_t H_m(rt) x^t over (1-x)^m (the
     Veronese construction, Brenti-Welker 2009), and f_i = sum_k h_k
     C(m-k, i-k) is the coefficient of x^i in sum_k h_k x^k (1+x)^(m-k).
     r is ignored by trivial and barycentric."""
@@ -673,8 +674,8 @@ def family_f_triangle(family: str, n: int, r: int = 2) -> FTriangle:
     step = r if takes_r else 1
     rows = []
     for m in range(n + 1):
-        series = Poly([1] + [hilbert(m, step * t) for t in range(1, m + 1)])
-        h = (series * _one_minus_x_power(m)).coeffs[: m + 1]
+        values = [1] + [hilbert(m, step * t) for t in range(1, m + 1)]
+        h = series_numerator(values, m).coeffs
         f = linear_combination((c, one_plus_x_power(m - k), k) for k, c in enumerate(h))
         rows.append(f.coeffs)
     return FTriangle(n=n, rows=tuple(rows))

@@ -376,7 +376,9 @@ def identity_cases(n_max: int = 8) -> list[CaseResult]:
 
 def worpitzky_cases(n: int) -> list[CaseResult]:
     """Series congruences: the rational generating functions of m^k (1+m)^(n-k)
-    and (2m+1)^n truncate to the p and B families."""
+    and (2m+1)^n truncate to the p and B families.  The first n+1
+    coefficients repeat the series route of pnk and typeB_eulerian; the
+    three after them must vanish, which that route does not check."""
     cases = []
     m_top = n + 3
     one_minus = (ONE - X) ** (n + 1)

@@ -1,16 +1,17 @@
 """Closed forms and recurrences for the polynomial families.
 
-Each family is computed here one way; where the literature offers a choice,
-the route kept is the one that does not recurse on n.  Every two-index
-family is a binomial transform of one base sequence, and generic_hnk and
-generic_lnk are the one place that sums it: q and d over the Eulerian
-polynomials, the type B derangement image over B_n, the generic families
-over (1+x)^m and the f-triangle families (simplicial.py) over the
-h-polynomials of a uniform triangulation.  The other routes and
-the enumeration oracles of permutations.py are checked against these forms
-in one place, suites.py (identity_cases, equivalence_cases,
-worpitzky_cases), and in the tests, so nothing here depends on group
-sweeps.
+Each family is computed here one way, and none recurses on n.  A_n, p_{n,k}
+and B_n are numerators of rational series over (1-x)^(n+1) (Worpitzky's
+identity), read off by poly.series_numerator, the route of the f-triangle
+h-rows too.  Every two-index family is a binomial transform of one base
+sequence, and generic_hnk and generic_lnk are the one place that sums it: q
+and d over the Eulerian polynomials, the type B derangement image over B_n,
+the generic families over (1+x)^m and the f-triangle families (simplicial.py)
+over the h-polynomials of a uniform triangulation.  q* is built level by
+level, each the p-row step of the one below.  The other routes and the
+enumeration oracles of permutations.py are checked against these forms in
+one place, suites.py (identity_cases, equivalence_cases, worpitzky_cases),
+and in the tests, so nothing here depends on group sweeps.
 """
 
 from __future__ import annotations
@@ -20,51 +21,34 @@ from functools import lru_cache, partial
 from math import comb
 from typing import Callable
 
-from .poly import ONE, X, ZERO, Poly, linear_combination, one_plus_x_power
+from .poly import ONE, Poly, linear_combination, one_plus_x_power, series_numerator
 
 
-@lru_cache(maxsize=None)
-def _pnk_row(n: int) -> tuple[Poly, ...]:
-    if n == 0:
-        return (ONE,)
-    prev = _pnk_row(n - 1)
-    prefix: list[Poly] = [ZERO]
-    for q in prev:
-        prefix.append(prefix[-1] + q)
-    total = prefix[-1]
-    return tuple(X * prefix[k] + (total - prefix[k]) for k in range(n + 1))
-
-
+@lru_cache(maxsize=1024)
 def pnk(n: int, k: int) -> Poly:
     """Descent polynomial over permutations of size n+1 with first value k+1.
 
-    Row recurrence: p_{n,k} = x * sum(p_{n-1,i} for i < k)
-    + sum(p_{n-1,i} for i >= k); equivalently sum(C(k,i) (x-1)^i A_{n-i}).
+    Worpitzky's identity: sum(t^k (t+1)^(n-k) x^t) = p_{n,k} / (1-x)^(n+1).
     The endpoints give p_{n,0} = A_n and p_{n,n} = x A_n.
     """
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range 0..{n}")
-    return _pnk_row(n)[k]
+    return series_numerator([t**k * (t + 1) ** (n - k) for t in range(n + 1)], n + 1)
 
 
 def eulerian(n: int) -> Poly:
     """The descent (equivalently excedance) polynomial of S_n, with A_0 = 1."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _pnk_row(n)[0]
+    return pnk(n, 0)
 
 
-@lru_cache(maxsize=None)
-def _eulerian_base(n: int) -> tuple[Poly, ...]:
-    """A_0, ..., A_n: the base sequence of the q and d families."""
-    return tuple(eulerian(m) for m in range(n + 1))
-
-
+@lru_cache(maxsize=1024)
 def qnk(n: int, k: int) -> Poly:
     """Eulerian polynomial with the first k fixed-point positions inflated
     by 1+x: generic_hnk over the Eulerian base,
     q_{n,k} = sum(C(k,i) x^i A_{n-i})."""
-    return generic_hnk(_eulerian_base(n), n, k)
+    return generic_hnk(tuple(map(eulerian, range(n + 1))), n, k)
 
 
 def binomial_eulerian(n: int) -> Poly:
@@ -74,27 +58,54 @@ def binomial_eulerian(n: int) -> Poly:
     return qnk(n, n)
 
 
-@lru_cache(maxsize=None)
+def _p_row_step(row: tuple[Poly, ...]) -> list[Poly]:
+    """x times the members below j plus the members from j on, j = 0..len."""
+    out = [linear_combination((1, q, 0) for q in row)]
+    for q in row:
+        out.append(linear_combination(((1, out[-1], 0), (1, q, 1), (-1, q, 0))))
+    return out
+
+
+# The levels of q* built so far, at most 16: a level is built up from the
+# highest kept level below it, so a sweep over n builds each level once.
+_qstar_levels: dict[int, tuple[tuple[Poly, ...], ...]] = {0: ((ONE,), (ONE,))}
+
+
+def _qstar_level(n: int) -> tuple[tuple[Poly, ...], ...]:
+    """Rows k = 0..n+1 of q*_{n,k,j}."""
+    if n in _qstar_levels:
+        return _qstar_levels[n]
+    start = max(m for m in _qstar_levels if m < n)
+    level = _qstar_levels[start]
+    for m in range(start + 1, n + 1):
+        steps = [_p_row_step(row) for row in level]
+        level = tuple(
+            tuple(
+                qnk(m, k - 1) if k >= 2 and j == 0
+                else steps[k - 1 if 1 <= j < k else k][j]
+                for j in range(m + 1)
+            )
+            for k in range(m + 2)
+        )
+    if len(_qstar_levels) == 16:
+        del _qstar_levels[min(m for m in _qstar_levels if m)]
+    _qstar_levels[n] = level
+    return level
+
+
 def qnkj_star(n: int, k: int, j: int) -> Poly:
     """Refinement of the q family by the preimage of 1, normalized so the
-    j = 0 member sheds its forced 1+x factor.
+    j = 0 member sheds its forced 1+x factor; 0 <= k <= n+1, 0 <= j <= n.
 
-    Defined for 0 <= k <= n+1 and 0 <= j <= n by the branching recurrence
-    in j relative to k, with the k <= 1 members collapsing to p_{n,j}.
+    q*_{n,k,0} = q_{n,k-1} for k >= 2; otherwise q*_{n,k,j} is the p-row
+    step at j of row k-1 of level n-1 if 1 <= j <= k-1, else of its row k.
+    So the k <= 1 members are p_{n,j}.
     """
     if not 0 <= j <= n:
         raise ValueError(f"j={j} out of range 0..{n}")
     if not 0 <= k <= n + 1:
         raise ValueError(f"k={k} out of range 0..{n + 1}")
-    if k <= 1:
-        return pnk(n, j)
-    if j == 0:
-        return qnk(n, k - 1)
-    level = k - 1 if j <= k - 1 else k
-    # x times the members below j plus the members from j on
-    return linear_combination(
-        (1, qnkj_star(n - 1, level, i), 1 if i < j else 0) for i in range(n)
-    )
+    return _qstar_level(n)[k][j]
 
 
 def qnkj(n: int, k: int, j: int) -> Poly:
@@ -106,11 +117,12 @@ def qnkj(n: int, k: int, j: int) -> Poly:
     return base
 
 
+@lru_cache(maxsize=1024)
 def dnk(n: int, k: int) -> Poly:
     """Excedance polynomial over permutations whose fixed points avoid the
     last k positions: generic_lnk over the Eulerian base,
     d_{n,k} = sum((-1)^i C(k,i) A_{n-i})."""
-    return generic_lnk(_eulerian_base(n), n, k)
+    return generic_lnk(tuple(map(eulerian, range(n + 1))), n, k)
 
 
 def derangement(n: int) -> Poly:
@@ -120,21 +132,13 @@ def derangement(n: int) -> Poly:
     return dnk(n, n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def typeB_eulerian(n: int) -> Poly:
-    """Descent polynomial of the signed permutation group, by the closed
-    coefficient form b_j = sum((-1)^i C(n+1,i) (2(j-i)+1)^n)."""
+    """Descent polynomial of the signed permutation group, by Worpitzky's
+    identity of type B: sum((2t+1)^n x^t) = B_n / (1-x)^(n+1)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return Poly(
-        [
-            sum(
-                (-1) ** i * comb(n + 1, i) * (2 * (j - i) + 1) ** n
-                for i in range(j + 1)
-            )
-            for j in range(n + 1)
-        ]
-    )
+    return series_numerator([(2 * t + 1) ** n for t in range(n + 1)], n + 1)
 
 
 def typeB_derangement_image(n: int) -> Poly:
@@ -146,7 +150,6 @@ def typeB_derangement_image(n: int) -> Poly:
     return generic_lnk(tuple(typeB_eulerian(m) for m in range(n + 1)), n, n)
 
 
-@lru_cache(maxsize=None)
 def generic_hnk(hs: tuple[Poly, ...], n: int, k: int) -> Poly:
     """The additive two-index family built from an arbitrary base sequence:
     h_{n,k} = sum(C(k,i) x^i h_{n-i})."""
@@ -157,7 +160,6 @@ def generic_hnk(hs: tuple[Poly, ...], n: int, k: int) -> Poly:
     return linear_combination((comb(k, i), hs[n - i], i) for i in range(k + 1))
 
 
-@lru_cache(maxsize=None)
 def generic_lnk(hs: tuple[Poly, ...], n: int, k: int) -> Poly:
     """The alternating two-index family from an arbitrary base sequence:
     l_{n,k} = sum((-1)^i C(k,i) h_{n-i})."""

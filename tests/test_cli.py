@@ -88,6 +88,21 @@ class TestPinnedOutputs:
         "generic-l": "eeaebc7c2262f3e1c66a427636458c82a7b6591dc50f11d93658558ea6ecc920",
     }
     VERIFY_N6_JSON = "13fd18162daf21757eb78148f7edd689a6376d936cc2aa820e2e4fd1c9ea2404"
+    # recorded before A, p and B and the f-triangle h-rows were read off one
+    # series route; n = 12 is past the enumeration checks (n <= 6)
+    TABLE_N12_JSON = {
+        "A": "2854168b6aa9f7c5ccd5ebb915cf6d3c32615c01f691d91e94b136d00964a3bf",
+        "p": "7e4916397e4f950779f5f3664c9ec843c488f2d54340af6c45892d18c3d12bd0",
+        "q": "b30b2196933dd2d41b7cfa0247599a3e97f72b4856a5a02a10b7c9c9264f38e8",
+        "dnk": "164cecf30fca64cdf3ce3b2f2b780ae29dc4f0f27fa28aa851ea87058a3e1204",
+        "B": "557eb17b46ecf4a096b138cc4f02001c649200864fdd71b24b106cc6b16fe28a",
+        "DB": "54618ec2542339db451ec7a1bbeac0e29dbf57767a518fac2aeb0169c5ffc84e",
+        "qstar": "93237d9212bbbcd8a051fe2a72d21b8c09c450ada425f8266fea95ad05a58fe2",
+    }
+    FT_N12 = {
+        ("esd", "2"): "de97ab674f8952736aa25cfd0d440e4c014467ee9fffb90cf9dffe35552b545a",
+        ("colored", "3"): "b49e22cb672e97d2270aa065d0b75081ab88c357a08804d03d424498d6e6b364",
+    }
 
     @pytest.mark.parametrize("family", list(TABLE_FAMILIES))
     def test_table_json_pinned(self, capsys, family):
@@ -95,6 +110,20 @@ class TestPinnedOutputs:
                            "--format", "json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.TABLE_N6_JSON[family]
+
+    @pytest.mark.parametrize("family", list(TABLE_N12_JSON))
+    def test_table_n12_json_pinned(self, capsys, family):
+        code, out, _ = run(capsys, "table", "--family", family, "--n", "12",
+                           "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.TABLE_N12_JSON[family]
+
+    @pytest.mark.parametrize("family,r", list(FT_N12))
+    def test_ft_from_family_n12_pinned(self, capsys, family, r):
+        code, out, _ = run(capsys, "ft-from-family", "--family", family, "--n", "12",
+                           "--r", r)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.FT_N12[family, r]
 
     def test_verify_identities_json_pinned(self, capsys):
         code, out, _ = run(capsys, "verify-identities", "--n", "6", "--format", "json")

@@ -20,6 +20,7 @@ from eulerian_lab.poly import (
     one_plus_x_power,
     poly_gcd,
     reciprocal,
+    series_numerator,
     squarefree_decomposition,
     squarefree_part,
     symmetric_decomposition,
@@ -767,3 +768,32 @@ class TestLinearCombinationAgainstLoop:
         for c in (1, 0):
             with pytest.raises(ValueError):
                 linear_combination([(c, ONE, -1)])
+
+
+class TestSeriesNumeratorAgainstProduct:
+    """series_numerator against the product it replaces: the series times
+    (1-x)^d, cut to len(values) coefficients."""
+
+    def test_random_values(self):
+        rng = random.Random(9003)
+        for _ in range(300):
+            values = [
+                rng.choice((rng.randrange(-9, 10), Fraction(rng.randrange(-9, 10), 3)))
+                for _ in range(rng.randrange(8))
+            ]
+            d = rng.randrange(10)
+            product = Poly(values) * Poly((1, -1)) ** d
+            want = Poly(product.coeffs[: len(values)])
+            assert_same(series_numerator(values, d), want)
+
+    def test_worpitzky(self):
+        # sum (t+1)^3 x^t = (1 + 4x + x^2) / (1-x)^4
+        assert series_numerator([(t + 1) ** 3 for t in range(4)], 4) == P(1, 4, 1)
+        assert series_numerator([], 3) == ZERO
+        assert series_numerator([5, 7], 0) == P(5, 7)
+
+    def test_invalid_input(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            series_numerator([1, 2], -1)
+        with pytest.raises(TypeError):
+            series_numerator([1, 0.5], 1)

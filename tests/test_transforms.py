@@ -1,12 +1,14 @@
 """Polynomial families and the linear transforms built from them."""
 
 import random
+import sys
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, factorial
 
 import pytest
 
-from eulerian_lab import derangement_transform, eulerian_transform
+from eulerian_lab import derangement_transform, eulerian_transform, transforms
 from eulerian_lab.poly import ONE, X, Poly, one_plus_x_power, reciprocal
 from eulerian_lab.simplicial import (
     family_f_triangle,
@@ -282,3 +284,88 @@ class TestEqualityCaseDetail:
         assert same.ok and same.detail == "got 1 + 5x + 2x^2, want 1 + 5x + 2x^2"
         differ = _eq_case("differ", X, ONE)
         assert not differ.ok and differ.detail == "got x, want 1"
+
+
+def oracle_p_rows(n_max: int) -> list[tuple[Poly, ...]]:
+    """The p-row recurrence the series route replaced, run bottom-up:
+    p_{n,k} = x * sum(p_{n-1,i} for i < k) + sum(p_{n-1,i} for i >= k)."""
+    rows = [(ONE,)]
+    for _ in range(n_max):
+        below = [P()]
+        for q in rows[-1]:
+            below.append(below[-1] + q)
+        rows.append(tuple(X * b + (below[-1] - b) for b in below))
+    return rows
+
+
+def oracle_type_b(n: int) -> Poly:
+    """The closed coefficient form the series route replaced:
+    b_j = sum((-1)^i C(n+1,i) (2(j-i)+1)^n)."""
+    return Poly(
+        sum((-1) ** i * comb(n + 1, i) * (2 * (j - i) + 1) ** n for i in range(j + 1))
+        for j in range(n + 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def oracle_qnkj_star(n: int, k: int, j: int) -> Poly:
+    """The recursion on n that the level-by-level build of q* replaced."""
+    if k <= 1:
+        return pnk(n, j)
+    if j == 0:
+        return qnk(n, k - 1)
+    level = k - 1 if j <= k - 1 else k
+    return sum(
+        (oracle_qnkj_star(n - 1, level, i) * (X if i < j else ONE) for i in range(n)),
+        P(),
+    )
+
+
+class TestAgainstReplacedRoutes:
+    def test_p_rows_and_eulerian(self):
+        for n, row in enumerate(oracle_p_rows(30)):
+            assert eulerian(n) == row[0], n
+            for k in range(n + 1):
+                assert pnk(n, k) == row[k], (n, k)
+
+    def test_type_b(self):
+        for n in range(31):
+            assert typeB_eulerian(n) == oracle_type_b(n), n
+
+    def test_qnkj_star(self):
+        for n in range(10):
+            for k in range(n + 2):
+                for j in range(n + 1):
+                    assert qnkj_star(n, k, j) == oracle_qnkj_star(n, k, j), (n, k, j)
+
+
+def stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+class TestNoDeepRecursion:
+    """Calls at sizes no other test reaches, with every lru cache of the
+    module cleared, return under a recursion limit a fixed margin above the
+    caller's own depth: no family recurses on n."""
+
+    MARGIN = 60
+
+    def test_cold_calls_under_a_low_recursion_limit(self):
+        for value in vars(transforms).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth() + self.MARGIN)
+        try:
+            a = eulerian(300)
+            p = pnk(280, 140)
+            row = [qnkj_star(40, 20, j) for j in range(41)]
+        finally:
+            sys.setrecursionlimit(limit)
+        assert a.deg() == 299 and sum(a.coeffs) == factorial(300)
+        assert sum(p.coeffs) == factorial(280)
+        # the j-grid at level n refines q one size up
+        assert row[0] * one_plus_x_power(1) + sum(row[1:], P()) == qnk(41, 20)
