@@ -1,18 +1,18 @@
 """The exact polynomial kernel: integer coefficient tuples.
 
-Every gcd, squarefree part, Yun decomposition and signed remainder
-sequence in the package runs here.  ``poly`` wraps the gcd and Yun
-routines into its public ``poly_gcd``, ``squarefree_decomposition`` and
-``squarefree_part``; ``roots`` decides real rootedness and interlacing and
-isolates roots on top of them.  The module imports neither, so both can
-import it.
+Every signed remainder sequence in the package runs here, and ``roots``
+reads each of its decisions off one of them: real rootedness and
+interlacing are both a Cauchy index, the sign variations of a sequence at
+-inf minus those at +inf.  No root is isolated and nothing is divided by a
+gcd; where a decision needs the degree of a gcd, it reads the last entry
+of the sequence.  The module imports no other module of the package.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 # A polynomial is a tuple of ints, low degree first, without trailing zeros;
 # () is zero.  Contents and pseudo-division factors are divided out or
@@ -51,15 +51,6 @@ def _derivative(f: IntPoly) -> IntPoly:
     return tuple(i * c for i, c in enumerate(f) if i)
 
 
-def _sub(a: IntPoly, b: IntPoly) -> IntPoly:
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
-
 def _prem(a: IntPoly, b: IntPoly) -> IntPoly:
     """Primitive part of a positive multiple of the remainder of a by b != 0.
 
@@ -87,62 +78,6 @@ def _prem(a: IntPoly, b: IntPoly) -> IntPoly:
     return _primitive(r)
 
 
-def _gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd with a positive leading coefficient; gcd(0, 0) = ()."""
-    while b:
-        a, b = b, _prem(a, b)
-    a = _primitive(a)
-    return _neg(a) if a and a[-1] < 0 else a
-
-
-def _quo(a: IntPoly, b: IntPoly) -> IntPoly:
-    """a / b for a primitive b that divides a over the rationals.
-
-    By Gauss's lemma the quotient has integer coefficients, so every step
-    of the long division is an exact integer division.
-    """
-    db = len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    q = [0] * (len(a) - db)
-    for i in range(len(q) - 1, -1, -1):
-        c = r[i + db] // lb
-        if c:
-            q[i] = c
-            for j, bc in enumerate(b):
-                r[i + j] -= c * bc
-    if any(r):
-        raise ArithmeticError("polynomial division is not exact")
-    return tuple(q)
-
-
-def _squarefree_part(f: IntPoly) -> IntPoly:
-    return _quo(f, _gcd(f, _derivative(f)))
-
-
-def _yun(f: IntPoly) -> list[tuple[IntPoly, int]]:
-    """Yun's squarefree decomposition of a nonconstant f: pairs (a_i, i)
-    with f a nonzero multiple of the product of the a_i^i.
-
-    The quotients stay integral because every divisor is a primitive gcd,
-    and they keep the scale that the relation z = y - w' needs.
-    """
-    df = _derivative(f)
-    g = _gcd(f, df)
-    w, y = _quo(f, g), _quo(df, g)
-    z = _sub(y, _derivative(w))
-    out = []
-    i = 1
-    while len(w) > 1:
-        h = _gcd(w, z)
-        if len(h) > 1:
-            out.append((h, i))
-        w, y = _quo(w, h), _quo(z, h)
-        z = _sub(y, _derivative(w))
-        i += 1
-    return out
-
-
 def _signed_remainders(a: IntPoly, b: IntPoly) -> list[IntPoly]:
     """Signed remainder sequence a, b, -rem(a, b), ... of a nonzero a, each
     entry a positive multiple of the rational one; it stops before the
@@ -161,48 +96,16 @@ def _sturm_chain(f: IntPoly) -> list[IntPoly]:
     return _signed_remainders(f, _primitive(_derivative(f)))
 
 
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _sign_at(f: IntPoly, x: Fraction) -> int:
-    """Sign of f(x) for rational x = a/b, b > 0: the sign of b^d f(a/b),
-    evaluated by a homogeneous integer Horner scheme."""
-    a, b = x.numerator, x.denominator
-    acc = 0
-    scale = 1
-    for c in reversed(f):
-        acc = acc * a + c * scale
-        scale *= b
-    return _sign(acc)
-
-
-def _variations(signs: Iterable[int]) -> int:
-    out = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev != 0 and s != prev:
-            out += 1
-        prev = s
-    return out
-
-
-def _variations_at(chain: Sequence[IntPoly], x: Fraction) -> int:
-    return _variations(_sign_at(f, x) for f in chain)
-
-
-def _variations_neg_inf(chain: Sequence[IntPoly]) -> int:
-    return _variations(_sign(f[-1]) * (-1 if len(f) % 2 == 0 else 1) for f in chain)
-
-
-def _variations_pos_inf(chain: Sequence[IntPoly]) -> int:
-    return _variations(_sign(f[-1]) for f in chain)
+def _variations(signs: Sequence[bool]) -> int:
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _cauchy_index(chain: Sequence[IntPoly]) -> int:
     """Sign variations at -inf minus those at +inf of a signed remainder
     sequence a, b, ...: the Cauchy index of b/a over the real line.  On a
-    Sturm chain f, f', ... it is the number of distinct real roots of f."""
-    return _variations_neg_inf(chain) - _variations_pos_inf(chain)
+    Sturm chain f, f', ... it is the number of distinct real roots of f.
+    No entry is zero, so each has the sign of its leading coefficient at
+    +inf, and the opposite sign at -inf when its degree is odd."""
+    at_pos_inf = [f[-1] > 0 for f in chain]
+    at_neg_inf = [(f[-1] > 0) == (len(f) % 2 == 1) for f in chain]
+    return _variations(at_neg_inf) - _variations(at_pos_inf)

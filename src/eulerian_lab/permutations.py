@@ -52,12 +52,6 @@ class Permutation:
             raise IndexError(f"position {i} out of range 1..{len(self.word)}")
         return self.word[i - 1]
 
-    def inverse(self) -> "Permutation":
-        out = [0] * len(self.word)
-        for i, v in enumerate(self.word, start=1):
-            out[v - 1] = i
-        return Permutation(tuple(out))
-
 
 def _word(w: PermLike) -> tuple[int, ...]:
     if isinstance(w, Permutation):
@@ -153,34 +147,6 @@ def bad_k(w: PermLike, k: int) -> int:
         if i == 0 or word[i - 1] < word[i]:
             count += 1
     return count
-
-
-def fundamental_transformation(w: PermLike) -> Permutation:
-    """Cycle form read as a word: each cycle is written with its smallest
-    element last, cycles in increasing order of their smallest elements.
-
-    The map is a bijection and carries excedances of the inverse to
-    descents of the image, so exc and des are equidistributed.
-    """
-    word = _word(w)
-    n = len(word)
-    Permutation(word)
-    seen = [False] * (n + 1)
-    cyc_list: list[list[int]] = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        seen[start] = True
-        cyc = [start]
-        cur = word[start - 1]
-        while cur != start:
-            seen[cur] = True
-            cyc.append(cur)
-            cur = word[cur - 1]
-        low = cyc.index(min(cyc))
-        cyc_list.append(cyc[low + 1 :] + cyc[: low + 1])
-    cyc_list.sort(key=lambda c: c[-1])
-    return Permutation(tuple(v for c in cyc_list for v in c))
 
 
 def symmetric_group(n: int) -> Iterator[tuple[int, ...]]:

@@ -20,10 +20,9 @@ coefficient.  Arithmetic builds its results through the private
 ``Poly._of``, which strips trailing zeros and turns an integral
 ``Fraction`` into its numerator: it trusts that every entry of its list is
 an ``int`` or ``Fraction`` that this module computed from canonical
-coefficients and scalars, or from the integers of a kernel tuple.  Its
-callers are the ring operations, ``times_x_power``, ``derivative``,
-``reciprocal``, ``_monic``, ``linear_combination`` and
-``series_numerator``.  Nothing outside this module may call ``Poly._of``.
+coefficients and scalars.  Its callers are the ring operations,
+``times_x_power``, ``derivative``, ``reciprocal``, ``linear_combination``
+and ``series_numerator``.  Nothing outside this module may call ``Poly._of``.
 
 ``linear_combination`` is the one way library code sums polynomials: it
 takes (c, p, shift) terms and accumulates every c * p * x^shift into one
@@ -32,10 +31,6 @@ coefficient list, so a sum of k terms builds one ``Poly`` and not 3k.
 ``series_numerator`` reads the numerator N of a series N / (1-x)^d off the
 series' first values: the one route to A_n, p_{n,k} and B_n (Worpitzky) and
 to the h-rows of ``simplicial.family_f_triangle`` (Veronese).
-
-``poly_gcd``, ``squarefree_decomposition`` and ``squarefree_part`` are thin
-wrappers over the package's one exact polynomial kernel, ``_intpoly``,
-which runs on primitive integer coefficients; they return monic results.
 
 Beyond ring arithmetic the module provides the structural toolkit used by
 the rest of the package: reciprocals and palindromicity with respect to a
@@ -52,8 +47,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
-
-from ._intpoly import IntPoly, _gcd, _int_poly, _squarefree_part, _yun
 
 Scalar = Union[int, Fraction]
 
@@ -138,12 +131,6 @@ class Poly:
     @classmethod
     def constant(cls, value: Scalar) -> "Poly":
         return cls((value,))
-
-    @classmethod
-    def monomial(cls, coeff: Scalar, exponent: int) -> "Poly":
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        return cls((0,) * exponent + (coeff,))
 
     @classmethod
     def from_text(cls, text: str) -> "Poly":
@@ -407,41 +394,10 @@ ONE = Poly((1,))
 X = Poly((0, 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def one_plus_x_power(k: int) -> Poly:
     """(1 + x)^k with binomial coefficients, cached."""
     return Poly(math.comb(k, i) for i in range(k + 1))
-
-
-def _monic(f: IntPoly) -> Poly:
-    """The monic rational polynomial of a nonzero kernel tuple f."""
-    lead = f[-1]
-    return Poly._of([_quotient(c, lead) for c in f])
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor, with gcd(0, 0) = 0."""
-    g = _gcd(_int_poly(a.coeffs), _int_poly(b.coeffs))
-    return _monic(g) if g else ZERO
-
-
-def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm: monic squarefree factors with their multiplicities.
-
-    Returns pairs (factor, multiplicity) in increasing multiplicity order,
-    omitting trivial (constant) factors.  The product of factor^multiplicity
-    equals p up to a nonzero rational constant.
-    """
-    if p.deg() <= 0:
-        return []
-    return [(_monic(f), i) for f, i in _yun(_int_poly(p.coeffs))]
-
-
-def squarefree_part(p: Poly) -> Poly:
-    """Monic product of the distinct irreducible factors of p."""
-    if p.deg() <= 0:
-        return ZERO if p.is_zero() else ONE
-    return _monic(_squarefree_part(_int_poly(p.coeffs)))
 
 
 def reciprocal(p: Poly, n: int) -> Poly:
@@ -493,11 +449,6 @@ class GammaVector:
 
     n: int
     gammas: tuple[Fraction, ...]
-
-    def reconstruct(self) -> "Poly":
-        return linear_combination(
-            (g, one_plus_x_power(self.n - 2 * k), k) for k, g in enumerate(self.gammas)
-        )
 
     def is_nonnegative(self) -> bool:
         return all(g >= 0 for g in self.gammas)

@@ -1,17 +1,13 @@
-"""Exact real root analysis built on Sturm chains.
+"""Exact decisions on real roots: real rootedness and interlacing.
 
-Everything here is decided exactly, without floating point: distinct root
-counts over half open intervals (lo, hi], real rootedness, isolating
-intervals with multiplicities, and the interlacing partial order on real
-rooted polynomials.
-
-All of it runs on the package's one exact polynomial kernel, ``_intpoly``:
-primitive integer coefficient tuples, sign preserving pseudo remainders,
-signed remainder sequences, gcds, squarefree parts and Yun decompositions.
-The decisions never isolate a root; they read the signs of one signed
-remainder sequence at -inf and +inf only.  A polynomial is real rooted
-when its Sturm chain counts as many distinct real roots as it has
-distinct roots.  Interlacing rests on two facts:
+Everything here is decided exactly, without floating point, on the
+package's one exact polynomial kernel, ``_intpoly``: primitive integer
+coefficient tuples, sign preserving pseudo remainders and signed remainder
+sequences.  No decision isolates a root, counts roots on an interval or
+divides by a gcd; each reads the signs of one signed remainder sequence at
+-inf and +inf only.  A polynomial is real rooted when its Sturm chain counts as
+many distinct real roots as it has distinct roots.  Interlacing rests on
+two facts:
 
 * the Cauchy index: for q != 0, the signed remainder sequence
   q, p, -rem(q, p), ... ends in gcd(p, q), and its sign variations at
@@ -31,43 +27,19 @@ distinct roots.  Interlacing rests on two facts:
   meets these hypotheses is certified in n + 1 decisions, not
   n(n + 1)/2; any other sequence, and one that fails a decision, is
   decided pair by pair.
-
-Root isolation (``isolate_roots``) bisects on Sturm counts of the
-squarefree part at rational points and reads each multiplicity off the
-Yun factor with a root there.  It shares the kernel with the decisions,
-so the root-list oracle of the interlacing tests is not independent of
-them; the independent check of isolation is the test on polynomials built
-from known rational roots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from ._intpoly import (
-    IntPoly,
-    _cauchy_index,
-    _int_poly,
-    _neg,
-    _sign_at,
-    _signed_remainders,
-    _squarefree_part,
-    _sturm_chain,
-    _variations_at,
-    _variations_neg_inf,
-    _variations_pos_inf,
-    _yun,
-)
+from ._intpoly import _cauchy_index, _int_poly, _neg, _signed_remainders, _sturm_chain
 from .poly import Poly, is_gamma_positive, is_unimodal, symmetric_decomposition
 
 __all__ = [
-    "sturm_distinct_real_roots",
     "is_real_rooted",
-    "IsolatingInterval",
-    "isolate_roots",
     "interlaces",
     "is_interlacing_sequence",
     "interlacing_failures",
@@ -80,28 +52,6 @@ __all__ = [
 _REAL_ROOTED_CACHE_SIZE = 512
 
 # -- public decisions ----------------------------------------------------------
-
-
-def sturm_distinct_real_roots(
-    p: Poly,
-    lo: Fraction | int | None = None,
-    hi: Fraction | int | None = None,
-) -> int:
-    """Number of distinct real roots of p in the half open interval (lo, hi].
-
-    A bound of None stands for the corresponding infinity.  Multiplicities
-    are ignored; the count is exact for any nonzero p.
-    """
-    if p.is_zero():
-        raise ValueError("the zero polynomial has every point as a root")
-    if lo is not None and hi is not None and Fraction(lo) > Fraction(hi):
-        raise ValueError("need lo <= hi")
-    if p.deg() <= 0:
-        return 0
-    chain = _sturm_chain(_squarefree_part(_int_poly(p.coeffs)))
-    va = _variations_neg_inf(chain) if lo is None else _variations_at(chain, Fraction(lo))
-    vb = _variations_pos_inf(chain) if hi is None else _variations_at(chain, Fraction(hi))
-    return va - vb
 
 
 @lru_cache(maxsize=_REAL_ROOTED_CACHE_SIZE)
@@ -117,107 +67,6 @@ def is_real_rooted(p: Poly) -> bool:
         return True
     chain = _sturm_chain(_int_poly(p.coeffs))
     return _cauchy_index(chain) == p.deg() - (len(chain[-1]) - 1)
-
-
-# -- root isolation -----------------------------------------------------------
-#
-# Bisection on Sturm counts at rational points.  Only isolate_roots uses it;
-# the decisions above never isolate a root.
-
-
-def _root_bound_pow2(f: IntPoly) -> int:
-    # power of two strictly exceeding the magnitude of every root
-    m = max((abs(c) for c in f[:-1]), default=0)
-    return 2 ** (1 + m // abs(f[-1])).bit_length()
-
-
-def _isolate_squarefree(f: IntPoly) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint isolating intervals for the roots of a squarefree,
-    nonconstant f.
-
-    Pairs (lo, hi) come back sorted; lo == hi marks an exact rational root,
-    otherwise the unique root sits strictly inside (lo, hi) and f(hi) != 0.
-    """
-    chain = _sturm_chain(f)
-    bound = _root_bound_pow2(f)
-    a, b = Fraction(-bound), Fraction(bound)
-    out: list[tuple[Fraction, Fraction]] = []
-    stack = [(a, _variations_at(chain, a), b, _variations_at(chain, b))]
-    while stack:
-        lo, vlo, hi, vhi = stack.pop()
-        cnt = vlo - vhi
-        if cnt == 0:
-            continue
-        if cnt == 1:
-            if _sign_at(f, hi) == 0:
-                out.append((hi, hi))
-            else:
-                out.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        vmid = _variations_at(chain, mid)
-        stack.append((lo, vlo, mid, vmid))
-        stack.append((mid, vmid, hi, vhi))
-    out.sort()
-    return out
-
-
-@dataclass(frozen=True)
-class IsolatingInterval:
-    """A root locator: exact when lo == hi, otherwise the root lies
-    strictly inside (lo, hi)."""
-
-    lo: Fraction
-    hi: Fraction
-    multiplicity: int
-
-    def is_exact(self) -> bool:
-        return self.lo == self.hi
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-
-def isolate_roots(
-    p: Poly, max_width: Fraction | int | None = None
-) -> tuple[IsolatingInterval, ...]:
-    """Pairwise disjoint isolating intervals for all real roots, ascending.
-
-    Multiplicities refer to p itself.  With max_width set, non exact
-    intervals are bisected until no wider than requested.
-    """
-    if p.is_zero():
-        raise ValueError("cannot isolate roots of the zero polynomial")
-    if p.deg() == 0:
-        return ()
-    f = _int_poly(p.coeffs)
-    sf = _squarefree_part(f)
-    factors = [(h, _sturm_chain(h), mult) for h, mult in _yun(f)]
-    out = []
-    for lo, hi in _isolate_squarefree(sf):
-        # the one Yun factor with a root at the point, or in (lo, hi]
-        if lo == hi:
-            mult = next(m for h, _, m in factors if _sign_at(h, lo) == 0)
-        else:
-            mult = next(
-                m
-                for _, chain, m in factors
-                if _variations_at(chain, lo) - _variations_at(chain, hi) == 1
-            )
-            if max_width is not None:
-                # the root is simple in sf, so sf changes sign across it
-                s_hi = _sign_at(sf, hi)
-                while lo != hi and hi - lo > max_width:
-                    mid = (lo + hi) / 2
-                    s_mid = _sign_at(sf, mid)
-                    if s_mid == 0:
-                        lo = hi = mid
-                    elif s_mid == s_hi:
-                        hi = mid
-                    else:
-                        lo = mid
-        out.append(IsolatingInterval(lo=lo, hi=hi, multiplicity=mult))
-    return tuple(out)
 
 
 def interlaces(p: Poly, q: Poly) -> bool:

@@ -43,7 +43,7 @@ from .transforms import (
 )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _one_minus_x_power(k: int) -> Poly:
     return Poly((1, -1)) ** k
 
@@ -111,11 +111,6 @@ class SimplicialComplex:
 
     def index(self, v) -> int:
         return self._index[v]
-
-    def dim(self) -> int:
-        if self.is_void():
-            raise ValueError("the void complex has no dimension")
-        return max(len(f) for f in self.faces) - 1
 
     def f_vector(self) -> tuple[int, ...]:
         """Counts by cardinality, starting with the empty face."""

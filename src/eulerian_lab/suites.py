@@ -501,37 +501,6 @@ def derangement_sample_cases(n: int, samples: int, seed: int) -> list[CaseResult
     return cases
 
 
-def eulerian_combination_sample_cases(
-    n: int, samples: int, seed: int
-) -> list[CaseResult]:
-    """Sampled check that s = a A_n + b A_{n-1} + c A_{n-2} is real rooted
-    whenever (a, b, c) comes from the nonnegative cone a = c0+c1+c2,
-    b = c1+2c2, c = c2, and that x s splits into an interlacing pair."""
-    if n < 2:
-        raise ValueError("needs n >= 2")
-    rng = random.Random(seed)
-    cases = []
-    for s_idx in range(samples):
-        c0, c1, c2 = (
-            Fraction(rng.randrange(100), rng.randrange(1, 10)) for _ in range(3)
-        )
-        s = (
-            eulerian(n) * (c0 + c1 + c2)
-            + eulerian(n - 1) * (c1 + 2 * c2)
-            + eulerian(n - 2) * c2
-        )
-        verdict = interlacing_symmetric_decomposition(X * s, n)
-        ok = is_real_rooted(s) and verdict.interlacing and verdict.nonnegative
-        cases.append(
-            _case(
-                f"eulerian-combination-sample-{n}-{s_idx}",
-                ok,
-                f"coeffs ({c0},{c1},{c2}); s = {s.to_text()}",
-            )
-        )
-    return cases
-
-
 def geometry_cases(family: str, n: int, r: int = 2) -> list[CaseResult]:
     """Everything the face-count calculus promises for one triangulation:
     the identity suite, uniformity of the f-triangle, theta symmetry, the

@@ -15,7 +15,6 @@ from eulerian_lab.permutations import (
     des_B,
     fix_k,
     flag_excedance_poly,
-    fundamental_transformation,
     project_family,
     project_row,
     signed_permutations,
@@ -73,31 +72,8 @@ class TestStats:
     def test_permutation_class(self):
         w = Permutation((2, 3, 1))
         assert w(1) == 2 and w(3) == 1
-        assert w.inverse() == Permutation((3, 1, 2))
         with pytest.raises(ValueError):
             Permutation((1, 3))
-
-
-class TestFundamentalTransformation:
-    def test_single_cycle_word(self):
-        # cycle (1 2 3) written with its smallest element last
-        assert fundamental_transformation((2, 3, 1)).word == (2, 3, 1)
-        assert fundamental_transformation((3, 1, 2)).word == (3, 2, 1)
-
-    def test_identity_fixed(self):
-        ident = tuple(range(1, 6))
-        assert fundamental_transformation(ident).word == ident
-
-    def test_statistic_transport(self):
-        # excedances of the inverse match descents of the image, group-wide
-        for n in range(1, 6):
-            seen = set()
-            for w in symmetric_group(n):
-                img = fundamental_transformation(w).word
-                seen.add(img)
-                assert stats(Permutation(w).inverse()).exc == stats(img).des
-            # and the map is a bijection
-            assert len(seen) == sum(1 for _ in symmetric_group(n))
 
 
 class TestGroupIterators:

@@ -1,4 +1,4 @@
-"""Sturm counting, root isolation and interlacing decisions."""
+"""Sturm counting, real rootedness and interlacing decisions."""
 
 import random
 from collections import Counter
@@ -6,27 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from eulerian_lab._intpoly import (
-    IntPoly,
-    _cauchy_index,
-    _derivative,
-    _gcd,
-    _int_poly,
-    _neg,
-    _quo,
-    _sturm_chain,
-    _sub,
-    _yun,
-)
-from eulerian_lab.poly import ONE, X, ZERO, Poly, poly_gcd, reciprocal, squarefree_part
+from eulerian_lab._intpoly import _cauchy_index, _int_poly, _sturm_chain
+from eulerian_lab.poly import ONE, X, ZERO, Poly, reciprocal
 from eulerian_lab.roots import (
     interlaces,
     interlacing_failures,
     interlacing_symmetric_decomposition,
     is_interlacing_sequence,
     is_real_rooted,
-    isolate_roots,
-    sturm_distinct_real_roots,
 )
 from eulerian_lab.simplicial import (
     barycentric_f_triangle,
@@ -40,36 +27,60 @@ from eulerian_lab.suites import (
     binomial_base,
     conjecture_cases,
     derangement_sample_cases,
-    eulerian_combination_sample_cases,
     theorem1_sample_cases,
 )
 from eulerian_lab.transforms import dnk, eulerian, generic_hnk, generic_lnk, qnk
+from oracles import (
+    list_interlaces,
+    oracle_gcd,
+    oracle_squarefree_decomposition,
+    oracle_squarefree_part,
+)
 
 
 def P(*coeffs) -> Poly:
     return Poly(coeffs)
 
 
+def distinct_real_roots(p: Poly) -> int:
+    """The kernel's count of distinct real roots of a nonconstant p: the
+    Cauchy index of its Sturm chain, which is_real_rooted compares with
+    the number of distinct roots."""
+    return _cauchy_index(_sturm_chain(_int_poly(p.coeffs)))
+
+
+# Quadratics without a real root: (x - c)^2 + e with e > 0.
+ROOT_FREE = (P(1, 0, 1), P(1, 1, 1), P(Fraction(37, 4), -6, 1), P(Fraction(1, 9), Fraction(2, 3), 2))
+
+
 class TestSturmCounting:
     def test_full_line_count(self):
         # x^2 - 3x + 2 has roots 1 and 2
-        assert sturm_distinct_real_roots(P(2, -3, 1)) == 2
-        assert sturm_distinct_real_roots(P(1, 1, 1)) == 0
-
-    def test_half_open_interval(self):
-        p = P(2, -3, 1)
-        assert sturm_distinct_real_roots(p, 0, 1) == 1  # (0, 1] holds root 1
-        assert sturm_distinct_real_roots(p, 1, 2) == 1  # (1, 2] holds root 2
-        assert sturm_distinct_real_roots(p, 2, 5) == 0
+        assert distinct_real_roots(P(2, -3, 1)) == 2
+        assert distinct_real_roots(P(1, 1, 1)) == 0
 
     def test_multiplicities_collapse(self):
         # distinct roots only: (x-1)^3 counts once
-        assert sturm_distinct_real_roots(P(-1, 3, -3, 1)) == 1
+        assert distinct_real_roots(P(-1, 3, -3, 1)) == 1
 
-    def test_one_sided_infinite(self):
-        p = P(2, -3, 1)
-        assert sturm_distinct_real_roots(p, None, Fraction(3, 2)) == 1
-        assert sturm_distinct_real_roots(p, Fraction(3, 2), None) == 1
+    def test_random_products(self):
+        """Counts on polynomials built from their roots, an oracle that
+        shares no code with the Sturm kernel."""
+        rng = random.Random(20231107)
+        for _ in range(150):
+            roots = {}
+            for _ in range(rng.randint(1, 5)):
+                roots[Fraction(rng.randint(-12, 12), rng.randint(1, 6))] = rng.randint(1, 3)
+            p = P(rng.choice(ORACLE_LEADS))
+            for r, m in roots.items():
+                p = p * P(-r, 1) ** m
+            for _ in range(rng.randrange(3)):
+                p = p * rng.choice(ROOT_FREE) ** rng.randint(1, 2)
+            assert distinct_real_roots(p) == len(roots), p
+            assert is_real_rooted(p) == (p.deg() == sum(roots.values())), p
+
+    def test_no_real_root(self):
+        assert distinct_real_roots(ROOT_FREE[1] * ROOT_FREE[2] ** 2) == 0
 
 
 class TestRealRooted:
@@ -86,71 +97,6 @@ class TestRealRooted:
 
     def test_repeated_roots_allowed(self):
         assert is_real_rooted(P(1, 2, 1) * P(0, 0, 1))
-
-
-class TestIsolation:
-    def test_exact_rational_roots(self):
-        recs = isolate_roots(P(2, -3, 1))
-        vals = []
-        for rec in recs:
-            assert rec.multiplicity == 1
-            if rec.is_exact():
-                vals.append(rec.lo)
-        assert len(recs) == 2
-
-    def test_irrational_pair(self):
-        # 1 + 4x + x^2 has roots -2 +- sqrt(3)
-        recs = isolate_roots(P(1, 4, 1), max_width=Fraction(1, 64))
-        assert len(recs) == 2
-        lo_root, hi_root = recs
-        assert lo_root.hi < hi_root.lo  # disjoint and ordered
-        for rec, target in ((lo_root, -3.732), (hi_root, -0.268)):
-            assert rec.width() <= Fraction(1, 64)
-            assert float(rec.lo) <= target + 0.02 and target - 0.02 <= float(rec.hi)
-
-    def test_multiplicity_reported(self):
-        recs = isolate_roots(P(1, 2, 1) * P(0, 1))
-        mults = sorted(r.multiplicity for r in recs)
-        assert mults == [1, 2]
-
-    def test_zero_poly_rejected(self):
-        with pytest.raises(ValueError):
-            isolate_roots(ZERO)
-
-
-# Quadratics without a real root: (x - c)^2 + e with e > 0.
-ROOT_FREE = (P(1, 0, 1), P(1, 1, 1), P(Fraction(37, 4), -6, 1), P(Fraction(1, 9), Fraction(2, 3), 2))
-
-
-class TestIsolationOnKnownRoots:
-    """isolate_roots against polynomials built from their roots, an oracle
-    that shares no code with the Sturm and Yun kernel."""
-
-    def test_random_products(self):
-        rng = random.Random(20231107)
-        widths = (None, Fraction(1, 8), Fraction(1, 1024))
-        for index in range(150):
-            roots = {}
-            for _ in range(rng.randint(1, 5)):
-                roots[Fraction(rng.randint(-12, 12), rng.randint(1, 6))] = rng.randint(1, 3)
-            p = P(rng.choice(ORACLE_LEADS))
-            for r, m in roots.items():
-                p = p * P(-r, 1) ** m
-            for _ in range(rng.randrange(3)):
-                p = p * rng.choice(ROOT_FREE) ** rng.randint(1, 2)
-            max_width = widths[index % 3]
-            recs = isolate_roots(p, max_width=max_width)
-            assert len(recs) == len(roots), (p, recs)
-            for rec, r in zip(recs, sorted(roots)):
-                assert rec.lo == rec.hi == r or rec.lo < r < rec.hi, (p, rec, r)
-                assert rec.multiplicity == roots[r], (p, rec, r)
-                if max_width is not None:
-                    assert rec.width() <= max_width
-            for left, right in zip(recs, recs[1:]):
-                assert left.hi <= right.lo
-
-    def test_no_real_root(self):
-        assert isolate_roots(ROOT_FREE[1] * ROOT_FREE[2] ** 2) == ()
 
 
 class TestInterlaces:
@@ -198,36 +144,33 @@ class TestInterlaces:
         assert interlacing_failures(seq) == [(0, 2)]
 
 
-def root_list_interlaces(p: Poly, q: Poly) -> bool:
-    """Reference decision on descending root lists, for nonconstant p, q.
-
-    The roots come from isolate_roots alone.  p*q and p*q^2 have the same
-    distinct real roots, so the k-th intervals of their isolations locate
-    the same root, with multiplicities m_p + m_q and m_p + 2 m_q there.
-    Equal roots get equal indices, and a larger root a larger index.
-    """
-    once = isolate_roots(p * q)
-    twice = isolate_roots(p * q * q)
-    assert len(once) == len(twice)
-    a_desc: list[int] = []
-    b_desc: list[int] = []
-    for k in reversed(range(len(once))):
-        m1, m2 = once[k].multiplicity, twice[k].multiplicity
-        a_desc += [k] * (2 * m1 - m2)
-        b_desc += [k] * (m2 - m1)
-    if len(a_desc) < p.deg() or len(b_desc) < q.deg():
-        return False  # a root is not real
-    if len(b_desc) - len(a_desc) not in (0, 1):
+def root_list_interlaces(a_roots, b_roots) -> bool:
+    """Reference decision on the root multisets of nonconstant p and q,
+    with None for a polynomial that has a root off the real line."""
+    if a_roots is None or b_roots is None:
         return False
-    return all(b_desc[i] >= a_desc[i] for i in range(len(a_desc))) and all(
-        a_desc[i] >= b_desc[i + 1] for i in range(len(b_desc) - 1)
-    )
+    return list_interlaces(sorted(a_roots, reverse=True), sorted(b_roots, reverse=True))
 
 
 ORACLE_ROOTS = sorted({Fraction(a, b) for a in range(-3, 4) for b in (1, 2, 3)})
 ORACLE_LEADS = (1, -1, 2, Fraction(-3, 2), Fraction(2, 3))
 NON_REAL = P(1, 1, 1)
 IRRATIONAL = (P(-2, 0, 1), P(1, 3, 1))  # roots +-sqrt 2 and (-3 +- sqrt 5)/2
+
+# The root list of each factor without rational roots: None for NON_REAL,
+# and for an IRRATIONAL factor one rational stand-in per root, between the
+# same two consecutive ORACLE_ROOTS as the root.  A stand-in then compares
+# with every oracle root and every other stand-in as its root does, which
+# is all an alternation reads (test_stand_ins_keep_the_order_of_the_roots).
+FACTOR_ROOTS = {
+    NON_REAL: None,
+    IRRATIONAL[0]: [Fraction(-17, 12), Fraction(17, 12)],
+    IRRATIONAL[1]: [Fraction(-21, 8), Fraction(-5, 12)],
+}
+
+
+def with_factor(roots, factor_roots):
+    return None if roots is None or factor_roots is None else roots + factor_roots
 
 
 def from_roots(roots, lead=1) -> Poly:
@@ -237,8 +180,9 @@ def from_roots(roots, lead=1) -> Poly:
     return p
 
 
-def random_pair(rng: random.Random) -> tuple[Poly, Poly]:
-    """A pair with deg q - deg p in {0, 1, 2} before an occasional swap.
+def random_pair(rng: random.Random):
+    """A pair (p, q) with deg q - deg p in {0, 1, 2} before an occasional
+    swap, with the root lists [a_roots, b_roots] it was built from.
 
     Most pairs start from one sorted list dealt out alternately, so
     they interlace until a perturbation or an extra factor breaks them."""
@@ -254,35 +198,63 @@ def random_pair(rng: random.Random) -> tuple[Poly, Poly]:
         b_roots = [rng.choice(ORACLE_ROOTS) for _ in range(m + gap)]
     p = from_roots(a_roots, rng.choice(ORACLE_LEADS))
     q = from_roots(b_roots, rng.choice(ORACLE_LEADS))
+    roots = [a_roots, b_roots]
     roll = rng.random()
     if roll < 0.2:
-        linear = P(-rng.choice(ORACLE_ROOTS), 1)
-        common = rng.choice(IRRATIONAL + (NON_REAL, linear, linear**2))
+        r = rng.choice(ORACLE_ROOTS)
+        linear = P(-r, 1)
+        common, common_roots = rng.choice(
+            [(f, FACTOR_ROOTS[f]) for f in IRRATIONAL + (NON_REAL,)]
+            + [(linear, [r]), (linear**2, [r, r])]
+        )
         p, q = p * common, q * common
+        roots = [with_factor(rs, common_roots) for rs in roots]
     elif roll < 0.35:
         extra = rng.choice((NON_REAL,) + IRRATIONAL)
-        p, q = (p * extra, q) if rng.random() < 0.5 else (p, q * extra)
+        side = 0 if rng.random() < 0.5 else 1
+        p, q = (p * extra, q) if side == 0 else (p, q * extra)
+        roots[side] = with_factor(roots[side], FACTOR_ROOTS[extra])
     elif roll < 0.45:
-        power = P(-rng.choice(ORACLE_ROOTS), 1) ** rng.choice((2, 3))
-        p, q = (p * power, q) if rng.random() < 0.5 else (p, q * power)
+        r, k = rng.choice(ORACLE_ROOTS), rng.choice((2, 3))
+        side = 0 if rng.random() < 0.5 else 1
+        power = P(-r, 1) ** k
+        p, q = (p * power, q) if side == 0 else (p, q * power)
+        roots[side] = roots[side] + [r] * k
     if rng.random() < 0.1:
-        p, q = q, p
-    return p, q
+        p, q, roots = q, p, roots[::-1]
+    return p, q, roots
 
 
 class TestInterlacesAgainstRootLists:
+    def test_stand_ins_keep_the_order_of_the_roots(self):
+        # each stand-in sits in a gap between consecutive oracle roots where
+        # its factor changes sign, and no two stand-ins share a gap; a
+        # quadratic has two roots, so each gap holds exactly one of them
+        gaps = []
+        for factor in IRRATIONAL:
+            stand_ins = FACTOR_ROOTS[factor]
+            assert len(stand_ins) == factor.deg()
+            for s in stand_ins:
+                lo = max(r for r in ORACLE_ROOTS if r < s)
+                hi = min(r for r in ORACLE_ROOTS if r > s)
+                assert factor.evaluate(lo) * factor.evaluate(hi) < 0, (factor, s)
+                gaps.append((lo, hi))
+        assert len(set(gaps)) == len(gaps)
+        # e.g. sqrt 2: 1 < 2 < (3/2)^2 and 1 < 17/12 < 3/2
+        assert gaps[1] == (1, Fraction(3, 2))
+
     def test_random_pairs_match_oracle(self):
         rng = random.Random(20230201)
         seen = dict.fromkeys(
             ("shared", "repeated", "non-real", "non-integer", "lead+", "lead-",
              "gap0", "gap1", "gap2", "true", "false"), 0)
         for _ in range(400):
-            p, q = random_pair(rng)
-            expected = root_list_interlaces(p, q)
+            p, q, roots = random_pair(rng)
+            expected = root_list_interlaces(*roots)
             assert interlaces(p, q) == expected, (p, q)
             seen["true" if expected else "false"] += 1
-            seen["shared"] += poly_gcd(p, q).deg() > 0
-            seen["repeated"] += any(squarefree_part(f).deg() < f.deg() for f in (p, q))
+            seen["shared"] += oracle_gcd(p, q).deg() > 0
+            seen["repeated"] += any(oracle_squarefree_part(f).deg() < f.deg() for f in (p, q))
             seen["non-real"] += not (is_real_rooted(p) and is_real_rooted(q))
             seen["non-integer"] += any(c.denominator > 1 for f in (p, q) for c in f)
             seen["lead+"] += p.leading() > 0
@@ -293,38 +265,34 @@ class TestInterlacesAgainstRootLists:
 
     def test_binomial_counterexample(self):
         hs = binomial_base(2)
-        for row in (
-            [generic_hnk(hs, 2, k) for k in range(3)],
-            [generic_lnk(hs, 2, k) for k in range(3)],
+        half = Fraction(-1, 2)
+        for row, roots in (
+            # (1+x)^2, (1+x)(1+2x), (1+2x)^2
+            ([generic_hnk(hs, 2, k) for k in range(3)], ([-1, -1], [-1, half], [half, half])),
+            # (1+x)^2, x(1+x), x^2
+            ([generic_lnk(hs, 2, k) for k in range(3)], ([-1, -1], [-1, 0], [0, 0])),
         ):
+            assert row == [from_roots(r, f.leading()) for r, f in zip(roots, row)]
             assert interlacing_failures(row) == [(0, 2)]
             for i in range(3):
                 for j in range(3):
-                    assert interlaces(row[i], row[j]) == root_list_interlaces(row[i], row[j])
+                    assert interlaces(row[i], row[j]) == root_list_interlaces(roots[i], roots[j])
 
     def test_pinned_pairs(self):
         x2, x1sq = P(0, 0, 1), P(1, -2, 1)
         assert not interlaces(x2, x1sq) and not interlaces(x1sq, x2)
-        assert not root_list_interlaces(x2, x1sq)
+        assert not root_list_interlaces([0, 0], [1, 1])
         # x^2 (x-1) below x (x-1)^2: roots 1, 0, 0 against 1, 1, 0
         p, q = x2 * P(-1, 1), P(0, 1) * x1sq
-        assert interlaces(p, q) and root_list_interlaces(p, q)
-        assert not interlaces(q, p) and not root_list_interlaces(q, p)
+        assert interlaces(p, q) and root_list_interlaces([1, 0, 0], [1, 1, 0])
+        assert not interlaces(q, p) and not root_list_interlaces([1, 1, 0], [1, 0, 0])
         # triple roots: W = -3x^2 (x-1)^2 <= 0, but 0, 0, 0 against 1, 1, 1
         # does not alternate; the Cauchy index of x^3 / (x-1)^3 is 1, not 3
         cube, shifted = P(0, 0, 0, 1), P(-1, 3, -3, 1)
-        assert not interlaces(cube, shifted) and not root_list_interlaces(cube, shifted)
+        assert not interlaces(cube, shifted) and not root_list_interlaces([0, 0, 0], [1, 1, 1])
         for f in (P(3, 4, 1), x2, P(-1, 3, -3, 1), P(1, 0, 1)):
             assert interlaces(f, f) == is_real_rooted(f)
             assert interlaces(f, -f * 2) == is_real_rooted(f)
-
-
-def _product(a: IntPoly, b: IntPoly) -> IntPoly:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
 
 
 def oracle_interlaces_wronskian(p: Poly, q: Poly) -> bool:
@@ -337,7 +305,10 @@ def oracle_interlaces_wronskian(p: Poly, q: Poly) -> bool:
     Otherwise, with both leading coefficients made positive, p interlaces q
     exactly when the Wronskian W = p'q - pq' of the quotients is <= 0 on
     the real line (Braenden): W is zero, or W has even degree, a negative
-    leading coefficient and no real root of odd multiplicity.
+    leading coefficient and no real root of odd multiplicity.  The gcd and
+    the squarefree factors come from the Fraction routines of
+    ``oracles``; only the root count of each factor is read off a
+    Sturm chain.
     """
     if p.is_zero():
         return is_real_rooted(q)
@@ -349,22 +320,23 @@ def oracle_interlaces_wronskian(p: Poly, q: Poly) -> bool:
         return False
     if not (is_real_rooted(p) and is_real_rooted(q)):
         return False
-    f, h = _int_poly(p.coeffs), _int_poly(q.coeffs)
-    g = _gcd(f, h)
-    f, h = _quo(f, g), _quo(h, g)
-    if any(len(_gcd(u, _derivative(u))) > 1 for u in (f, h)):
+    g = oracle_gcd(p, q)
+    f, h = p.exact_div(g), q.exact_div(g)
+    if any(oracle_gcd(u, u.derivative()).deg() > 0 for u in (f, h)):
         return False
-    if f[-1] < 0:
-        f = _neg(f)
-    if h[-1] < 0:
-        h = _neg(h)
-    w = _sub(_product(_derivative(f), h), _product(f, _derivative(h)))
-    if not w:
+    if f.leading() < 0:
+        f = -f
+    if h.leading() < 0:
+        h = -h
+    w = f.derivative() * h - f * h.derivative()
+    if w.is_zero():
         return True
-    if len(w) % 2 == 0 or w[-1] > 0:
+    if w.deg() % 2 or w.leading() > 0:
         return False
     return all(
-        _cauchy_index(_sturm_chain(factor)) == 0 for factor, mult in _yun(w) if mult % 2
+        distinct_real_roots(factor) == 0
+        for factor, mult in oracle_squarefree_decomposition(w)
+        if mult % 2
     )
 
 
@@ -639,10 +611,10 @@ class TestInterlacingSequences:
             elif all(p.deg() >= 1 and p.leading() > 0 for p in row):
                 seen["certified"] += 1
                 seen["certified-shared"] += any(
-                    poly_gcd(p, q).deg() > 0 for p, q in zip(row, row[1:])
+                    oracle_gcd(p, q).deg() > 0 for p, q in zip(row, row[1:])
                 )
                 seen["certified-repeated"] += any(
-                    squarefree_part(p).deg() < p.deg() for p in row
+                    oracle_squarefree_part(p).deg() < p.deg() for p in row
                 )
                 seen["certified-degree-step"] += row[0].deg() < row[-1].deg()
         assert min(seen.values()) >= 10, seen
@@ -705,8 +677,13 @@ class TestDecompositionVerdict:
             for c in derangement_sample_cases(n, 3, n):
                 image = Poly.from_text(c.detail.split("image ")[1].split(";")[0])
                 inputs.append((reciprocal(image, n), n))
-            for c in eulerian_combination_sample_cases(n, 3, n):
-                inputs.append((X * Poly.from_text(c.detail.split("s = ")[1]), n))
+            # x s for s in the cone of A_n, A_n + A_(n-1), A_n + 2A_(n-1) + A_(n-2)
+            a, a1, a2 = eulerian(n), eulerian(n - 1), eulerian(n - 2)
+            cone = (a, a + a1, a + 2 * a1 + a2)
+            rng = random.Random(n)
+            for _ in range(3):
+                weights = [Fraction(rng.randrange(100), rng.randrange(1, 10)) for _ in cone]
+                inputs.append((X * sum((w * g for w, g in zip(weights, cone)), ZERO), n))
         # random nonnegative splits, most of which do not interlace
         rng = random.Random(20231108)
         while len(inputs) < 200:

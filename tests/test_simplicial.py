@@ -66,7 +66,7 @@ class TestSimplicialComplex:
         void = SimplicialComplex(faces=(), vertex_order=())
         assert void.is_void()
         point = SimplicialComplex.from_facets([(1,)])
-        assert point.dim() == 0 and point.f_vector() == (1, 1)
+        assert point.f_vector() == (1, 1)
 
     def test_induced(self):
         c = SimplicialComplex.from_facets([(1, 2, 3)])
