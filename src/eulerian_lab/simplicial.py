@@ -7,14 +7,18 @@ smallest face of 2^V containing it.  Every h / interior-h / theta / local-h
 computation then reduces to one table counting faces by (carrier, size),
 so restrictions to faces of 2^V are submask sums and never materialize new
 complexes.  The f-triangle abstraction keeps only those counts per face
-size, which is all the uniform-triangulation theory consumes.
+size, which is all the uniform-triangulation theory consumes.  An
+FTriangle owns the rows derived from it, the h-polynomials of its
+restrictions and their interior face counts: each is computed on first
+use and lives as long as the triangle, and no cache is keyed by a
+triangle.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -382,7 +386,7 @@ def _subdivision_face_count(fv: Sequence[int], family: str, r: int = 1) -> int:
     subdivision of exactly one face of the complex, so the count is
     sum_j f_j sum_i f^int(i, j)."""
     triangle = family_f_triangle(family, max(len(fv) - 1, 0), r)
-    return sum(c * sum(_ft_interior_counts(triangle, j)) for j, c in enumerate(fv))
+    return sum(c * sum(triangle.interior_rows[j]) for j, c in enumerate(fv))
 
 
 def sd_complex(complex: SimplicialComplex) -> SimplicialComplex:
@@ -558,6 +562,23 @@ class FTriangle:
             raise ValueError(f"face size {j} out of range 0..{self.n}")
         return self.rows[j][i] if 0 <= i <= j else 0
 
+    @cached_property
+    def h_rows(self) -> tuple[Poly, ...]:
+        """h-polynomials of the restrictions, m = 0..n.  Derived rows are built
+        on first use and are not fields: ==, hash, repr and to_json skip them."""
+        return tuple(_h_from_counts(enumerate(r), m) for m, r in enumerate(self.rows))
+
+    @cached_property
+    def interior_rows(self) -> tuple[tuple[int, ...], ...]:
+        """[m][i]: i-element faces interior to the size-m restriction."""
+        return tuple(
+            tuple(
+                sum((-1) ** (m - j) * comb(m, j) * self.f(i, j) for j in range(i, m + 1))
+                for i in range(m + 1)
+            )
+            for m in range(self.n + 1)
+        )
+
     def to_json(self) -> str:
         return json.dumps(
             {"n": self.n, "f": [list(row) for row in self.rows]},
@@ -571,7 +592,13 @@ class FTriangle:
             data = json.loads(text)
             n = data["n"]
             rows = tuple(tuple(row) for row in data["f"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (
+            json.JSONDecodeError,
+            KeyError,
+            RecursionError,  # arrays nested deeper than the decoder's stack
+            TypeError,
+            ValueError,
+        ) as exc:
             raise ValueError(f"malformed f-triangle document: {exc}") from None
         # only JSON integers: a bool, float or string is not a face count
         if type(n) is not int or any(type(c) is not int for row in rows for c in row):
@@ -684,32 +711,20 @@ def barycentric_f_triangle(n: int) -> FTriangle:
     return family_f_triangle("barycentric", n)
 
 
-@lru_cache(maxsize=None)
 def ft_h(triangle: FTriangle, m: int) -> Poly:
     """h-polynomial of the restriction to an m-element base face."""
     if not 0 <= m <= triangle.n:
         raise ValueError(f"m={m} out of range 0..{triangle.n}")
-    return _h_from_counts(enumerate(triangle.rows[m]), m)
+    return triangle.h_rows[m]
 
 
-@lru_cache(maxsize=None)
-def _ft_interior_counts(triangle: FTriangle, m: int) -> tuple[int, ...]:
-    return tuple(
-        sum(
-            (-1) ** (m - j) * comb(m, j) * triangle.f(i, j) for j in range(m + 1)
-        )
-        for i in range(m + 1)
-    )
-
-
-@lru_cache(maxsize=None)
 def ft_h_interior(triangle: FTriangle, m: int) -> Poly:
     """Interior h-polynomial via inclusion-exclusion over subfaces; must be
     the reversal of ft_h, else the triangle is not a triangulation."""
     if not 0 <= m <= triangle.n:
         raise ValueError(f"m={m} out of range 0..{triangle.n}")
-    total = _h_from_counts(enumerate(_ft_interior_counts(triangle, m)), m)
-    expected = reciprocal(ft_h(triangle, m), m)
+    total = _h_from_counts(enumerate(triangle.interior_rows[m]), m)
+    expected = reciprocal(triangle.h_rows[m], m)
     if total != expected:
         raise ValueError(
             f"interior h at size {m} is {total!r}, not the reversal "
@@ -724,7 +739,7 @@ def ft_boundary_h(triangle: FTriangle, m: int) -> Poly:
         raise ValueError(f"m={m} out of range 0..{triangle.n}")
     if m == 0:
         return ZERO
-    interior = _ft_interior_counts(triangle, m)
+    interior = triangle.interior_rows[m]
     boundary = [triangle.f(i, m) - interior[i] for i in range(m + 1)]
     if boundary[m] != 0 or any(c < 0 for c in boundary):
         raise ValueError(
@@ -739,21 +754,16 @@ def ft_theta(triangle: FTriangle, m: int) -> Poly:
     return ft_h(triangle, m) - ft_boundary_h(triangle, m)
 
 
-@lru_cache(maxsize=None)
-def _ft_h_sequence(triangle: FTriangle) -> tuple[Poly, ...]:
-    return tuple(ft_h(triangle, m) for m in range(triangle.n + 1))
-
-
 def ft_qnk(triangle: FTriangle, m: int, k: int) -> Poly:
     """The additive family over the triangulation's h-sequence; the k = 0
     member is the restriction h-polynomial."""
-    return generic_hnk(_ft_h_sequence(triangle), m, k)
+    return generic_hnk(triangle.h_rows, m, k)
 
 
 def ft_lnk(triangle: FTriangle, m: int, k: int) -> Poly:
     """The alternating family; at k = m this is the local h-polynomial of
     the restriction."""
-    return generic_lnk(_ft_h_sequence(triangle), m, k)
+    return generic_lnk(triangle.h_rows, m, k)
 
 
 def ft_interior_transform(triangle: FTriangle) -> LinearTransform:
@@ -875,12 +885,17 @@ def identity_suite(t: CarriedTriangulation) -> list[IdentityCase]:
     )
     record("local-h-from-theta", f"{lhs!r} vs {rhs!r}", lhs == rhs)
 
+    # theta_F d(n - |F|, n - |E u F|) depends on E only through |E u F|
+    relative = {
+        (f, u): theta * dnk(n - int.bit_count(f), n - u)
+        for f, theta in thetas.items()
+        for u in range(int.bit_count(f), n + 1)
+    }
     for emask in range(1 << n):
         e = int.bit_count(emask)
         lhs = t.local_h(emask)
         rhs = linear_combination(
-            (1, theta * dnk(n - int.bit_count(f), n - int.bit_count(emask | f)), 0)
-            for f, theta in thetas.items()
+            (1, relative[f, int.bit_count(emask | f)], 0) for f in thetas
         )
         record("relative-local-h-from-theta", f"E mask {emask}", lhs == rhs)
 

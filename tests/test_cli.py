@@ -272,9 +272,13 @@ class TestFTriangleRoundTrip:
             # segment with 3 vertices and 3 edges, and a point with 5 vertices
             '{"n": 2, "f": [[1], [1, 1], [1, 3, 3]]}',
             '{"n": 1, "f": [[1], [1, 5]]}',
+            # nested past the decoder's recursion limit
+            "[" * 200_000,
+            '{"n": 1, "f": ' + "[" * 200_000 + "]" * 200_000 + "}",
         ],
         ids=["missing-f", "fraction", "string", "bool-n", "overflow",
-             "three-edge-segment", "five-vertex-point"],
+             "three-edge-segment", "five-vertex-point", "deep-array",
+             "deep-f"],
     )
     def test_malformed_file_exits_two(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"

@@ -1,7 +1,10 @@
-"""The package's public surface and the bounds of its integer-keyed memos."""
+"""The package's public surface and the bounds of its memos."""
+
+import importlib
+import pkgutil
 
 import eulerian_lab
-from eulerian_lab import poly, roots, simplicial
+from eulerian_lab import roots
 
 
 def test_public_names_resolve():
@@ -14,5 +17,13 @@ def test_public_names_resolve():
 
 
 def test_power_caches_are_bounded():
-    for cached in (poly.one_plus_x_power, simplicial._one_minus_x_power):
-        assert cached.cache_info().maxsize is not None
+    # every memo in the package, private ones included, has a finite size
+    memos = {}
+    for info in pkgutil.iter_modules(eulerian_lab.__path__, "eulerian_lab."):
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            if callable(getattr(value, "cache_info", None)):
+                memos[f"{info.name}.{name}"] = value.cache_info().maxsize
+    assert "eulerian_lab.simplicial._one_minus_x_power" in memos
+    assert "eulerian_lab.poly.one_plus_x_power" in memos
+    assert [name for name, size in memos.items() if size is None] == []

@@ -356,6 +356,24 @@ class TestFTriangle:
             FTriangle.from_json(json.dumps({"n": 1}))
         with pytest.raises(ValueError):
             FTriangle.from_json(json.dumps({"n": 1, "f": [[1], [1]]}))
+        # nesting past the decoder's recursion limit is malformed, not a crash
+        deep = "[" * 200_000 + "]" * 200_000
+        for text in ("[" * 200_000, deep, '{"n": 1, "f": ' + deep + "}"):
+            with pytest.raises(ValueError, match="malformed"):
+                FTriangle.from_json(text)
+
+    def test_derived_rows_belong_to_the_triangle(self):
+        ft = FTriangle(n=4, rows=barycentric_f_triangle(4).rows)
+        before = (repr(ft), hash(ft), ft.to_json())
+        twin = FTriangle.from_json(ft.to_json())  # its validation built its rows
+        assert ft.h_rows is ft.h_rows and ft.interior_rows is ft.interior_rows
+        assert ft.h_rows == twin.h_rows and ft.interior_rows == twin.interior_rows
+        assert ft.h_rows == tuple(ft_h(ft, m) for m in range(5))
+        assert ft.h_rows[4] == eulerian(4)
+        # the interior faces of the subdivided tetrahedron: its barycenter and
+        # the cones from it over the 14 + 36 + 24 faces of the boundary
+        assert ft.interior_rows[4] == (0, 1, 14, 36, 24)
+        assert ft == twin and (repr(ft), hash(ft), ft.to_json()) == before
 
     @pytest.mark.parametrize(
         "text",
