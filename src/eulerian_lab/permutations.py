@@ -207,24 +207,30 @@ def des_B(w: Word) -> int:
 def _des_B_tally(n: int) -> list[int]:
     """How many signed permutations of size n have each value of des_B.
 
-    Walks every signed word, as signed_permutations does, without building
-    it: bit i of the sign mask negates position i of the base permutation,
-    and des_B counts the positions whose value is below the one before,
-    starting from a fixed 0.
+    A signed word is a base permutation with the positions in a sign mask
+    negated, and des_B counts the positions whose value is below the one
+    before, starting from a fixed 0.  Between positions i and i + 1 the
+    comparison reads the base only through whether it descends there: two
+    positive values descend when the base does, two negative ones when it
+    ascends, + then - always descends and - then + never does.  So S_n is
+    tallied once by descent mask (bit i: base[i] > base[i + 1]), and each
+    sign mask is evaluated against each descent mask with bit operations.
     """
     _check_signed_budget(n)
+    by_descents = Counter(
+        sum(1 << i for i in range(n - 1) if base[i] > base[i + 1])
+        for base in itertools.permutations(range(1, n + 1))
+    )
+    inner = (1 << max(n - 1, 0)) - 1
     tally = [0] * (n + 1)
-    sign_masks = range(1 << n)
-    for base in itertools.permutations(range(1, n + 1)):
-        for smask in sign_masks:
-            prev = d = 0
-            for i, v in enumerate(base):
-                if smask >> i & 1:
-                    v = -v
-                if prev > v:
-                    d += 1
-                prev = v
-            tally[d] += 1
+    for smask in range(1 << n):
+        # bit i of neg_here / neg_next: position i / i + 1 is negated
+        neg_here, neg_next = smask & inner, smask >> 1 & inner
+        mixed = neg_here ^ neg_next
+        first = smask & 1
+        for dmask, count in by_descents.items():
+            descents = (dmask ^ neg_here) & ~mixed | neg_next & mixed
+            tally[first + (descents & inner).bit_count()] += count
     return tally
 
 

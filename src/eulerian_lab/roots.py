@@ -10,23 +10,27 @@ many distinct real roots as it has distinct roots.  Interlacing rests on
 two facts:
 
 * the Cauchy index: for q != 0, the signed remainder sequence
-  q, p, -rem(q, p), ... ends in gcd(p, q), and its sign variations at
+  q, p, -rem(q, p), ... ends in g = gcd(p, q), and its sign variations at
   -inf minus those at +inf are the Cauchy index Ind(p/q) over the real
   line (Sturm-Tarski; S. Basu, R. Pollack and M.-F. Roy, "Algorithms in
-  Real Algebraic Geometry", Thm 2.58).  For real rooted p, q with
-  positive leading coefficients and deg q - deg p in {0, 1}, p interlaces
-  q exactly when Ind(p/q) = deg q - deg gcd(p, q) (S. Fisk, "Polynomials,
-  roots, and interlacing", arXiv:math/0612833; the proof is in
-  ``interlaces``).  Real rootedness is checked first, since the index does
-  not see a common factor of p and q without real roots;
+  Real Algebraic Geometry", Thm 2.58).  For p, q with positive leading
+  coefficients and deg q - deg p in {0, 1}, "p and q are real rooted and
+  p interlaces q" holds exactly when Ind(p/q) = deg q - deg g and g is
+  real rooted (S. Fisk, "Polynomials, roots, and interlacing",
+  arXiv:math/0612833; the proof is in ``interlaces``).  So one sequence
+  decides real rootedness and interlacing together: g is nearly always a
+  constant or x, and it needs a Sturm chain of its own only when its
+  degree is 2 or more.  A passed decision certifies both members real
+  rooted, and callers read that off the verdict;
 * the chain lemma: for real rooted, nonconstant f_0..f_n with positive
   leading coefficients, f_i interlaces f_(i+1) for every i and f_0
   interlaces f_n exactly when f_i interlaces f_j for all i < j
   (P. Braenden, "Unimodality, log-concavity, real-rootedness and beyond",
-  Handbook of Enumerative Combinatorics, 2015; Fisk).  A sequence that
-  meets these hypotheses is certified in n + 1 decisions, not
-  n(n + 1)/2; any other sequence, and one that fails a decision, is
-  decided pair by pair.
+  Handbook of Enumerative Combinatorics, 2015; Fisk).  A sequence of
+  nonconstant members with positive leading coefficients is certified in
+  n + 1 decisions, not n(n + 1)/2, since the passed decisions make every
+  member real rooted; any other sequence, and one that fails a decision,
+  is decided pair by pair.
 """
 
 from __future__ import annotations
@@ -35,7 +39,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from ._intpoly import _cauchy_index, _int_poly, _neg, _signed_remainders, _sturm_chain
+from ._intpoly import (
+    IntPoly,
+    _cauchy_index,
+    _int_poly,
+    _neg,
+    _signed_remainders,
+    _sturm_chain,
+)
 from .poly import Poly, is_gamma_positive, is_unimodal, symmetric_decomposition
 
 __all__ = [
@@ -51,6 +62,14 @@ __all__ = [
 # one row or one sample; a bound keeps long sampling runs from growing it.
 _REAL_ROOTED_CACHE_SIZE = 512
 
+
+def _real_rooted(f: IntPoly) -> bool:
+    """Whether a nonconstant integer polynomial has only real roots: its
+    Sturm chain counts deg f - deg gcd(f, f') distinct real roots."""
+    chain = _sturm_chain(f)
+    return _cauchy_index(chain) == len(f) - len(chain[-1])
+
+
 # -- public decisions ----------------------------------------------------------
 
 
@@ -65,8 +84,7 @@ def is_real_rooted(p: Poly) -> bool:
     """
     if p.deg() <= 0:
         return True
-    chain = _sturm_chain(_int_poly(p.coeffs))
-    return _cauchy_index(chain) == p.deg() - (len(chain[-1]) - 1)
+    return _real_rooted(_int_poly(p.coeffs))
 
 
 def interlaces(p: Poly, q: Poly) -> bool:
@@ -77,23 +95,31 @@ def interlaces(p: Poly, q: Poly) -> bool:
     alternation b_1 >= a_1 >= b_2 >= a_2 >= ...  Conventions: the zero
     polynomial interlaces every real rooted polynomial and conversely, and
     a nonzero constant interlaces exactly the polynomials of degree <= 1.
-    Shared roots and repeated roots are compared exactly.
+    Shared roots and repeated roots are compared exactly.  A True verdict
+    certifies that p and q are both real rooted.
 
-    No root is isolated.  After the checks on degrees and real rootedness,
-    both leading coefficients are made positive and one signed remainder
-    sequence q, p, -rem(q, p), ... is formed.  Its last entry is
-    g = gcd(p, q), and its sign variations at -inf minus those at +inf are
-    the Cauchy index Ind(p/q) (Basu, Pollack and Roy, Thm 2.58).  p
-    interlaces q exactly when Ind(p/q) = deg(q/g).  Each real pole of
+    No root is isolated, and real rootedness is not checked first.  After
+    the checks on degrees, both leading coefficients are made positive and
+    one signed remainder sequence q, p, -rem(q, p), ... is formed.  Its
+    last entry is g = gcd(p, q), and its sign variations at -inf minus
+    those at +inf are the Cauchy index Ind(p/q) (Basu, Pollack and Roy,
+    Thm 2.58).  p and q are real rooted and p interlaces q exactly when
+    Ind(p/q) = deg(q/g) and g is real rooted.  Each real pole of
     p/q = (p/g)/(q/g) adds +1, -1 or 0 to the index, so the equality holds
     exactly when q/g has deg(q/g) simple real roots and p/q has a positive
     residue (p/g)(b)/(q/g)'(b) at each of them.  Since (q/g)' alternates
     in sign over consecutive roots, so does p/g: it has a root strictly
     between any two, and, when deg p = deg q, one below the least, as p/q
-    tends to lc(p)/lc(q) > 0 at -inf from below.  q/g squarefree also
-    means that no shared root has multiplicities in p and q that differ by
-    two or more (Fisk).  That is exactly the alternation.  When p = c*q the
-    quotient q/g is constant and the index is 0 = deg(q/g).
+    tends to lc(p)/lc(q) > 0 at -inf from below.  That is every root of
+    p/g, so p/g is real rooted as well, and p = g (p/g) and q = g (q/g) are
+    real rooted exactly when g is.  q/g squarefree also means that no
+    shared root has multiplicities in p and q that differ by two or more
+    (Fisk).  That is exactly the alternation.  Conversely, real rooted p
+    and q with p interlacing q meet the equality, and g divides both, so g
+    is real rooted.  When p = c*q the quotient q/g is constant, the index
+    is 0 = deg(q/g), and the verdict is whether q is real rooted.  g is
+    nearly always a constant or x; it needs a Sturm chain of its own only
+    when deg g >= 2.
     """
     if p.is_zero():
         return is_real_rooted(q)
@@ -103,15 +129,14 @@ def interlaces(p: Poly, q: Poly) -> bool:
         return q.deg() <= 1
     if q.deg() - p.deg() not in (0, 1):
         return False
-    if not (is_real_rooted(p) and is_real_rooted(q)):
-        return False
     f, h = _int_poly(p.coeffs), _int_poly(q.coeffs)
     if f[-1] < 0:
         f = _neg(f)
     if h[-1] < 0:
         h = _neg(h)
     chain = _signed_remainders(h, f)
-    return _cauchy_index(chain) == len(h) - len(chain[-1])
+    g = chain[-1]
+    return _cauchy_index(chain) == len(h) - len(g) and (len(g) <= 2 or _real_rooted(g))
 
 
 def interlacing_failures(polys: Sequence[Poly]) -> list[tuple[int, int]]:
@@ -131,18 +156,19 @@ def interlacing_failures(polys: Sequence[Poly]) -> list[tuple[int, int]]:
     by 1.
 
     The shortcut applies only to rows of three or more members that are all
-    real rooted, nonconstant and with positive leading coefficients.  A
-    zero member would break it, since zero interlaces every real rooted
-    polynomial in both directions (the esd r = 2, n = 5 alternating row
-    ends in 0 and passes the chain, yet fails at (0, 3) and (0, 4)).  In
-    every other case, and whenever one of the n + 1 decisions fails, all
-    n(n + 1)/2 pairs are decided, so the failures listed are always the
-    complete list.
+    nonconstant and with positive leading coefficients.  Real rootedness is
+    not checked first: a passed decision certifies both of its members, and
+    every member is in one of the n + 1.  A zero member would break the
+    shortcut, since zero interlaces every real rooted polynomial in both
+    directions (the esd r = 2, n = 5 alternating row ends in 0 and passes
+    the chain, yet fails at (0, 3) and (0, 4)).  In every other case, and
+    whenever one of the n + 1 decisions fails, all n(n + 1)/2 pairs are
+    decided, so the failures listed are always the complete list.
     """
     n = len(polys) - 1
     if (
         n >= 2
-        and all(p.deg() >= 1 and p.coeffs[-1] > 0 and is_real_rooted(p) for p in polys)
+        and all(p.deg() >= 1 and p.coeffs[-1] > 0 for p in polys)
         and interlaces(polys[0], polys[n])
         and all(interlaces(polys[i], polys[i + 1]) for i in range(n))
     ):
@@ -158,8 +184,8 @@ def interlacing_failures(polys: Sequence[Poly]) -> list[tuple[int, int]]:
 def is_interlacing_sequence(polys: Sequence[Poly]) -> bool:
     """Whether every earlier entry interlaces every later one.
 
-    Through interlacing_failures, a row of real rooted, nonconstant members
-    with positive leading coefficients is certified by the chain lemma
+    Through interlacing_failures, a row of nonconstant members with positive
+    leading coefficients is certified by the chain lemma
     (Braenden, Handbook of Enumerative Combinatorics, 2015; Fisk,
     arXiv:math/0612833) in n + 1 decisions: f_i <= f_(i+1) for each i and
     f_0 <= f_n.  Consecutive
@@ -191,10 +217,13 @@ def interlacing_symmetric_decomposition(p: Poly, n: int) -> DecompositionVerdict
     parts are nonnegative it is equivalent to a interlacing p, to b
     interlacing p and to the reversal of p interlacing p, and it forces p
     to be real rooted; those routes are compared in the tests, not here.
+    A passed interlacing decision certifies a and b real rooted, so the
+    real_rooted_pair field is decided on its own only when it fails.
     """
     dec = symmetric_decomposition(p, n)
     a, b = dec.a, dec.b
     gamma_b = True if b.is_zero() else is_gamma_positive(b, n - 1)
+    interlacing = interlaces(b, a)
     return DecompositionVerdict(
         a=a,
         b=b,
@@ -202,6 +231,6 @@ def interlacing_symmetric_decomposition(p: Poly, n: int) -> DecompositionVerdict
         nonnegative=all(c >= 0 for c in a.coeffs) and all(c >= 0 for c in b.coeffs),
         unimodal_pair=is_unimodal(a) is not None and is_unimodal(b) is not None,
         gamma_positive_pair=is_gamma_positive(a, n) and gamma_b,
-        real_rooted_pair=is_real_rooted(a) and is_real_rooted(b),
-        interlacing=interlaces(b, a),
+        real_rooted_pair=interlacing or (is_real_rooted(a) and is_real_rooted(b)),
+        interlacing=interlacing,
     )

@@ -805,7 +805,9 @@ def theta_flags(triangle: FTriangle) -> ThetaFlags:
     """Structural positivity of the theta polynomials, plus the interlacing
     hypothesis: for 2 <= m < n the restriction h-polynomial is real rooted
     and theta is zero or real rooted of degree m-1 with nonnegative
-    coefficients, interlaced by the next smaller h-polynomial."""
+    coefficients, interlaced by the next smaller h-polynomial.  A passed
+    interlacing decision certifies theta real rooted, so theta is not
+    checked on its own."""
     thetas = [ft_theta(triangle, m) for m in range(triangle.n + 1)]
     unimodal = all(is_unimodal(theta) is not None for theta in thetas)
     gamma = all(is_gamma_positive(theta, m) for m, theta in enumerate(thetas))
@@ -820,7 +822,6 @@ def theta_flags(triangle: FTriangle) -> ThetaFlags:
         if (
             theta.deg() != m - 1
             or any(c < 0 for c in theta.coeffs)
-            or not is_real_rooted(theta)
             or not interlaces(ft_h(triangle, m - 1), theta)
         ):
             strong = False

@@ -24,6 +24,7 @@ from eulerian_lab.permutations import (
     xi_counts,
 )
 from eulerian_lab.poly import Poly, one_plus_x_power, reciprocal
+from oracles import oracle_des_B_tally
 
 
 def P(*coeffs) -> Poly:
@@ -107,6 +108,15 @@ class TestDesB:
                 d = des_B(w)
                 acc[d] = acc.get(d, 0) + 1
             assert Poly(tuple(acc.get(i, 0) for i in range(n + 1))) == expected
+
+    def test_tally_matches_the_signed_word_walk(self):
+        # the descent-mask tally against the walk over every signed word,
+        # and the walk against des_B on each word where that stays quick
+        for n in range(8):
+            assert perms._des_B_tally(n) == oracle_des_B_tally(n), n
+        for n in range(5):
+            tally = Counter(des_B(w) for w in signed_permutations(n))
+            assert oracle_des_B_tally(n) == [tally[d] for d in range(n + 1)], n
 
 
 class TestXiCounts:

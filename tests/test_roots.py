@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from eulerian_lab import roots as roots_module
 from eulerian_lab._intpoly import _cauchy_index, _int_poly, _sturm_chain
 from eulerian_lab.poly import ONE, X, ZERO, Poly, reciprocal
 from eulerian_lab.roots import (
@@ -20,10 +21,12 @@ from eulerian_lab.simplicial import (
     colored_barycentric,
     edgewise_subdivision,
     f_triangle,
+    family_f_triangle,
     ft_lnk,
     ft_qnk,
 )
 from eulerian_lab.suites import (
+    _row_verdicts,
     binomial_base,
     conjecture_cases,
     derangement_sample_cases,
@@ -33,6 +36,7 @@ from eulerian_lab.transforms import dnk, eulerian, generic_hnk, generic_lnk, qnk
 from oracles import (
     list_interlaces,
     oracle_gcd,
+    oracle_interlaces,
     oracle_squarefree_decomposition,
     oracle_squarefree_part,
 )
@@ -462,6 +466,160 @@ class TestInterlacesAgainstWronskian:
             for j, q in enumerate(row):
                 assert interlaces(p, q) == oracle_interlaces_wronskian(p, q), (i, j)
         assert oracle_interlacing_failures(row) == [(0, 3), (0, 4)]
+
+
+X2_PLUS_1 = P(1, 0, 1)
+
+
+def fused_pair(rng: random.Random):
+    """A pair from agreement_pair, often given a shared x^2 + 1 factor or
+    replaced by p = c*q, so that the last entry g of the remainder sequence
+    is not real rooted while the index equality can still hold.  Returns
+    (p, q, kind) with kind "shared-x2+1", "multiple" or "plain"."""
+    p, q, _ = agreement_pair(rng)
+    roll = rng.random()
+    if roll < 0.12 and not (p.is_zero() or q.is_zero()):
+        return p * X2_PLUS_1, q * X2_PLUS_1, "shared-x2+1"
+    if roll < 0.24 and q.deg() >= 1:
+        if rng.random() < 0.5:
+            q = q * rng.choice((X2_PLUS_1, NON_REAL))
+        return q * rng.choice((3, -1, Fraction(-2, 3))), q, "multiple"
+    return p, q, "plain"
+
+
+class TestFusedDecision:
+    """interlaces reads real rootedness off its one remainder sequence;
+    oracle_interlaces checks both members by a Sturm chain first."""
+
+    def test_random_pairs_agree_with_the_pre_checked_route(self):
+        rng = random.Random(20261019)
+        seen = dict.fromkeys(
+            ("true", "false", "shared-real-roots", "shared-x2+1", "multiple-non-real",
+             "zero", "constant", "gap0", "gap1", "gap2", "g-deg>=2", "index-holds-g-not-rr"),
+            0,
+        )
+        disagreements = []
+        pairs = 3000
+        for _ in range(pairs):
+            p, q, kind = fused_pair(rng)
+            verdict = interlaces(p, q)
+            expected = oracle_interlaces(p, q)
+            if verdict != expected:
+                disagreements.append((p, q))
+            # a True verdict is a certificate that both members are real rooted
+            assert not verdict or (is_real_rooted(p) and is_real_rooted(q)), (p, q)
+            seen["true" if expected else "false"] += 1
+            seen["shared-x2+1"] += kind == "shared-x2+1"
+            seen["multiple-non-real"] += kind == "multiple" and not is_real_rooted(q)
+            seen["zero"] += p.is_zero() or q.is_zero()
+            seen["constant"] += p.deg() == 0 or q.deg() == 0
+            if p.is_zero() or q.is_zero():
+                continue
+            gap = q.deg() - p.deg()
+            if gap in (0, 1, 2):
+                seen[f"gap{gap}"] += 1
+            g = oracle_gcd(p, q)
+            seen["shared-real-roots"] += g.deg() >= 1 and distinct_real_roots(g) >= 1
+            seen["g-deg>=2"] += g.deg() >= 2
+            if gap in (0, 1) and p.deg() >= 1:
+                index_holds = oracle_interlaces(p.exact_div(g), q.exact_div(g))
+                seen["index-holds-g-not-rr"] += index_holds and not is_real_rooted(g)
+        assert disagreements == [], f"{len(disagreements)} of {pairs} pairs disagree"
+        assert min(seen.values()) >= 50, seen
+
+    def test_named_cases(self):
+        x = P(0, 1)
+        cases = {
+            # shared real roots: g = (x - 1)(x + 1) needs its own Sturm chain
+            "shared-real-roots": (P(-1, 0, 1), P(-1, 0, 1) * P(-2, 1), True),
+            "shared-double-root": (P(-1, 1) ** 2, P(-1, 1) ** 2 * x, True),
+            # the index equality holds on the cofactors 1 and x, g does not
+            # have real roots
+            "shared-x2+1": (P(1, 1) * X2_PLUS_1, x * P(1, 1) * X2_PLUS_1, False),
+            "shared-x2+x+1": (P(-1, 1) * NON_REAL, P(-1, 1) * P(2, 1) * NON_REAL, False),
+            "multiple-non-real": (X2_PLUS_1 * 3, X2_PLUS_1, False),
+            "negative-multiple-non-real": (NON_REAL * P(2, 1) * -2, NON_REAL * P(2, 1), False),
+            "multiple-real-rooted": (P(-1, 1) ** 2 * -2, P(-1, 1) ** 2, True),
+            "zero-below-real-rooted": (ZERO, P(-1, 1) ** 2, True),
+            "zero-below-non-real": (ZERO, X2_PLUS_1, False),
+            "non-real-above-zero": (X2_PLUS_1, ZERO, False),
+            "constant-below-linear": (P(2), P(1, 1), True),
+            "constant-below-quadratic": (P(2), P(-1, 0, 1), False),
+            "gap0": (P(-1, 1) * P(1, 1), P(-2, 1) * P(1, 1), True),
+            "gap1": (P(-1, 1), P(-2, 1) * x, True),
+            "gap2": (P(1), P(-1, 0, 1), False),
+            "gap2-nonconstant": (P(-1, 1), P(-1, 1) * P(-2, 1) * x, False),
+            "degree-drop": (P(-2, 1) * x, P(-1, 1), False),
+        }
+        for name, (p, q, expected) in cases.items():
+            assert interlaces(p, q) == expected, name
+            assert oracle_interlaces(p, q) == expected, name
+
+    def test_one_remainder_sequence_per_decision(self, monkeypatch):
+        # one sequence q, p, -rem(q, p), ...; a Sturm chain on its last
+        # entry g only when deg g >= 2 and the index equality holds; no
+        # real rootedness check on p or q
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("_signed_remainders", "_sturm_chain", "is_real_rooted"):
+            monkeypatch.setattr(roots_module, name, counted(name, getattr(roots_module, name)))
+        rng = random.Random(7)
+        decided = chained = 0
+        for _ in range(800):
+            p, q, _ = fused_pair(rng)
+            if p.deg() < 1 or q.deg() - p.deg() not in (0, 1):
+                continue
+            counts.clear()
+            verdict = interlaces(p, q)
+            calls = dict(counts)
+            g = oracle_gcd(p, q)
+            index_holds = oracle_interlaces(p.exact_div(g), q.exact_div(g))
+            assert calls.get("is_real_rooted", 0) == 0
+            assert calls["_signed_remainders"] == 1
+            assert calls.get("_sturm_chain", 0) == (index_holds and g.deg() >= 2), (p, q)
+            assert verdict == (index_holds and is_real_rooted(g))
+            decided += 1
+            chained += calls.get("_sturm_chain", 0)
+        assert decided >= 300 and chained >= 20, (decided, chained)
+
+
+def row_cases():
+    """Rows of the conjecture's additive and alternating sequences, passing
+    and failing, with their labels."""
+    triangles = [(f"barycentric-{n}", family_f_triangle("barycentric", n)) for n in range(9)]
+    triangles += [(f"colored-r2-{n}", family_f_triangle("colored", n, 2)) for n in range(7)]
+    triangles += [(f"esd-r3-{n}", family_f_triangle("esd", n, 3)) for n in range(10)]
+    for label, triangle in triangles:
+        n = triangle.n
+        yield f"{label}-q", [ft_qnk(triangle, n, k) for k in range(n + 1)]
+        yield f"{label}-l", [ft_lnk(triangle, n, k) for k in range(n + 1)]
+    for n in range(7):
+        hs = binomial_base(n)
+        yield f"generic-binomial-{n}-h", [generic_hnk(hs, n, k) for k in range(n + 1)]
+        yield f"generic-binomial-{n}-l", [generic_lnk(hs, n, k) for k in range(n + 1)]
+    # members without real roots, in rows of one, two and three
+    yield "non-real-single", [X2_PLUS_1]
+    yield "non-real-pair", [X2_PLUS_1, X2_PLUS_1]
+    yield "non-real-last", [P(1, 1), P(-1, 0, 1), X2_PLUS_1 * P(1, 1)]
+
+
+class TestRowVerdicts:
+    def test_real_rooted_list_read_off_a_row(self):
+        seen = Counter()
+        for label, row in row_cases():
+            rr, fails = _row_verdicts(row)
+            assert rr == [is_real_rooted(q) for q in row], label
+            assert fails == interlacing_failures(row), label
+            seen["failing" if fails else "passing"] += 1
+            seen["non-real"] += not all(rr)
+        assert seen["failing"] >= 5 and seen["passing"] >= 20 and seen["non-real"] >= 3, seen
 
 
 class TestScale:
