@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import comb
+from math import comb, lcm
 
 from .poly import (
     ONE,
@@ -26,6 +26,7 @@ from .poly import (
     reciprocal,
 )
 from .roots import (
+    DecompositionVerdict,
     interlaces,
     interlacing_failures,
     interlacing_symmetric_decomposition,
@@ -440,12 +441,31 @@ def d_interlacing_cases(n_max: int = 9) -> list[CaseResult]:
     return _row_interlacing_cases("dnk", dnk, n_max)
 
 
-def sample_p_polynomial(rng: random.Random, n: int) -> Poly:
-    """Random element of the nonnegative span of x^(n-k) (1+x)^k."""
-    coeffs = [
-        Fraction(rng.randrange(100), rng.randrange(1, 10)) for _ in range(n + 1)
-    ]
-    return basis_p_combination(coeffs, n)
+def _sample_multiple(rng: random.Random, n: int) -> tuple[Poly, int]:
+    """L*p and L for a random p in the nonnegative span of x^(n-k) (1+x)^k.
+
+    p = sum of (a_k / b_k) x^(n-k) (1+x)^k with a_k = rng.randrange(100)
+    and b_k = rng.randrange(1, 10), drawn in that order for k = 0..n, and
+    L = lcm(b_0, ..., b_n).  L*p has integer coefficients, so everything
+    decided on it runs on ints and builds no Fraction."""
+    draws = [(rng.randrange(100), rng.randrange(1, 10)) for _ in range(n + 1)]
+    mult = lcm(*(b for _, b in draws))
+    return basis_p_combination([a * (mult // b) for a, b in draws], n), mult
+
+
+def _sample_case(
+    name: str, ok: bool, lp: Poly, limage: Poly, mult: int, verdict: DecompositionVerdict
+) -> CaseResult:
+    """The case of one sample; its detail shows p = lp / mult and the image
+    limage / mult."""
+    scale = Fraction(1, mult)
+    return _case(
+        name,
+        ok,
+        f"p = {(lp * scale).to_text()}; image {(limage * scale).to_text()}; "
+        f"nonneg={verdict.nonnegative} rr={verdict.real_rooted_pair} "
+        f"interlacing={verdict.interlacing}",
+    )
 
 
 def theorem1_sample_cases(n: int, samples: int, seed: int) -> list[CaseResult]:
@@ -453,63 +473,62 @@ def theorem1_sample_cases(n: int, samples: int, seed: int) -> list[CaseResult]:
     real-rooted images squeezed between the binomial Eulerian polynomial and
     x A_n, with an interlacing nonnegative split.  The image is real rooted
     when the binomial Eulerian polynomial interlaces it, since a passed
-    decision certifies both members."""
+    decision certifies both members.
+
+    Each sample p is decided on its integer multiple L*p (see
+    ``_sample_multiple``), and its image on L times the image, since the
+    transform is linear.  That is exact: for L > 0, L*f has the roots of f,
+    so real rootedness and interlacing in either order are unchanged; the
+    split of L*f is (L*a, L*b), whose signs and coefficient order are those
+    of (a, b), and whose gamma vectors are L times those of a and b, since
+    the gamma expansion is linear.  p and its image are divided by L once,
+    for the detail text only."""
     rng = random.Random(seed)
     transform = eulerian_transform(n)
     upper = X * eulerian(n)
     lower = binomial_eulerian(n)
     cases = []
     for s in range(samples):
-        p = sample_p_polynomial(rng, n)
-        f = apply_transform(transform, p)
-        verdict = interlacing_symmetric_decomposition(f, n)
+        lp, mult = _sample_multiple(rng, n)
+        lf = apply_transform(transform, lp)
+        verdict = interlacing_symmetric_decomposition(lf, n)
         ok = (
-            interlaces(lower, f)
-            and interlaces(f, upper)
+            interlaces(lower, lf)
+            and interlaces(lf, upper)
             and verdict.nonnegative
             and verdict.real_rooted_pair
             and verdict.interlacing
             and verdict.unimodal_pair
             and verdict.gamma_positive_pair
         )
-        cases.append(
-            _case(
-                f"theorem1-sample-{n}-{s}",
-                ok,
-                f"p = {p.to_text()}; image {f.to_text()}; "
-                f"nonneg={verdict.nonnegative} rr={verdict.real_rooted_pair} "
-                f"interlacing={verdict.interlacing}",
-            )
-        )
+        cases.append(_sample_case(f"theorem1-sample-{n}-{s}", ok, lp, lf, mult, verdict))
     return cases
 
 
 def derangement_sample_cases(n: int, samples: int, seed: int) -> list[CaseResult]:
     """Sampled certification for the derangement transform: images are real
-    rooted and their reversals split into interlacing nonnegative pairs."""
+    rooted and their reversals split into interlacing nonnegative pairs.
+
+    As in ``theorem1_sample_cases``, each sample is decided on its integer
+    multiple L*p and the image L*g; signs, real rootedness and interlacing
+    do not change under a factor L > 0, and the text shows p and g.
+
+    Real rootedness of g is read off the verdict on its reversal
+    r = x^n g(1/x).  A nonnegative split r = a + x b with b interlacing a
+    forces r to be real rooted (see ``interlacing_symmetric_decomposition``).
+    Write g = x^m h with h(0) != 0: the nonzero roots of r are the
+    reciprocals 1/t of the roots t of h, so h, and with it g, is real
+    rooted; the other roots of r are the n - deg g zero roots, which are
+    real.  g = 0 gives r = 0, which counts as real rooted, as g does."""
     rng = random.Random(seed)
     transform = derangement_transform(n)
     cases = []
     for s in range(samples):
-        p = sample_p_polynomial(rng, n)
-        g = apply_transform(transform, p)
-        rev = reciprocal(g, n)
-        verdict = interlacing_symmetric_decomposition(rev, n)
-        ok = (
-            is_real_rooted(g)
-            and verdict.nonnegative
-            and verdict.real_rooted_pair
-            and verdict.interlacing
-        )
-        cases.append(
-            _case(
-                f"derangement-sample-{n}-{s}",
-                ok,
-                f"p = {p.to_text()}; image {g.to_text()}; "
-                f"nonneg={verdict.nonnegative} rr={verdict.real_rooted_pair} "
-                f"interlacing={verdict.interlacing}",
-            )
-        )
+        lp, mult = _sample_multiple(rng, n)
+        lg = apply_transform(transform, lp)
+        verdict = interlacing_symmetric_decomposition(reciprocal(lg, n), n)
+        ok = verdict.nonnegative and verdict.real_rooted_pair and verdict.interlacing
+        cases.append(_sample_case(f"derangement-sample-{n}-{s}", ok, lp, lg, mult, verdict))
     return cases
 
 

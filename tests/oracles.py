@@ -13,13 +13,23 @@ rootedness checked first, by a Sturm chain on each member, before the
 index sequence; the library reads real rootedness off that one sequence.
 ``oracle_des_B_tally`` walks every signed word; the library tallies S_n by
 descent mask and evaluates each sign mask with bit operations.
+``oracle_theorem1_sample_cases`` and ``oracle_derangement_sample_cases``
+decide each sampled p of ``sample_p_polynomial`` on its ``Fraction``
+coefficients, and the derangement route decides the real rootedness of
+each image on its own; the library decides each sample on its integer
+multiple and reads real rootedness off the verdict.
 """
 
 import itertools
+import random
+from fractions import Fraction
 
 from eulerian_lab._intpoly import _cauchy_index, _int_poly, _neg, _signed_remainders
-from eulerian_lab.poly import ONE, ZERO, Poly
-from eulerian_lab.roots import is_real_rooted
+from eulerian_lab.poly import ONE, X, ZERO, Poly, basis_p_combination, reciprocal
+from eulerian_lab.roots import interlaces, interlacing_symmetric_decomposition, is_real_rooted
+from eulerian_lab.simplicial import derangement_transform, eulerian_transform
+from eulerian_lab.suites import CaseResult
+from eulerian_lab.transforms import apply_transform, binomial_eulerian, eulerian
 
 
 def oracle_gcd(a: Poly, b: Poly) -> Poly:
@@ -113,3 +123,63 @@ def oracle_des_B_tally(n: int) -> list[int]:
                 prev = v
             tally[d] += 1
     return tally
+
+
+def sample_p_polynomial(rng: random.Random, n: int) -> Poly:
+    """Random element of the nonnegative span of x^(n-k) (1+x)^k."""
+    coeffs = [
+        Fraction(rng.randrange(100), rng.randrange(1, 10)) for _ in range(n + 1)
+    ]
+    return basis_p_combination(coeffs, n)
+
+
+def _sample_case(name: str, ok: bool, p: Poly, image: Poly, verdict) -> CaseResult:
+    return CaseResult(
+        name,
+        "pass" if ok else "fail",
+        f"p = {p.to_text()}; image {image.to_text()}; "
+        f"nonneg={verdict.nonnegative} rr={verdict.real_rooted_pair} "
+        f"interlacing={verdict.interlacing}",
+    )
+
+
+def oracle_theorem1_sample_cases(n: int, samples: int, rng: random.Random) -> list[CaseResult]:
+    """``theorem1_sample_cases`` on the Fraction coefficients of each p."""
+    transform = eulerian_transform(n)
+    upper = X * eulerian(n)
+    lower = binomial_eulerian(n)
+    cases = []
+    for s in range(samples):
+        p = sample_p_polynomial(rng, n)
+        f = apply_transform(transform, p)
+        verdict = interlacing_symmetric_decomposition(f, n)
+        ok = (
+            interlaces(lower, f)
+            and interlaces(f, upper)
+            and verdict.nonnegative
+            and verdict.real_rooted_pair
+            and verdict.interlacing
+            and verdict.unimodal_pair
+            and verdict.gamma_positive_pair
+        )
+        cases.append(_sample_case(f"theorem1-sample-{n}-{s}", ok, p, f, verdict))
+    return cases
+
+
+def oracle_derangement_sample_cases(n: int, samples: int, rng: random.Random) -> list[CaseResult]:
+    """``derangement_sample_cases`` on the Fraction coefficients of each p,
+    with the real rootedness of each image decided on its own."""
+    transform = derangement_transform(n)
+    cases = []
+    for s in range(samples):
+        p = sample_p_polynomial(rng, n)
+        g = apply_transform(transform, p)
+        verdict = interlacing_symmetric_decomposition(reciprocal(g, n), n)
+        ok = (
+            is_real_rooted(g)
+            and verdict.nonnegative
+            and verdict.real_rooted_pair
+            and verdict.interlacing
+        )
+        cases.append(_sample_case(f"derangement-sample-{n}-{s}", ok, p, g, verdict))
+    return cases

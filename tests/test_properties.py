@@ -30,7 +30,11 @@ from eulerian_lab.poly import (
     reciprocal,
     symmetric_decomposition,
 )
-from eulerian_lab.roots import interlaces, is_real_rooted
+from eulerian_lab.roots import (
+    interlaces,
+    interlacing_symmetric_decomposition,
+    is_real_rooted,
+)
 from eulerian_lab.transforms import apply_transform
 from oracles import list_interlaces
 
@@ -83,6 +87,7 @@ neg_root_pool = fractions_between(Fraction(-5), Fraction(0), max_denominator=3)
 strict_neg_root_pool = fractions_between(
     Fraction(-5), Fraction(-1, 3), max_denominator=3
 )
+nonneg_pool = fractions_between(Fraction(0), Fraction(30), max_denominator=8)
 
 
 def _seeded_draws(strategy) -> list:
@@ -106,8 +111,15 @@ def _seeded_draws(strategy) -> list:
         (Fraction(-4), Fraction(4), 3),
         (Fraction(-5), Fraction(0), 3),
         (Fraction(-5), Fraction(-1, 3), 3),
+        (Fraction(0), Fraction(30), 8),
     ],
-    ids=["fractions_small", "root_pool", "neg_root_pool", "strict_neg_root_pool"],
+    ids=[
+        "fractions_small",
+        "root_pool",
+        "neg_root_pool",
+        "strict_neg_root_pool",
+        "nonneg_pool",
+    ],
 )
 def test_fractions_between_matches_st_fractions(lo, hi, m):
     ours = _seeded_draws(st.lists(fractions_between(lo, hi, m), max_size=4))
@@ -123,6 +135,18 @@ def poly_from_roots(roots, lead=1) -> Poly:
     for r in roots:
         p = p * Poly((-r, 1))
     return p
+
+
+# nonnegative rational coefficients: drawn directly, or from roots <= 0,
+# which makes real rooted inputs and passed interlacing decisions common
+nonneg_polys = st.one_of(
+    st.lists(nonneg_pool, min_size=0, max_size=7).map(lambda cs: Poly(tuple(cs))),
+    st.builds(
+        poly_from_roots,
+        st.lists(neg_root_pool, min_size=0, max_size=6),
+        nonneg_pool.filter(bool),
+    ),
+)
 
 
 class TestPolyRing:
@@ -283,3 +307,30 @@ class TestTransformLinearity:
         n = max(p.deg(), 0) + pad
         t = eulerian_transform(n)
         assert apply_transform(t, c * p) == c * apply_transform(t, p)
+
+
+class TestScalingInvariance:
+    """The sampled Theorem 1 and derangement suites decide L*p for an
+    integer L > 0 in place of p; every decision they read is unchanged."""
+
+    @SUITE
+    @given(nonneg_polys, st.integers(min_value=1, max_value=10**6), st.integers(0, 2))
+    def test_decisions_unchanged_by_a_positive_integer_factor(self, p, scale, pad):
+        lp = p * scale
+        for partner in (p.derivative(), p + p.derivative()):
+            assert interlaces(partner, lp) == interlaces(partner, p)
+            assert interlaces(lp, partner) == interlaces(p, partner)
+        assert is_real_rooted(lp) == is_real_rooted(p)
+        n = max(p.deg(), 0) + pad
+        verdict = interlacing_symmetric_decomposition(p, n)
+        scaled = interlacing_symmetric_decomposition(lp, n)
+        for field in (
+            "nonnegative",
+            "unimodal_pair",
+            "gamma_positive_pair",
+            "real_rooted_pair",
+            "interlacing",
+        ):
+            assert getattr(scaled, field) == getattr(verdict, field), field
+        assert scaled.a == verdict.a * scale
+        assert scaled.b == verdict.b * scale

@@ -3,10 +3,12 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from eulerian_lab import roots as roots_module
+from eulerian_lab import suites as suites_module
 from eulerian_lab._intpoly import _cauchy_index, _int_poly, _sturm_chain
 from eulerian_lab.poly import ONE, X, ZERO, Poly, reciprocal
 from eulerian_lab.roots import (
@@ -19,6 +21,7 @@ from eulerian_lab.roots import (
 from eulerian_lab.simplicial import (
     barycentric_f_triangle,
     colored_barycentric,
+    derangement_transform,
     edgewise_subdivision,
     f_triangle,
     family_f_triangle,
@@ -32,13 +35,23 @@ from eulerian_lab.suites import (
     derangement_sample_cases,
     theorem1_sample_cases,
 )
-from eulerian_lab.transforms import dnk, eulerian, generic_hnk, generic_lnk, qnk
+from eulerian_lab.transforms import (
+    apply_transform,
+    dnk,
+    eulerian,
+    generic_hnk,
+    generic_lnk,
+    qnk,
+)
 from oracles import (
     list_interlaces,
+    oracle_derangement_sample_cases,
     oracle_gcd,
     oracle_interlaces,
     oracle_squarefree_decomposition,
     oracle_squarefree_part,
+    oracle_theorem1_sample_cases,
+    sample_p_polynomial,
 )
 
 
@@ -790,13 +803,16 @@ class TestInterlacingSequences:
 
 class TestRealRootedCache:
     def test_cache_stays_bounded(self):
-        # each sample leaves a few new polynomials in the cache
-        for s in range(200):
-            theorem1_sample_cases(6, 1, s)
+        # twice as many distinct polynomials as the cache holds; the sample
+        # suites no longer reach the cache, so the test feeds it directly
+        size = is_real_rooted.cache_info().maxsize
+        assert size is not None
+        is_real_rooted.cache_clear()
+        for c in range(2 * size):
+            is_real_rooted(P(c, 2 * c + 1, 1))
         info = is_real_rooted.cache_info()
-        assert info.maxsize is not None
-        assert info.misses > info.maxsize
-        assert info.currsize <= info.maxsize
+        assert info.misses == 2 * size
+        assert info.currsize == size
 
 
 class TestDecompositionVerdict:
@@ -867,3 +883,61 @@ class TestDecompositionVerdict:
     def test_window_too_small(self):
         with pytest.raises(ValueError):
             interlacing_symmetric_decomposition(P(1, 1, 1, 1), 2)
+
+
+class TestSampleRoutes:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_integer_multiple_agrees_with_fraction_route(self, monkeypatch, n):
+        """Each suite gives the (name, status, detail) list of the Fraction
+        route on 100 seeds and leaves its random stream where that route
+        does: the next draw after the samples is the same."""
+        made = []
+
+        class Recorded(random.Random):
+            def __init__(self, seed):
+                super().__init__(seed)
+                made.append(self)
+
+        monkeypatch.setattr(suites_module, "random", SimpleNamespace(Random=Recorded))
+        routes = (
+            (theorem1_sample_cases, oracle_theorem1_sample_cases),
+            (derangement_sample_cases, oracle_derangement_sample_cases),
+        )
+        for seed in range(100):
+            for suite, oracle in routes:
+                made.clear()
+                got = suite(n, 3, seed)
+                rng = random.Random(seed)
+                want = oracle(n, 3, rng)
+                assert [(c.name, c.status, c.detail) for c in got] == [
+                    (c.name, c.status, c.detail) for c in want
+                ]
+                assert len(made) == 1
+                assert made[0].random() == rng.random()
+
+    def test_derangement_real_rootedness_read_off_the_verdict(self):
+        """A nonnegative interlacing split of the reversal x^n g(1/x)
+        certifies g real rooted, zero roots included: decided on its own on
+        seeded derangement images and on random g of degree at most n."""
+        inputs = []
+        rng = random.Random(20261019)
+        for n in range(1, 11):
+            transform = derangement_transform(n)
+            for _ in range(10):
+                inputs.append((apply_transform(transform, sample_p_polynomial(rng, n)), n))
+        while len(inputs) < 600:
+            n = rng.randint(1, 7)
+            g = Poly([rng.randint(0, 12) for _ in range(rng.randint(1, n + 1))])
+            inputs.append((g.times_x_power(rng.randint(0, 2)) if g.deg() < n - 1 else g, n))
+        seen = Counter()
+        for g, n in inputs:
+            verdict = interlacing_symmetric_decomposition(reciprocal(g, n), n)
+            certified = verdict.nonnegative and verdict.interlacing
+            if certified:
+                assert is_real_rooted(g), (g, n)
+            seen["certified" if certified else "not"] += 1
+            seen["zero roots of the reversal"] += certified and g.deg() < n
+            seen["zero roots of g"] += certified and g.deg() > 0 and g.coeffs[0] == 0
+        assert seen["certified"] >= 100 and seen["not"] >= 100, seen
+        assert seen["zero roots of the reversal"] >= 10, seen
+        assert seen["zero roots of g"] >= 10, seen
