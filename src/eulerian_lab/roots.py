@@ -36,7 +36,7 @@ two facts:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from ._intpoly import (
@@ -198,16 +198,25 @@ def is_interlacing_sequence(polys: Sequence[Poly]) -> bool:
 
 @dataclass(frozen=True)
 class DecompositionVerdict:
-    """Certified facts about the split p = a + x*b inside degree window n."""
+    """Certified facts about the split p = a + x*b inside degree window n.
+    unimodal_pair and gamma_positive_pair are decided on first read, since
+    only some verdicts need them."""
 
     a: Poly
     b: Poly
     n: int
     nonnegative: bool
-    unimodal_pair: bool
-    gamma_positive_pair: bool
     real_rooted_pair: bool
     interlacing: bool
+
+    @cached_property
+    def unimodal_pair(self) -> bool:
+        return is_unimodal(self.a) is not None and is_unimodal(self.b) is not None
+
+    @cached_property
+    def gamma_positive_pair(self) -> bool:
+        gamma_b = self.b.is_zero() or is_gamma_positive(self.b, self.n - 1)
+        return is_gamma_positive(self.a, self.n) and gamma_b
 
 
 def interlacing_symmetric_decomposition(p: Poly, n: int) -> DecompositionVerdict:
@@ -222,15 +231,12 @@ def interlacing_symmetric_decomposition(p: Poly, n: int) -> DecompositionVerdict
     """
     dec = symmetric_decomposition(p, n)
     a, b = dec.a, dec.b
-    gamma_b = True if b.is_zero() else is_gamma_positive(b, n - 1)
     interlacing = interlaces(b, a)
     return DecompositionVerdict(
         a=a,
         b=b,
         n=n,
         nonnegative=all(c >= 0 for c in a.coeffs) and all(c >= 0 for c in b.coeffs),
-        unimodal_pair=is_unimodal(a) is not None and is_unimodal(b) is not None,
-        gamma_positive_pair=is_gamma_positive(a, n) and gamma_b,
         real_rooted_pair=interlacing or (is_real_rooted(a) and is_real_rooted(b)),
         interlacing=interlacing,
     )

@@ -3,15 +3,15 @@ face-count calculus behind the geometric polynomial identities.
 
 A triangulation of the simplex on a base vertex set V is stored as a
 complex together with a carrier map: each triangulation vertex knows the
-smallest face of 2^V containing it.  Every h / interior-h / theta / local-h
-computation then reduces to one table counting faces by (carrier, size),
-so restrictions to faces of 2^V are submask sums and never materialize new
-complexes.  The f-triangle abstraction keeps only those counts per face
+smallest face of 2^V containing it.  One table, built once per
+triangulation, counts its faces by size for each base face F: those
+carried by F exactly and those carried inside F.  Every h / boundary-h /
+interior-h / theta / local-h row and the f-triangle read it, and no
+restriction is materialized.  The f-triangle keeps only the counts per face
 size, which is all the uniform-triangulation theory consumes.  An
-FTriangle owns the rows derived from it, the h-polynomials of its
-restrictions and their interior face counts: each is computed on first
-use and lives as long as the triangle, and no cache is keyed by a
-triangle.
+FTriangle owns what is derived from it: its h-rows, interior rows, family
+members ft_qnk and ft_lnk, and interior images, each computed once on first
+use and freed with the triangle; no cache is keyed by a triangle.
 """
 
 from __future__ import annotations
@@ -52,11 +52,18 @@ def _one_minus_x_power(k: int) -> Poly:
     return Poly((1, -1)) ** k
 
 
-def _h_from_counts(counts: Iterable[tuple[int, int]], window: int) -> Poly:
-    """sum(count x^size (1-x)^(window-size)) over (size, count) pairs: the
-    h-polynomial, in the degree window, of faces counted by size."""
+def _in_window(row: Sequence[int], window: int) -> Sequence[int]:
+    """The face counts row[0..window]; a face past the window raises."""
+    if any(row[window + 1 :]):
+        raise ValueError(f"faces of size above {window} in the window {window}")
+    return row[: window + 1]
+
+
+def _h_from_row(row: Sequence[int], window: int) -> Poly:
+    """sum(row[i] x^i (1-x)^(window-i)): the h-polynomial, in the degree
+    window, of faces counted by size."""
     return linear_combination(
-        (count, _one_minus_x_power(window - size), size) for size, count in counts
+        (c, _one_minus_x_power(window - i), i) for i, c in enumerate(_in_window(row, window))
     )
 
 
@@ -169,7 +176,7 @@ def h_poly(complex: SimplicialComplex, n: int) -> Poly:
     fv = complex.f_vector()
     if len(fv) - 1 > n:
         raise ValueError(f"window n={n} below the top face size {len(fv) - 1}")
-    return _h_from_counts(enumerate(fv), n)
+    return _h_from_row(fv, n)
 
 
 def faces_as_index_lines(complex: SimplicialComplex) -> list[str]:
@@ -186,8 +193,10 @@ class CarriedTriangulation:
 
     carrier[u] is the smallest face of 2^V whose realization contains the
     point u; the carrier of a face is the union over its vertices.  The
-    constructor folds everything into counts[(carrier mask, size)] so the
-    polynomial operations below are submask sums over at most 2^|V| masks.
+    constructor counts faces by (carrier mask, size) in counts, and in rows
+    of max(n, top face size) + 1 entries: exact[F][i] counts the i-element
+    faces with carrier F, and closed[F][i] those with carrier inside F,
+    summed over submasks one base vertex at a time.
     """
 
     __slots__ = (
@@ -195,6 +204,8 @@ class CarriedTriangulation:
         "base_vertices",
         "carrier",
         "counts",
+        "exact",
+        "closed",
         "_base_index",
         "_h_cache",
         "_local_cache",
@@ -228,11 +239,17 @@ class CarriedTriangulation:
                 mask |= vertex_mask[u]
             key = (mask, len(f))
             counts[key] = counts.get(key, 0) + 1
+        width = max([len(base)] + [size for _, size in counts]) + 1
+        exact = [[0] * width for _ in range(1 << len(base))]
+        for (mask, size), c in counts.items():
+            exact[mask][size] = c
+        closed = [list(row) for row in exact]
+        for bit in (1 << i for i in range(len(base))):
+            for mask in range(1 << len(base)):
+                if mask & bit:
+                    closed[mask] = [x + y for x, y in zip(closed[mask], closed[mask ^ bit])]
         for i, v in enumerate(base):
-            point = 1 << i
-            if counts.get((point, 1), 0) != 1 or any(
-                m == point and s >= 2 for (m, s) in counts
-            ):
+            if exact[1 << i][1] != 1 or any(exact[1 << i][2:]):
                 raise ValueError(
                     f"restriction to the vertex {v!r} is not a single point"
                 )
@@ -242,6 +259,8 @@ class CarriedTriangulation:
             self, "carrier", {u: frozenset(carrier[u]) for u in complex.vertex_order}
         )
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "exact", tuple(map(tuple, exact)))
+        object.__setattr__(self, "closed", tuple(map(tuple, closed)))
         object.__setattr__(self, "_base_index", base_index)
         object.__setattr__(self, "_h_cache", {})
         object.__setattr__(self, "_local_cache", {})
@@ -263,38 +282,26 @@ class CarriedTriangulation:
         return mask
 
     def mask_face(self, mask: int) -> tuple:
-        return tuple(
-            v for i, v in enumerate(self.base_vertices) if mask >> i & 1
-        )
-
-    def _h_where(self, keep, window: int) -> Poly:
-        """h-polynomial, in the window, of the faces whose carrier passes keep."""
-        return _h_from_counts(
-            ((size, c) for (mask, size), c in self.counts.items() if keep(mask)), window
-        )
+        return tuple(v for i, v in enumerate(self.base_vertices) if mask >> i & 1)
 
     def restriction_h(self, fmask: int) -> Poly:
         """h-polynomial of the restriction to the base face fmask, in the
         window |fmask|."""
-        cached = self._h_cache.get(fmask)
-        if cached is not None:
-            return cached
-        total = self._h_where(lambda mask: mask & ~fmask == 0, int.bit_count(fmask))
-        self._h_cache[fmask] = total
-        return total
+        if fmask not in self._h_cache:
+            self._h_cache[fmask] = _h_from_row(self.closed[fmask], int.bit_count(fmask))
+        return self._h_cache[fmask]
 
     def boundary_h(self, fmask: int) -> Poly:
         """h-polynomial of the boundary of the restriction (faces whose
         carrier is a proper subface), in the window |fmask| - 1."""
-        return self._h_where(
-            lambda mask: mask & ~fmask == 0 and mask != fmask, int.bit_count(fmask) - 1
-        )
+        row = [c - e for c, e in zip(self.closed[fmask], self.exact[fmask])]
+        return _h_from_row(row, int.bit_count(fmask) - 1)
 
     def interior_h(self, fmask: int) -> Poly:
         """Interior h-polynomial of the restriction; certified against the
         reversal of the plain h-polynomial."""
         m = int.bit_count(fmask)
-        total = self._h_where(lambda mask: mask == fmask, m)
+        total = _h_from_row(self.exact[fmask], m)
         expected = reciprocal(self.restriction_h(fmask), m)
         if total != expected:
             raise CertificationError(
@@ -315,16 +322,14 @@ class CarriedTriangulation:
             fmask = (1 << self.n) - 1
         if emask & ~fmask:
             raise ValueError("emask must be a submask of fmask")
-        cached = self._local_cache.get((emask, fmask))
-        if cached is not None:
-            return cached
-        m = int.bit_count(fmask)
-        total = linear_combination(
-            ((-1) ** (m - int.bit_count(g)), self.restriction_h(g), 0)
-            for g in _submasks_over(emask, fmask)
-        )
-        self._local_cache[emask, fmask] = total
-        return total
+        key = (emask, fmask)
+        if key not in self._local_cache:
+            m = int.bit_count(fmask)
+            self._local_cache[key] = linear_combination(
+                ((-1) ** (m - int.bit_count(g)), self.restriction_h(g), 0)
+                for g in _submasks_over(emask, fmask)
+            )
+        return self._local_cache[key]
 
 
 def _submasks_over(emask: int, fmask: int) -> Iterator[int]:
@@ -566,7 +571,13 @@ class FTriangle:
     def h_rows(self) -> tuple[Poly, ...]:
         """h-polynomials of the restrictions, m = 0..n.  Derived rows are built
         on first use and are not fields: ==, hash, repr and to_json skip them."""
-        return tuple(_h_from_counts(enumerate(r), m) for m, r in enumerate(self.rows))
+        return tuple(_h_from_row(r, m) for m, r in enumerate(self.rows))
+
+    @cached_property
+    def _memo(self) -> dict[int, Poly]:
+        """ft_qnk, ft_lnk and ft_h_interior as computed so far, keyed by small
+        ints: at most (n+1)(n+2) + n + 1 entries, freed with the triangle."""
+        return {}
 
     @cached_property
     def interior_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -615,26 +626,16 @@ class FTriangle:
 def f_triangle(t: CarriedTriangulation) -> FTriangle:
     """Face counts by restriction size, validated to agree on every base
     face of each size (the uniformity this theory requires)."""
-    n = t.n
-    per_mask: dict[int, list[int]] = {}
-    for fmask in range(1 << n):
-        m = int.bit_count(fmask)
-        row = [0] * (m + 1)
-        for (mask, size), count in t.counts.items():
-            if mask & ~fmask == 0:
-                row[size] += count
-        per_mask[fmask] = row
-    rows = []
-    for j in range(n + 1):
-        same = [per_mask[m] for m in per_mask if int.bit_count(m) == j]
-        first = same[0]
-        if any(other != first for other in same[1:]):
+    first: dict[int, Sequence[int]] = {}
+    for fmask, row in enumerate(t.closed):
+        j = int.bit_count(fmask)
+        row = _in_window(row, j)
+        if first.setdefault(j, row) != row:
             raise ValueError(
                 f"face counts differ across base faces of size {j}; "
                 "the triangulation is not uniform"
             )
-        rows.append(tuple(first))
-    return FTriangle(n=n, rows=tuple(rows))
+    return FTriangle(n=t.n, rows=tuple(first[j] for j in range(t.n + 1)))
 
 
 def _simplex_hilbert(m: int, t: int) -> int:
@@ -723,13 +724,16 @@ def ft_h_interior(triangle: FTriangle, m: int) -> Poly:
     the reversal of ft_h, else the triangle is not a triangulation."""
     if not 0 <= m <= triangle.n:
         raise ValueError(f"m={m} out of range 0..{triangle.n}")
-    total = _h_from_counts(enumerate(triangle.interior_rows[m]), m)
+    if ~m in triangle._memo:  # key -1 - m: only certified images are kept
+        return triangle._memo[~m]
+    total = _h_from_row(triangle.interior_rows[m], m)
     expected = reciprocal(triangle.h_rows[m], m)
     if total != expected:
         raise ValueError(
             f"interior h at size {m} is {total!r}, not the reversal "
             f"{expected!r}; the f-triangle is not a uniform triangulation"
         )
+    triangle._memo[~m] = total
     return total
 
 
@@ -745,7 +749,7 @@ def ft_boundary_h(triangle: FTriangle, m: int) -> Poly:
         raise ValueError(
             f"boundary face counts at size {m} are impossible: {boundary}"
         )
-    return _h_from_counts(enumerate(boundary[:m]), m - 1)
+    return _h_from_row(boundary[:m], m - 1)
 
 
 def ft_theta(triangle: FTriangle, m: int) -> Poly:
@@ -757,29 +761,32 @@ def ft_theta(triangle: FTriangle, m: int) -> Poly:
 def ft_qnk(triangle: FTriangle, m: int, k: int) -> Poly:
     """The additive family over the triangulation's h-sequence; the k = 0
     member is the restriction h-polynomial."""
-    return generic_hnk(triangle.h_rows, m, k)
+    return _family_member(triangle, generic_hnk, m, k, m * (m + 1) + 2 * k)
 
 
 def ft_lnk(triangle: FTriangle, m: int, k: int) -> Poly:
     """The alternating family; at k = m this is the local h-polynomial of
     the restriction."""
-    return generic_lnk(triangle.h_rows, m, k)
+    return _family_member(triangle, generic_lnk, m, k, m * (m + 1) + 2 * k + 1)
+
+
+def _family_member(triangle: FTriangle, family, m: int, k: int, key: int) -> Poly:
+    """family(h_rows, m, k) in the triangle's memo under key, one per valid
+    (m, k); any other (m, k) goes to family, which refuses it."""
+    if 0 <= k <= m <= triangle.n and key in triangle._memo:
+        return triangle._memo[key]
+    triangle._memo[key] = member = family(triangle.h_rows, m, k)
+    return member
 
 
 def ft_interior_transform(triangle: FTriangle) -> LinearTransform:
     """x^m -> interior h of the size-m restriction."""
-    return LinearTransform(
-        name="interior-h",
-        n=triangle.n,
-        image=lambda m: ft_h_interior(triangle, m),
-    )
+    return LinearTransform("interior-h", triangle.n, lambda m: ft_h_interior(triangle, m))
 
 
 def ft_local_transform(triangle: FTriangle) -> LinearTransform:
     """x^m -> local h of the size-m restriction."""
-    return LinearTransform(
-        name="local-h", n=triangle.n, image=lambda m: ft_lnk(triangle, m, m)
-    )
+    return LinearTransform("local-h", triangle.n, lambda m: ft_lnk(triangle, m, m))
 
 
 def eulerian_transform(n: int) -> LinearTransform:
@@ -893,7 +900,6 @@ def identity_suite(t: CarriedTriangulation) -> list[IdentityCase]:
         for u in range(int.bit_count(f), n + 1)
     }
     for emask in range(1 << n):
-        e = int.bit_count(emask)
         lhs = t.local_h(emask)
         rhs = linear_combination(
             (1, relative[f, int.bit_count(emask | f)], 0) for f in thetas
@@ -904,29 +910,18 @@ def identity_suite(t: CarriedTriangulation) -> list[IdentityCase]:
         rhs = linear_combination(
             (1, t.local_h(0, fmask), 0) for fmask in _submasks_over(comp, full)
         )
-        record(
-            "relative-local-h-from-restrictions",
-            f"E mask {emask}",
-            t.local_h(emask) == rhs,
-        )
+        record("relative-local-h-from-restrictions", f"E mask {emask}", lhs == rhs)
 
-        if e == n - 1:
-            record(
-                "facet-difference",
-                f"E mask {emask}",
-                t.local_h(emask)
-                == t.restriction_h(full) - t.restriction_h(emask),
-            )
+        if int.bit_count(emask) == n - 1:
+            diff = t.restriction_h(full) - t.restriction_h(emask)
+            record("facet-difference", f"E mask {emask}", lhs == diff)
 
         for gmask in _submasks_over(emask, full):
             rhs = linear_combination(
                 (1, t.local_h(emask, fmask), 0)
                 for fmask in _submasks_over(emask, gmask)
             )
-            record(
-                "h-from-relative-local-h",
-                f"E mask {emask} G mask {gmask}",
-                t.restriction_h(gmask) == rhs,
-            )
+            ok = t.restriction_h(gmask) == rhs
+            record("h-from-relative-local-h", f"E mask {emask} G mask {gmask}", ok)
 
     return cases

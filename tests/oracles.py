@@ -18,6 +18,10 @@ decide each sampled p of ``sample_p_polynomial`` on its ``Fraction``
 coefficients, and the derangement route decides the real rootedness of
 each image on its own; the library decides each sample on its integer
 multiple and reads real rootedness off the verdict.
+``oracle_h_where`` and the oracles built on it read the h-polynomials and
+f-triangle rows of a carried triangulation by scanning its counts and
+keeping the carrier masks a test asks for; the library reads one row of
+its per-mask face table.
 """
 
 import itertools
@@ -25,7 +29,15 @@ import random
 from fractions import Fraction
 
 from eulerian_lab._intpoly import _cauchy_index, _int_poly, _neg, _signed_remainders
-from eulerian_lab.poly import ONE, X, ZERO, Poly, basis_p_combination, reciprocal
+from eulerian_lab.poly import (
+    ONE,
+    X,
+    ZERO,
+    Poly,
+    basis_p_combination,
+    linear_combination,
+    reciprocal,
+)
 from eulerian_lab.roots import interlaces, interlacing_symmetric_decomposition, is_real_rooted
 from eulerian_lab.simplicial import derangement_transform, eulerian_transform
 from eulerian_lab.suites import CaseResult
@@ -183,3 +195,42 @@ def oracle_derangement_sample_cases(n: int, samples: int, rng: random.Random) ->
         )
         cases.append(_sample_case(f"derangement-sample-{n}-{s}", ok, p, g, verdict))
     return cases
+
+
+def oracle_h_where(t, keep, window: int) -> Poly:
+    """h-polynomial, in the window, of the faces of the carried
+    triangulation t whose carrier mask passes keep, by a scan of t.counts.
+    A face past the window raises ValueError: a negative power of 1 - x."""
+    return linear_combination(
+        (c, Poly((1, -1)) ** (window - size), size)
+        for (mask, size), c in t.counts.items()
+        if keep(mask)
+    )
+
+
+def oracle_restriction_h(t, fmask: int) -> Poly:
+    return oracle_h_where(t, lambda mask: mask & ~fmask == 0, fmask.bit_count())
+
+
+def oracle_boundary_h(t, fmask: int) -> Poly:
+    return oracle_h_where(
+        t, lambda mask: mask & ~fmask == 0 and mask != fmask, fmask.bit_count() - 1
+    )
+
+
+def oracle_interior_h(t, fmask: int) -> Poly:
+    """The exact-carrier sum, not certified against the reversal."""
+    return oracle_h_where(t, lambda mask: mask == fmask, fmask.bit_count())
+
+
+def oracle_face_rows(t) -> list[list[int]]:
+    """[fmask][i]: i-element faces with carrier inside fmask, scanned from
+    t.counts for each mask."""
+    rows = []
+    for fmask in range(1 << t.n):
+        row = [0] * (fmask.bit_count() + 1)
+        for (mask, size), count in t.counts.items():
+            if mask & ~fmask == 0:
+                row[size] += count
+        rows.append(row)
+    return rows

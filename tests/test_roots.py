@@ -36,6 +36,7 @@ from eulerian_lab.suites import (
     theorem1_sample_cases,
 )
 from eulerian_lab.transforms import (
+    LinearTransform,
     apply_transform,
     dnk,
     eulerian,
@@ -884,8 +885,72 @@ class TestDecompositionVerdict:
         with pytest.raises(ValueError):
             interlacing_symmetric_decomposition(P(1, 1, 1, 1), 2)
 
+    def test_unimodality_and_gamma_are_decided_when_read(self, monkeypatch):
+        calls = Counter()
+        for name in ("is_unimodal", "is_gamma_positive"):
+            real = getattr(roots_module, name)
+
+            def counted(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(roots_module, name, counted)
+        derangement_sample_cases(6, 5, 1)
+        assert not calls
+        verdict = interlacing_symmetric_decomposition(reciprocal(qnk(4, 2), 4), 4)
+        assert not calls
+        assert verdict.unimodal_pair and verdict.gamma_positive_pair
+        assert verdict.unimodal_pair and verdict.gamma_positive_pair
+        assert calls == {"is_unimodal": 2, "is_gamma_positive": 2}
+
+
+# Images that fail exactly one gate of a sample suite, with the gate and
+# whether the theorem1 bounds are replaced by zero.  real_rooted_pair follows
+# from interlacing, and unimodal_pair and gamma_positive_pair from
+# nonnegative real-rooted palindromic parts, so no image fails one of them
+# alone.  Between the true theorem1 bounds no image of degree <= 3 with
+# coefficients in -4..12 fails only nonnegative or only interlacing; with
+# zero bounds, which interlace every real-rooted polynomial, interlacing
+# fails alone.
+ONE_GATE_FAILURES = [
+    ("theorem1", P(0, 1, 1), "lower", False),
+    ("theorem1", P(0, 1, 2, 1), "upper", False),
+    ("theorem1", P(1, 5, 6, 1), "interlacing", True),
+    ("derangement", P(0, 0, 1), "nonnegative", False),
+    ("derangement", P(1, 4, 3, 1), "interlacing", False),
+]
+
 
 class TestSampleRoutes:
+    @pytest.mark.parametrize("suite, image, gate, zero_bounds", ONE_GATE_FAILURES)
+    def test_an_image_failing_one_gate_fails_every_sample(
+        self, monkeypatch, suite, image, gate, zero_bounds
+    ):
+        """Every sample goes to a positive multiple of the one image, so a
+        suite that dropped the gate would pass it."""
+        n = 3
+        transform = LinearTransform("one-gate", n, lambda m: image)
+        if zero_bounds:
+            monkeypatch.setattr(suites_module, "binomial_eulerian", lambda n: ZERO)
+            monkeypatch.setattr(suites_module, "eulerian", lambda n: ZERO)
+        fields = ["nonnegative", "real_rooted_pair", "interlacing"]
+        if suite == "theorem1":
+            monkeypatch.setattr(suites_module, "eulerian_transform", lambda n: transform)
+            lower = suites_module.binomial_eulerian(n)
+            upper = X * suites_module.eulerian(n)
+            gates = {"lower": interlaces(lower, image), "upper": interlaces(image, upper)}
+            verdict = interlacing_symmetric_decomposition(image, n)
+            fields += ["unimodal_pair", "gamma_positive_pair"]
+            run = theorem1_sample_cases
+        else:
+            monkeypatch.setattr(suites_module, "derangement_transform", lambda n: transform)
+            gates = {}
+            verdict = interlacing_symmetric_decomposition(reciprocal(image, n), n)
+            run = derangement_sample_cases
+        gates.update((field, getattr(verdict, field)) for field in fields)
+        assert [g for g, ok in gates.items() if not ok] == [gate]
+        assert [c.status for c in run(n, 5, 0)] == ["fail"] * 5
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_integer_multiple_agrees_with_fraction_route(self, monkeypatch, n):
         """Each suite gives the (name, status, detail) list of the Fraction

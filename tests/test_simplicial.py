@@ -37,7 +37,14 @@ from eulerian_lab.simplicial import (
     trivial_f_triangle,
     trivial_triangulation,
 )
-from eulerian_lab.transforms import dnk, eulerian, qnk
+from eulerian_lab.suites import identity_cases
+from eulerian_lab.transforms import apply_transform, dnk, eulerian, qnk
+from oracles import (
+    oracle_boundary_h,
+    oracle_face_rows,
+    oracle_interior_h,
+    oracle_restriction_h,
+)
 
 
 def P(*coeffs) -> Poly:
@@ -374,6 +381,62 @@ class TestFTriangle:
         # the cones from it over the 14 + 36 + 24 faces of the boundary
         assert ft.interior_rows[4] == (0, 1, 14, 36, 24)
         assert ft == twin and (repr(ft), hash(ft), ft.to_json()) == before
+        # the memo of family members and interior images: filled, it is one
+        # entry per (m, k) and family and per interior image, and no field
+        for m in range(5):
+            assert ft_h_interior(ft, m) is ft_h_interior(ft, m)
+            for k in range(m + 1):
+                assert ft_qnk(ft, m, k) is ft_qnk(ft, m, k) == qnk(m, k)
+                assert ft_lnk(ft, m, k) is ft_lnk(ft, m, k) == dnk(m, k)
+        assert len(ft._memo) == 5 * 6 + 5
+        assert ft == twin and (repr(ft), hash(ft), ft.to_json()) == before
+        # (1, 2) would have the key of (2, 0); a filled memo still refuses it
+        for m, k in ((1, 2), (2, 3), (-1, 0), (5, 0), (2, -1)):
+            with pytest.raises(ValueError):
+                ft_qnk(ft, m, k)
+            with pytest.raises(ValueError):
+                ft_lnk(ft, m, k)
+        for m in (-1, 5):
+            with pytest.raises(ValueError):
+                ft_h_interior(ft, m)
+
+    def test_an_invalid_triangle_raises_on_every_interior_image(self):
+        # built directly, so no validation ran: a segment with 3 vertices and
+        # 3 edges, whose interior h at size 2 is not the reversal of its h
+        bad = FTriangle(n=2, rows=((1,), (1, 1), (1, 3, 3)))
+        image = simplicial.ft_interior_transform(bad).image
+        for _ in range(3):
+            with pytest.raises(ValueError, match="not the reversal"):
+                image(2)
+            with pytest.raises(ValueError, match="not the reversal"):
+                apply_transform(simplicial.ft_interior_transform(bad), P(1, 1, 1))
+        assert image(1) == ft_h_interior(bad, 1)
+        assert ~2 not in bad._memo and ~1 in bad._memo
+
+    def test_identity_cases_form_each_family_member_once(self, monkeypatch):
+        """identity_cases(8) asks ft_qnk and ft_lnk 1,260 times and the
+        interior transform for 210 images; with each triangle's memo it forms
+        658 binomial sums, one per distinct member: sum over n = 0..8 of
+        (n+1)(n+2) on the barycentric triangle and, for n >= 1, on the
+        trivial one.  The two triangles are equal at n = 1, but each keeps
+        its own memo.  The 45 interior images are certified once each."""
+        calls = {"sums": 0, "reversals": 0}
+
+        def counted(real, key):
+            def wrapper(*args):
+                calls[key] += 1
+                return real(*args)
+
+            return wrapper
+
+        for name in ("generic_hnk", "generic_lnk"):
+            monkeypatch.setattr(simplicial, name, counted(getattr(simplicial, name), "sums"))
+        monkeypatch.setattr(
+            simplicial, "reciprocal", counted(simplicial.reciprocal, "reversals")
+        )
+        family_f_triangle.cache_clear()  # fresh triangles, empty memos
+        assert all(c.status == "pass" for c in identity_cases(8))
+        assert calls == {"sums": 658, "reversals": 45}
 
     @pytest.mark.parametrize(
         "text",
@@ -515,6 +578,70 @@ class TestFTriangleInvariants:
         bad = CarriedTriangulation(stray, (1, 2), {1: {1}, 2: {2}, 3: {1, 2}})
         failed = {c.name for c in identity_suite(bad) if not c.ok}
         assert "interior-reciprocity" in failed
+
+
+FACE_TABLE_FAMILIES = {
+    "trivial": trivial_triangulation,
+    "barycentric": barycentric_subdivision,
+    "esd-r2": lambda n: edgewise_subdivision(n, 2),
+    "esd-r3": lambda n: edgewise_subdivision(n, 3),
+    "colored-r2": lambda n: colored_barycentric(n, 2),
+}
+
+
+class TestFaceTable:
+    @pytest.mark.parametrize("family", sorted(FACE_TABLE_FAMILIES))
+    def test_table_agrees_with_the_scan_for_every_mask(self, family):
+        for n in range(5):
+            t = FACE_TABLE_FAMILIES[family](n)
+            scanned = oracle_face_rows(t)
+            for fmask in range(1 << n):
+                m = fmask.bit_count()
+                assert list(t.closed[fmask][: m + 1]) == scanned[fmask]
+                assert not any(t.closed[fmask][m + 1 :])
+                assert t.restriction_h(fmask) == oracle_restriction_h(t, fmask)
+                assert t.boundary_h(fmask) == oracle_boundary_h(t, fmask)
+                assert t.interior_h(fmask) == oracle_interior_h(t, fmask)
+            rows = [tuple(scanned[(1 << j) - 1]) for j in range(n + 1)]
+            assert f_triangle(t) == FTriangle(n=n, rows=tuple(rows))
+
+    def test_exact_rows_count_faces_by_carrier(self):
+        t = barycentric_subdivision(3)
+        for fmask, row in enumerate(t.exact):
+            want = [0] * len(row)
+            for (mask, size), count in t.counts.items():
+                if mask == fmask:
+                    want[size] += count
+            assert list(row) == want
+        # the barycenter, 6 edges and 6 triangles are interior to the triangle
+        assert t.exact[7][:4] == (0, 1, 6, 6)
+
+    def test_a_face_past_its_window_raises(self):
+        # a triangle {c, d, e} carried by the edge {1, 2}: a face of size 3
+        # in the restriction to a 2-element base face
+        fat = CarriedTriangulation(
+            SimplicialComplex.from_facets([("a", "c"), ("c", "d", "e"), ("e", "b")]),
+            (1, 2),
+            {"a": {1}, "b": {2}, "c": {1, 2}, "d": {1, 2}, "e": {1, 2}},
+        )
+        reads = (fat.restriction_h, fat.interior_h, lambda f: oracle_restriction_h(fat, f))
+        for read in reads:
+            with pytest.raises(ValueError):
+                read(3)
+        with pytest.raises(ValueError):
+            f_triangle(fat)
+        assert fat.boundary_h(3) == oracle_boundary_h(fat, 3) == P(1, 1)
+        # triangles carried by the base edge {1, 2} of a triangle lie in the
+        # boundary of the full restriction, whose window is 3 - 1
+        thick = CarriedTriangulation(
+            SimplicialComplex.from_facets([("a", "c", "x"), ("c", "b", "x"), ("z",)]),
+            (1, 2, 3),
+            {"a": {1}, "b": {2}, "c": {1, 2}, "x": {1, 2}, "z": {3}},
+        )
+        with pytest.raises(ValueError):
+            thick.boundary_h(7)
+        with pytest.raises(ValueError):
+            oracle_boundary_h(thick, 7)
 
 
 LOCAL_H_FAMILIES = {
