@@ -12,6 +12,12 @@ size, which is all the uniform-triangulation theory consumes.  An
 FTriangle owns what is derived from it: its h-rows, interior rows, family
 members ft_qnk and ft_lnk, and interior images, each computed once on first
 use and freed with the triangle; no cache is keyed by a triangle.
+
+The subdivisions, antiprism spheres and induced subcomplexes are closed by
+construction, so they skip the closure walk of the validating constructor
+(see SimplicialComplex._trusted); complexes given by their faces or facets
+are still checked.  The h-polynomials of all partial antiprism complexes
+are read off one tally of the sphere's faces.
 """
 
 from __future__ import annotations
@@ -147,7 +153,18 @@ class SimplicialComplex:
     def _trusted(cls, faces: frozenset, order: tuple) -> "SimplicialComplex":
         """The complex with these faces and this vertex order, unchecked: the
         faces must be frozensets, downward closed, and order must list
-        their vertices once each."""
+        their vertices once each.
+
+        Only constructions whose result is closed by construction call it:
+        - induced: a subface of a kept face is a face inside the kept set;
+        - sd_complex: the faces are all chains of nonempty faces, and a
+          subchain of a chain is a chain;
+        - edgewise_subdivision: every subset of a clique of a facet's
+          joinability relation is emitted, and is a clique of that facet;
+        - antiprism_sphere: u_I | f with carrier(f) disjoint from I stays a
+          face when I or f shrinks, since f's subfaces have smaller carriers.
+        Each also lists a vertex only when its singleton is a face.
+        from_facets and the public constructor still validate."""
         c = object.__new__(cls)
         object.__setattr__(c, "faces", faces)
         object.__setattr__(c, "vertex_order", order)
@@ -193,8 +210,8 @@ class CarriedTriangulation:
 
     carrier[u] is the smallest face of 2^V whose realization contains the
     point u; the carrier of a face is the union over its vertices.  The
-    constructor counts faces by (carrier mask, size) in counts, and in rows
-    of max(n, top face size) + 1 entries: exact[F][i] counts the i-element
+    constructor counts faces by carrier mask and size in rows of
+    max(n, top face size) + 1 entries: exact[F][i] counts the i-element
     faces with carrier F, and closed[F][i] those with carrier inside F,
     summed over submasks one base vertex at a time.
     """
@@ -203,7 +220,6 @@ class CarriedTriangulation:
         "complex",
         "base_vertices",
         "carrier",
-        "counts",
         "exact",
         "closed",
         "_base_index",
@@ -258,7 +274,6 @@ class CarriedTriangulation:
         object.__setattr__(
             self, "carrier", {u: frozenset(carrier[u]) for u in complex.vertex_order}
         )
-        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "exact", tuple(map(tuple, exact)))
         object.__setattr__(self, "closed", tuple(map(tuple, closed)))
         object.__setattr__(self, "_base_index", base_index)
@@ -411,7 +426,7 @@ def sd_complex(complex: SimplicialComplex) -> SimplicialComplex:
                 mine.extend(c | {s} for c in ending[t])
         ending[s] = mine
         chains.extend(mine)
-    return SimplicialComplex(chains, tuple(cells))
+    return SimplicialComplex._trusted(frozenset(chains), tuple(cells))
 
 
 def edgewise_subdivision(
@@ -477,7 +492,7 @@ def edgewise_subdivision(
 
         extend((), (1 << size) - 1)
 
-    complex = SimplicialComplex(faces, tuple(sorted(vertex_carrier)))
+    complex = SimplicialComplex._trusted(frozenset(faces), tuple(sorted(vertex_carrier)))
     return CarriedTriangulation(complex, t.base_vertices, vertex_carrier)
 
 
@@ -511,7 +526,7 @@ def antiprism_sphere(t: CarriedTriangulation) -> AntiprismSphere:
     t to the complementary base face."""
     n = t.n
     check_face_budget(
-        sum(count << (n - int.bit_count(mask)) for (mask, _), count in t.counts.items()),
+        sum(sum(row) << (n - int.bit_count(mask)) for mask, row in enumerate(t.exact)),
         "the antiprism sphere",
     )
     u_vertices = tuple(("u", i) for i in range(1, n + 1))
@@ -531,7 +546,7 @@ def antiprism_sphere(t: CarriedTriangulation) -> AntiprismSphere:
             if cmask & ~allowed == 0:
                 faces.extend(u_part | f for f in fs)
     order = u_vertices + t.complex.vertex_order
-    return AntiprismSphere(SimplicialComplex(faces, order), u_vertices, n)
+    return AntiprismSphere(SimplicialComplex._trusted(frozenset(faces), order), u_vertices, n)
 
 
 def antiprism_partial(sphere: AntiprismSphere, k: int) -> SimplicialComplex:
@@ -541,6 +556,26 @@ def antiprism_partial(sphere: AntiprismSphere, k: int) -> SimplicialComplex:
     dropped = set(sphere.u_vertices[k:])
     keep = [v for v in sphere.complex.vertex_order if v not in dropped]
     return sphere.complex.induced(keep)
+
+
+def antiprism_partial_h(sphere: AntiprismSphere) -> tuple[Poly, ...]:
+    """h_poly(antiprism_partial(sphere, k), sphere.n) for k = 0..n, from one
+    walk over the faces of a sphere that antiprism_sphere built.  A face
+    lies in the k-th partial complex exactly when its largest apex index is
+    at most k, so faces are tallied by that index and by size, and row k of
+    face counts is the sum of the tallies up to k."""
+    n = sphere.n
+    apex = dict.fromkeys(sphere.complex.vertex_order, 0)
+    apex.update((u, i) for i, u in enumerate(sphere.u_vertices, 1))
+    tally = [[0] * (n + 1) for _ in range(n + 1)]
+    for f in sphere.complex.faces:
+        tally[max(map(apex.__getitem__, f), default=0)][len(f)] += 1
+    row = [0] * (n + 1)
+    out = []
+    for counts in tally:
+        row = [a + b for a, b in zip(row, counts)]
+        out.append(_h_from_row(row, n))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ from .permutations import (
 from .simplicial import (
     GEOMETRY_FAMILIES,
     FTriangle,
-    antiprism_partial,
+    antiprism_partial_h,
     antiprism_sphere,
     barycentric_f_triangle,
     build_geometry_family,
@@ -68,7 +68,6 @@ from .simplicial import (
     ft_local_transform,
     ft_qnk,
     ft_theta,
-    h_poly,
     identity_suite,
     theta_flags,
     trivial_f_triangle,
@@ -594,14 +593,9 @@ def geometry_cases(family: str, n: int, r: int = 2) -> list[CaseResult]:
             f"chi = {euler}",
         )
     )
-    for k in range(n + 1):
-        partial = antiprism_partial(sphere, k)
+    for k, h in enumerate(antiprism_partial_h(sphere)):
         cases.append(
-            _eq_case(
-                f"{label}-antiprism-partial-h-{k}",
-                h_poly(partial, n),
-                ft_qnk(triangle, n, k),
-            )
+            _eq_case(f"{label}-antiprism-partial-h-{k}", h, ft_qnk(triangle, n, k))
         )
     return cases
 

@@ -19,9 +19,10 @@ coefficients, and the derangement route decides the real rootedness of
 each image on its own; the library decides each sample on its integer
 multiple and reads real rootedness off the verdict.
 ``oracle_h_where`` and the oracles built on it read the h-polynomials and
-f-triangle rows of a carried triangulation by scanning its counts and
-keeping the carrier masks a test asks for; the library reads one row of
-its per-mask face table.
+f-triangle rows of a carried triangulation by counting its faces by
+carrier mask and size (``oracle_carrier_counts``, a walk of its own over
+the faces) and keeping the carrier masks a test asks for; the library
+reads one row of its per-mask face table.
 """
 
 import itertools
@@ -197,13 +198,25 @@ def oracle_derangement_sample_cases(n: int, samples: int, rng: random.Random) ->
     return cases
 
 
+def oracle_carrier_counts(t) -> dict[tuple[int, int], int]:
+    """Faces of the carried triangulation t counted by (carrier mask, size),
+    from a walk over its faces and carriers; the library counts them once,
+    in its per-mask face table."""
+    counts: dict[tuple[int, int], int] = {}
+    for f in t.complex.faces:
+        mask = t.base_mask(frozenset().union(*(t.carrier[u] for u in f)))
+        counts[mask, len(f)] = counts.get((mask, len(f)), 0) + 1
+    return counts
+
+
 def oracle_h_where(t, keep, window: int) -> Poly:
     """h-polynomial, in the window, of the faces of the carried
-    triangulation t whose carrier mask passes keep, by a scan of t.counts.
-    A face past the window raises ValueError: a negative power of 1 - x."""
+    triangulation t whose carrier mask passes keep, by a scan of its face
+    counts.  A face past the window raises ValueError: a negative power of
+    1 - x."""
     return linear_combination(
         (c, Poly((1, -1)) ** (window - size), size)
-        for (mask, size), c in t.counts.items()
+        for (mask, size), c in oracle_carrier_counts(t).items()
         if keep(mask)
     )
 
@@ -225,11 +238,12 @@ def oracle_interior_h(t, fmask: int) -> Poly:
 
 def oracle_face_rows(t) -> list[list[int]]:
     """[fmask][i]: i-element faces with carrier inside fmask, scanned from
-    t.counts for each mask."""
+    the face counts for each mask."""
+    counts = oracle_carrier_counts(t)
     rows = []
     for fmask in range(1 << t.n):
         row = [0] * (fmask.bit_count() + 1)
-        for (mask, size), count in t.counts.items():
+        for (mask, size), count in counts.items():
             if mask & ~fmask == 0:
                 row[size] += count
         rows.append(row)

@@ -20,6 +20,8 @@ from eulerian_lab.simplicial import (
     f_triangle,
     faces_as_index_lines,
     family_f_triangle,
+    ft_lnk,
+    ft_qnk,
     trivial_triangulation,
 )
 from eulerian_lab.suites import GEOMETRY_FAMILIES, build_geometry_family
@@ -178,6 +180,35 @@ class TestCheckConjecture:
         doc = json.loads(out)
         assert doc["summary"]["verdict"] == "conclusion-fails"
         assert doc["summary"]["part_a"]["interlacing_pairs_failed"] == [[0, 2]]
+
+    @pytest.mark.parametrize("r", range(2, 8))
+    def test_esd_at_n_r_plus_one_fails_the_conclusion(self, capsys, r):
+        # The hypothesis holds (it is checked for 2 <= m < n only) and the
+        # outer pair fails: part a on the degree window, since the k = 0
+        # member has degree n - 2 and the k = n member degree n; part b,
+        # whose members all have degree n - 2, for r >= 3 (at r = 2 its
+        # k = n member is 0).  Pinned as found, with exit 1 as for a
+        # counterexample, until the statement in the paper decides between
+        # a missing hypothesis, another interlacing convention and a
+        # genuine counterexample.
+        n = r + 1
+        code, out, _ = run(capsys, "check-conjecture", "--family", "esd",
+                           "--n", str(n), "--r", str(r), "--format", "json")
+        assert code == 1
+        summary = json.loads(out)["summary"]
+        assert summary["hypothesis"] is True
+        assert summary["verdict"] == "conclusion-fails"
+        assert summary["part_a"]["interlacing_pairs_failed"] == [[0, n]]
+        assert summary["part_b"]["interlacing_pairs_failed"] == ([] if r == 2 else [[0, n]])
+        for part in ("part_a", "part_b"):
+            assert summary[part]["real_rooted"] == [True] * (n + 1)
+        triangle = family_f_triangle("esd", n, r)
+        assert [ft_qnk(triangle, n, k).deg() for k in range(n + 1)] == (
+            [n - 2] + [n - 1] * (n - 1) + [n]
+        )
+        assert [ft_lnk(triangle, n, k).deg() for k in range(n + 1)] == (
+            [n - 2] * n + [n - 2 if r >= 3 else -1]
+        )
 
     def test_barycentric_passes(self, capsys):
         code, out, _ = run(capsys, "check-conjecture", "--family",

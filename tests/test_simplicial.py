@@ -15,6 +15,7 @@ from eulerian_lab.simplicial import (
     FTriangle,
     SimplicialComplex,
     antiprism_partial,
+    antiprism_partial_h,
     antiprism_sphere,
     barycentric_f_triangle,
     barycentric_subdivision,
@@ -41,6 +42,7 @@ from eulerian_lab.suites import identity_cases
 from eulerian_lab.transforms import apply_transform, dnk, eulerian, qnk
 from oracles import (
     oracle_boundary_h,
+    oracle_carrier_counts,
     oracle_face_rows,
     oracle_interior_h,
     oracle_restriction_h,
@@ -607,9 +609,10 @@ class TestFaceTable:
 
     def test_exact_rows_count_faces_by_carrier(self):
         t = barycentric_subdivision(3)
+        counts = oracle_carrier_counts(t)
         for fmask, row in enumerate(t.exact):
             want = [0] * len(row)
-            for (mask, size), count in t.counts.items():
+            for (mask, size), count in counts.items():
                 if mask == fmask:
                     want[size] += count
             assert list(row) == want
@@ -752,3 +755,53 @@ class TestInducedAgainstValidatingConstructor:
                 assert [got.index(v) for v in kept] == [want.index(v) for v in kept]
                 checked += 1
         assert checked == 36 * 9
+
+
+def trusted_build_complexes():
+    """Every geometry family at n <= 4 with r = 2 and 3 (trivial and
+    barycentric once), and the antiprism spheres over them at n <= 3."""
+    for family, entry in GEOMETRY_FAMILIES.items():
+        for r in (2, 3) if entry.takes_r else (2,):
+            for n in range(5):
+                t = entry.build(n, r)
+                name = f"{family}-{n}-r{r}"
+                yield name, t.complex, None
+                if n <= 3:
+                    sphere = antiprism_sphere(t)
+                    yield f"{name}-antiprism", sphere.complex, sphere
+
+
+class TestTrustedBuildsAgainstValidatingConstructor:
+    """Subdivisions and antiprism spheres skip the closure check; the
+    validating constructor must accept each of them unchanged."""
+
+    def test_same_faces_order_and_indices(self):
+        checked = 0
+        for name, c, _ in trusted_build_complexes():
+            want = SimplicialComplex(c.faces, c.vertex_order)
+            assert c.faces == want.faces, name
+            assert c.vertex_order == want.vertex_order, name
+            order = want.vertex_order
+            assert [c.index(v) for v in order] == [want.index(v) for v in order], name
+            checked += 1
+        # six (family, r) pairs, 5 sizes and 4 spheres each
+        assert checked == 6 * 5 + 6 * 4
+
+    def test_partial_h_from_one_tally(self):
+        checked = 0
+        for name, _, sphere in trusted_build_complexes():
+            if sphere is None:
+                continue
+            n = sphere.n
+            rows = antiprism_partial_h(sphere)
+            assert len(rows) == n + 1, name
+            for k, h in enumerate(rows):
+                assert h == h_poly(antiprism_partial(sphere, k), n), (name, k)
+                checked += 1
+        assert checked == 6 * (1 + 2 + 3 + 4)
+
+    def test_partial_h_of_the_void_sphere(self):
+        void = CarriedTriangulation(SimplicialComplex([]), (), {})
+        sphere = antiprism_sphere(void)
+        assert sphere.complex.is_void()
+        assert antiprism_partial_h(sphere) == (h_poly(antiprism_partial(sphere, 0), 0),)
