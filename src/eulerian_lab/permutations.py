@@ -6,14 +6,17 @@ while iterators and statistics work on raw tuples so that full-group sweeps
 stay cheap.  Every generating polynomial here is an enumeration: no closed
 forms, no recurrences.  A family is read off one pass over its group:
 sweep_histogram counts the words of S_m by a tuple of raw statistics and
-project_row reads each S_n family from that count, and the signed and
+project_rows reads the S_n families from that count, and the signed and
 colored families are tallied the same way.  One table gives each S_n
-family's group size, parameters and grouping: a projection walks the count
-once to group it by the family's (statistic, selecting field, mask field)
-and reads each k and j off the small groups, so a whole row of k and j
-costs one walk; flag_excedance_rows likewise reads every k off one tally
-by the largest zero-colour fixed point.  The closed-form counterparts live
-in transforms.py; suites.equivalence_cases and the tests compare the two
+family's group size, parameters, grouping and reading.  A grouping sorts
+the count by (statistic, selecting field, mask field), and one walk of the
+count per distinct grouping is shared by the families that read it: p and
+p-exc are the k = 0 reads of the qnkj-alt and qnkj groupings, A and A-exc
+those of q-bad and q-fix, and dnk and d read the q-fix grouping too.  A
+masked group gives its row for every k in one telescoped pass.
+flag_excedance_rows likewise reads every k off one tally by the largest
+zero-colour fixed point.  The closed-form counterparts live in
+transforms.py; suites.equivalence_cases and the tests compare the two
 routes.
 """
 
@@ -23,6 +26,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Sequence, Union
 
 from .budget import check_group_budget
@@ -292,34 +296,73 @@ def _group(
     """One walk over hist: for each value of key[field], how many
     permutations share each (key[mask], key[stat]).  A field or mask of None
     reads as 0."""
-    groups: dict[int, Counter] = {}
+    # a field or mask of None picks stat in its place and is zeroed below
+    pick = itemgetter(
+        stat if field is None else field, stat if mask is None else mask, stat
+    )
+    tally: dict[tuple[int, int, int], int] = {}
+    get = tally.get
     for key, c in hist.items():
-        f = 0 if field is None else key[field]
+        key = pick(key)
+        tally[key] = get(key, 0) + c
+    groups: dict[int, Counter] = {}
+    for (f, m, s), c in tally.items():
+        if field is None:
+            f = 0
+        if mask is None:
+            m = 0
         group = groups.get(f)
         if group is None:
             group = groups[f] = Counter()
-        group[0 if mask is None else key[mask], key[stat]] += c
+        group[m, s] += c
     return groups
 
 
-def _read(group: Counter | None, k: int = 0, keep=None) -> Poly:
-    """Sum of c * (1+x)^t * x^s over the entries (mask, s) -> c of a group
-    (those whose mask keep accepts, when keep is given), where t is the
-    number of set bits of mask among the first k."""
-    low = (1 << k) - 1
-    terms: Counter = Counter()
+def _telescope(group: Counter | None, top: int) -> list[Poly]:
+    """Row k, for k = 0..top, is the sum of c * (1+x)^t * x^s over the
+    entries (mask, s) -> c of a group, where t is the number of set bits of
+    mask among the first k.  Since (1+x)^(t+1) - (1+x)^t = x(1+x)^t, row
+    k + 1 is row k plus x * c * x^s * (1+x)^t over the entries whose mask has
+    bit k, with t the bits below k: each entry is visited once per set bit
+    below top, not once per k."""
+    base: Counter = Counter()
+    steps = [Counter() for _ in range(top)]
+    low = (1 << top) - 1
     for (m, s), c in (group or {}).items():
-        if keep is None or keep(m):
-            terms[(m & low).bit_count(), s] += c
-    return _expand(terms)
+        base[0, s] += c
+        m &= low
+        t = 0
+        while m:
+            bit = m & -m
+            steps[bit.bit_length() - 1][t, s + 1] += c
+            m ^= bit
+            t += 1
+    rows = [_expand(base)]
+    for step in steps:
+        rows.append(rows[-1] + _expand(step))
+    return rows
+
+
+def _fixed_below(group: Counter | None, top: int) -> list[Poly]:
+    """Row i, for i = 0..top, is the sum of c * x^s over the entries
+    (mask, s) -> c of a group whose mask has no bit at or above i: one walk
+    tallies the entries by the bit length of their mask."""
+    by_length = [Counter() for _ in range(top + 1)]
+    for (m, s), c in (group or {}).items():
+        by_length[m.bit_length()][0, s] += c
+    rows = [_expand(by_length[0])]
+    for tally in by_length[1:]:
+        rows.append(rows[-1] + _expand(tally))
+    return rows
 
 
 def _run_classes(hist: Counter) -> Counter:
     """hist summed down to (w(1), first decreasing run is a singleton, a
     later one is a singleton, des)."""
+    pick = itemgetter(_FIRST, _FIRST_SINGLE, _LATER_SINGLE, _DES)
     classes: Counter = Counter()
     for key, c in hist.items():
-        classes[key[_FIRST], key[_FIRST_SINGLE], key[_LATER_SINGLE], key[_DES]] += c
+        classes[pick(key)] += c
     return classes
 
 
@@ -339,6 +382,18 @@ def _xi_classes(
         elif not later_single:
             minus[runs - 1] += c
     return tuple(plus), tuple(minus)
+
+
+def _xi_row(hist: Counter, n: int) -> dict[tuple[int, int], Poly]:
+    """The xi row at size n, every k off one walk of sweep_histogram(n)."""
+    classes = _run_classes(hist)
+    row = {}
+    for k in range(n + 1):
+        plus, minus = _xi_classes(classes, n, k)
+        terms = {(n - 2 * i, i): c for i, c in enumerate(plus)}
+        terms.update({(n - 1 - 2 * i, i): c for i, c in enumerate(minus)})
+        row[k, 0] = _expand(terms)
+    return row
 
 
 def xi_counts(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -392,37 +447,73 @@ def flag_excedance_poly(n: int, r: int, k: int) -> Poly:
     return flag_excedance_rows(n, r)[k]
 
 
+# The groupings of a sweep_histogram that the S_n families read: the
+# statistic in the exponent, the field whose value selects a group and the
+# mask whose bits weigh by 1 + x.
+_QNKJ = (_EXC, _INV1, _FIX)
+_QNKJ_ALT = (_DES, _FIRST, _BAD)
+_P_ASC = (_DES, _LAST, None)
+_Q_FIX = (_EXC, None, _FIX)
+_Q_BAD = (_DES, None, _BAD)
+
+
+# Where a family finds its (k, j) entry at size n: the group of its grouping
+# and the row of that group's reading.
+def _group_j(n: int, k: int, j: int) -> tuple[int, int]:
+    return j + 1, k
+
+
+def _group_k(n: int, k: int, j: int) -> tuple[int, int]:
+    return k + 1, 0
+
+
+def _row_k(n: int, k: int, j: int) -> tuple[int, int]:
+    return 0, k
+
+
+def _fixed_in_first(n: int, k: int, j: int) -> tuple[int, int]:
+    return 0, n - k
+
+
 # The S_n families: how far past n the swept group reaches, which of the
-# parameters k and j they take, and the grouping of the histogram that each
-# family other than xi reads: the statistic in the exponent, the field whose
-# value selects a group (k + 1 for the p families, j + 1 for the qnkj ones,
-# 0 otherwise: d reads the words without a fixed point) and the mask whose
-# first k bits weigh by 1 + x.
+# parameters k and j they take, the grouping of the histogram they read,
+# how a group is read (_telescope: row k weighs the first k mask bits by
+# 1 + x; _fixed_below: row i keeps the words whose mask bits all lie below
+# i, so row 0 of the fix mask holds the derangements) and where each entry
+# lies.  Families that share a grouping share its walk and its readings.
 _FAMILIES = {
-    "A": (0, "", (_DES, None, None)),
-    "A-exc": (0, "", (_EXC, None, None)),
-    "p": (1, "k", (_DES, _FIRST, None)),
-    "p-asc": (1, "k", (_DES, _LAST, None)),
-    "p-exc": (1, "k", (_EXC, _INV1, None)),
-    "q-fix": (0, "k", (_EXC, None, _FIX)),
-    "q-bad": (0, "k", (_DES, None, _BAD)),
-    "qnkj": (1, "kj", (_EXC, _INV1, _FIX)),
-    "qnkj-alt": (1, "kj", (_DES, _FIRST, _BAD)),
-    "qstar": (1, "kj", (_EXC, _INV1, _FIX)),
-    "d": (0, "", (_EXC, _FIX, None)),
-    "dnk": (0, "k", (_EXC, None, _FIX)),
-    "xi": (0, "k", None),
+    "A": (0, "", _Q_BAD, _telescope, _row_k),
+    "A-exc": (0, "", _Q_FIX, _telescope, _row_k),
+    "p": (1, "k", _QNKJ_ALT, _telescope, _group_k),
+    "p-asc": (1, "k", _P_ASC, _telescope, _group_k),
+    "p-exc": (1, "k", _QNKJ, _telescope, _group_k),
+    "q-fix": (0, "k", _Q_FIX, _telescope, _row_k),
+    "q-bad": (0, "k", _Q_BAD, _telescope, _row_k),
+    "qnkj": (1, "kj", _QNKJ, _telescope, _group_j),
+    "qnkj-alt": (1, "kj", _QNKJ_ALT, _telescope, _group_j),
+    "qstar": (1, "kj", _QNKJ, _telescope, _group_j),
+    "d": (0, "", _Q_FIX, _fixed_below, _row_k),
+    "dnk": (0, "k", _Q_FIX, _fixed_below, _fixed_in_first),
+    "xi": (0, "k", None, None, None),
 }
+
+
+def _params(takes: str, n: int) -> list[tuple[int, int]]:
+    """The (k, j) keys of a family's row at size n, 0 for a parameter the
+    family does not take."""
+    ks = range(n + 2 if "j" in takes else n + 1) if "k" in takes else (0,)
+    js = range(n + 1) if "j" in takes else (0,)
+    return [(k, j) for k in ks for j in js]
 
 
 def _checked_key(
     family: str, n: int, k: int | None, j: int | None
 ) -> tuple[int, tuple[int, int]]:
     """Check the parameters of an S_n family; return the size m of the
-    group S_m whose sweep_histogram it reads and its key in project_row."""
+    group S_m whose sweep_histogram it reads and its key in project_rows."""
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    offset, params, _ = _FAMILIES[family]
+    offset, params = _FAMILIES[family][:2]
     if "k" in params:
         top = n + 1 if "j" in params else n
         if k is None:
@@ -437,44 +528,50 @@ def _checked_key(
     return n + offset, (k if "k" in params else 0, j if "j" in params else 0)
 
 
+def project_rows(
+    families: Sequence[str], hists: dict[int, Counter], n: int
+) -> dict[str, dict[tuple[int, int], Poly]]:
+    """Every polynomial of each named S_n family at size n, keyed by family
+    and then by (k, j) with 0 for a parameter the family does not take;
+    hists maps each size m to sweep_histogram(m).
+
+    One walk of a histogram per distinct grouping is shared by the families
+    that read it, and each group is read once: a masked group gives its row
+    for every k in one telescoped pass."""
+    grouped: dict = {}
+    read: dict = {}
+    out = {}
+    for family in families:
+        offset, takes, grouping, reader, locate = _FAMILIES[family]
+        if grouping is None:
+            out[family] = _xi_row(hists[n], n)
+            continue
+        m = n + offset
+        if (m, grouping) not in grouped:
+            grouped[m, grouping] = _group(hists[m], *grouping)
+        row = {}
+        for k, j in _params(takes, n):
+            g, r = locate(n, k, j)
+            key = m, grouping, reader, g
+            if key not in read:
+                top = 0 if grouping[2] is None else m
+                read[key] = reader(grouped[m, grouping].get(g), top)
+            row[k, j] = read[key][r]
+        if family == "p-asc":
+            # asc = n - des on S_{n+1}
+            row = {key: reciprocal(q, n) for key, q in row.items()}
+        elif family == "qstar":
+            for k in range(1, n + 2):
+                row[k, 0] = row[k, 0].exact_div(one_plus_x_power(1))
+        out[family] = row
+    return out
+
+
 def project_row(
     family: str, hists: dict[int, Counter], n: int
 ) -> dict[tuple[int, int], Poly]:
-    """Every polynomial of an S_n family at size n, keyed by (k, j) with 0
-    for a parameter the family does not take, read off one grouping of the
-    histogram that project_family reads; hists maps each size m to
-    sweep_histogram(m)."""
-    offset, takes, grouping = _FAMILIES[family]
-    hist = hists[n + offset]
-    ks = range(n + 2 if "j" in takes else n + 1) if "k" in takes else (0,)
-    js = range(n + 1) if "j" in takes else (0,)
-    row = {}
-    if family == "xi":
-        classes = _run_classes(hist)
-        for k in ks:
-            plus, minus = _xi_classes(classes, n, k)
-            terms = {(n - 2 * i, i): c for i, c in enumerate(plus)}
-            terms.update({(n - 1 - 2 * i, i): c for i, c in enumerate(minus)})
-            row[k, 0] = _expand(terms)
-        return row
-    groups = _group(hist, *grouping)
-    for k in ks:
-        for j in js:
-            if family == "dnk":
-                q = _read(groups.get(0), keep=lambda m: m >> (n - k) == 0)
-            elif family == "p-asc":
-                # asc = n - des on S_{n+1}
-                q = reciprocal(_read(groups.get(k + 1)), n)
-            elif family in ("p", "p-exc"):
-                q = _read(groups.get(k + 1))
-            elif family in ("qnkj", "qnkj-alt", "qstar"):
-                q = _read(groups.get(j + 1), k)
-                if family == "qstar" and j == 0 and k >= 1:
-                    q = q.exact_div(one_plus_x_power(1))
-            else:
-                q = _read(groups.get(0), k)
-            row[k, j] = q
-    return row
+    """The row of one family from project_rows."""
+    return project_rows((family,), hists, n)[family]
 
 
 def project_family(
@@ -512,7 +609,8 @@ def brute_force_family(
     - "B": x^des_B over signed permutations of size n
     - "colored-local": flag_excedance_poly(n, r, k)
 
-    The S_n families are read by project_row off one sweep_histogram.
+    The S_n families are read by project_rows off one sweep_histogram, each
+    from the grouping it shares with the other families that read it.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

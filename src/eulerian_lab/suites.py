@@ -49,7 +49,7 @@ from .transforms import (
 from .permutations import (
     brute_force_family,
     flag_excedance_rows,
-    project_row,
+    project_rows,
     sweep_histogram,
 )
 from .simplicial import (
@@ -147,13 +147,14 @@ def equivalence_cases(n_max: int = 6) -> list[CaseResult]:
     """Closed forms against raw enumeration for every family, n <= n_max.
 
     Each symmetric group is swept once: the histogram of S_{n+1} read for
-    size n is reused as the histogram of S_n for size n + 1.  Each family
-    reads its whole row, every k and j, off one grouping of its histogram."""
+    size n is reused as the histogram of S_n for size n + 1.  One
+    project_rows call per n reads every family's row, every k and j, off
+    three walks of each of the two histograms."""
     cases = []
     hists = {0: sweep_histogram(0)}
     for n in range(n_max + 1):
         hists[n + 1] = sweep_histogram(n + 1)
-        row = {f: project_row(f, hists, n) for f in _EQUIVALENCE_FAMILIES}
+        row = project_rows(_EQUIVALENCE_FAMILIES, hists, n)
         cases.append(_eq_case(f"A-des-enumeration-{n}", row["A"][0, 0], eulerian(n)))
         cases.append(
             _eq_case(f"A-exc-enumeration-{n}", row["A-exc"][0, 0], eulerian(n))

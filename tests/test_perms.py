@@ -1,10 +1,14 @@
 """Permutation statistics against hand-checked and brute-forced values."""
 
+import functools
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eulerian_lab import permutations as perms
+from eulerian_lab import suites
 from eulerian_lab.budget import group_limit
 from eulerian_lab.errors import BudgetExceeded
 from eulerian_lab.permutations import (
@@ -17,6 +21,7 @@ from eulerian_lab.permutations import (
     flag_excedance_poly,
     project_family,
     project_row,
+    project_rows,
     signed_permutations,
     stats,
     sweep_histogram,
@@ -290,9 +295,10 @@ class TestHistogramAgainstPerWordSweep:
             brute_force_family("dnk", 3, k=4)
 
 
-# -- the projection route that read one (family, k, j) per walk over the
-# whole histogram, before project_family grouped it; kept as the oracle of
-# TestGroupedProjectionAgainstPerProjectionWalk.
+# -- the projection routes that the shared, telescoped one replaced, kept as
+# its oracles.  oracle_project_family reads one (family, k, j) per walk over
+# the whole histogram.  oracle_grouped_row groups the histogram once per
+# family (oracle_group) and reads each k off one group (oracle_read).
 
 def oracle_poly(hist, stat, keep=None, mask=None, k=0):
     """Sum over the kept keys of count * (1+x)^t * x^key[stat], where t is
@@ -358,28 +364,214 @@ def oracle_project_family(family, hist, n, k=None, j=None):
     return oracle_expand(terms)
 
 
+# the grouping that each family walked on its own before the families
+# shared them: (statistic, selecting field, mask)
+ORACLE_GROUPINGS = {
+    "A": (perms._DES, None, None),
+    "A-exc": (perms._EXC, None, None),
+    "p": (perms._DES, perms._FIRST, None),
+    "p-asc": (perms._DES, perms._LAST, None),
+    "p-exc": (perms._EXC, perms._INV1, None),
+    "q-fix": (perms._EXC, None, perms._FIX),
+    "q-bad": (perms._DES, None, perms._BAD),
+    "qnkj": (perms._EXC, perms._INV1, perms._FIX),
+    "qnkj-alt": (perms._DES, perms._FIRST, perms._BAD),
+    "qstar": (perms._EXC, perms._INV1, perms._FIX),
+    "d": (perms._EXC, perms._FIX, None),
+    "dnk": (perms._EXC, None, perms._FIX),
+}
+
+
+def oracle_group(hist, stat, field, mask):
+    """For each value of key[field], how many permutations share each
+    (key[mask], key[stat]); a field or mask of None reads as 0."""
+    groups = {}
+    for key, c in hist.items():
+        group = groups.setdefault(0 if field is None else key[field], Counter())
+        group[0 if mask is None else key[mask], key[stat]] += c
+    return groups
+
+
+def oracle_read(group, k=0, keep=None):
+    """Sum of c * (1+x)^t * x^s over the entries (mask, s) -> c of a group
+    (those whose mask keep accepts, when keep is given), where t is the
+    number of set bits of mask among the first k."""
+    low = (1 << k) - 1
+    terms = Counter()
+    for (m, s), c in (group or {}).items():
+        if keep is None or keep(m):
+            terms[(m & low).bit_count(), s] += c
+    return oracle_expand(terms)
+
+
+def oracle_grouped_row(family, hists, n):
+    hist = hists[n + 1 if family in WIDE_FAMILIES else n]
+    groups = oracle_group(hist, *ORACLE_GROUPINGS[family])
+    row = {}
+    for k, j in oracle_params(family, n):
+        k, j = k or 0, j or 0
+        if family == "dnk":
+            q = oracle_read(groups.get(0), keep=lambda m: m >> (n - k) == 0)
+        elif family == "p-asc":
+            q = reciprocal(oracle_read(groups.get(k + 1)), n)
+        elif family in ("p", "p-exc"):
+            q = oracle_read(groups.get(k + 1))
+        elif family in ("qnkj", "qnkj-alt", "qstar"):
+            q = oracle_read(groups.get(j + 1), k)
+            if family == "qstar" and j == 0 and k >= 1:
+                q = q.exact_div(one_plus_x_power(1))
+        else:
+            q = oracle_read(groups.get(0), k)
+        row[k, j] = q
+    return row
+
+
 SWEPT_FAMILIES = (
     "A", "A-exc", "p", "p-asc", "p-exc", "q-fix", "q-bad", "qnkj",
     "qnkj-alt", "qstar", "d", "dnk", "xi",
 )
 WIDE_FAMILIES = ("p", "p-asc", "p-exc", "qnkj", "qnkj-alt", "qstar")
+# the largest n at which the projections are checked against the oracles
+PROJECTION_N = 7
+
+
+def oracle_params(family, n):
+    if family in ("A", "A-exc", "d"):
+        return [(None, None)]
+    if family in ("qnkj", "qnkj-alt", "qstar"):
+        return [(k, j) for k in range(n + 2) for j in range(n + 1)]
+    return [(k, None) for k in range(n + 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def histogram(m):
+    return sweep_histogram(m)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_row(family, n):
+    hist = histogram(n + 1 if family in WIDE_FAMILIES else n)
+    return {
+        (k or 0, j or 0): oracle_project_family(family, hist, n, k, j)
+        for k, j in oracle_params(family, n)
+    }
 
 
 class TestGroupedProjectionAgainstPerProjectionWalk:
+    """The shared groupings against the per-projection walk, read three
+    ways, so that a family never reads what another family's reading left
+    in a shared grouping."""
+
     @pytest.mark.parametrize("family", SWEPT_FAMILIES)
     def test_every_parameter(self, family):
-        hists = {m: sweep_histogram(m) for m in range(8)}
-        for n in range(7):
+        # each family alone
+        hists = {m: histogram(m) for m in range(PROJECTION_N + 2)}
+        for n in range(PROJECTION_N + 1):
             hist = hists[n + 1 if family in WIDE_FAMILIES else n]
-            if family in ("A", "A-exc", "d"):
-                params = [(None, None)]
-            elif family in ("qnkj", "qnkj-alt", "qstar"):
-                params = [(k, j) for k in range(n + 2) for j in range(n + 1)]
-            else:
-                params = [(k, None) for k in range(n + 1)]
+            want = oracle_row(family, n)
             row = project_row(family, hists, n)
-            assert len(row) == len(params), (n, sorted(row))
-            for k, j in params:
-                want = oracle_project_family(family, hist, n, k, j)
-                assert project_family(family, hist, n, k, j) == want, (n, k, j)
-                assert row[k or 0, j or 0] == want, (n, k, j)
+            assert row == want, n
+            if family in ORACLE_GROUPINGS:
+                assert oracle_grouped_row(family, hists, n) == want, n
+            for k, j in oracle_params(family, n):
+                got = project_family(family, hist, n, k, j)
+                assert got == want[k or 0, j or 0], (n, k, j)
+
+    @pytest.mark.parametrize("order", (1, -1))
+    def test_all_families_together(self, order):
+        # in both orders, so that each family of a shared grouping is read
+        # both before and after the others
+        families = SWEPT_FAMILIES[::order]
+        hists = {m: histogram(m) for m in range(PROJECTION_N + 2)}
+        for n in range(PROJECTION_N + 1):
+            rows = project_rows(families, hists, n)
+            assert list(rows) == list(families)
+            for family in families:
+                assert rows[family] == oracle_row(family, n), (family, n)
+
+    @pytest.mark.parametrize("family", SWEPT_FAMILIES)
+    def test_through_brute_force_family(self, family, monkeypatch):
+        # the sweeps are shared through the cache; the projections are not
+        monkeypatch.setattr(perms, "sweep_histogram", histogram)
+        for n in range(PROJECTION_N + 1):
+            want = oracle_row(family, n)
+            for k, j in oracle_params(family, n):
+                got = brute_force_family(family, n, k=k, j=j)
+                assert got == want[k or 0, j or 0], (n, k, j)
+
+
+group_masks = st.integers(min_value=0, max_value=(1 << 10) - 1)
+groups = st.one_of(
+    st.none(),
+    st.dictionaries(
+        st.tuples(group_masks, st.integers(min_value=0, max_value=8)),
+        st.integers(min_value=1, max_value=50),
+        max_size=12,
+    ).map(Counter),
+)
+READS = settings(max_examples=500, deadline=None, derandomize=True, database=None)
+
+
+class TestTelescopedRead:
+    """Every k of a group in one pass against one read per k, on random
+    (mask, s) -> c groups whose masks may have bits at or above the top k."""
+
+    @READS
+    @given(groups, st.integers(min_value=0, max_value=8))
+    @example(None, 3)
+    @example(Counter({(0b1111, 2): 3, (0, 1): 1}), 0)
+    @example(Counter({(0b1100000, 1): 2, (0b101, 0): 1}), 2)
+    def test_every_k_matches_the_per_k_read(self, group, top):
+        want = [oracle_read(group, k) for k in range(top + 1)]
+        assert perms._telescope(group, top) == want
+
+    @READS
+    @given(groups, st.integers(min_value=0, max_value=10))
+    @example(None, 3)
+    @example(Counter({(0, 2): 3, (0b1, 1): 1}), 0)
+    def test_fixed_below_matches_the_filtered_read(self, group, top):
+        # a fix mask of S_top has no bit at or above top
+        if group is not None:
+            group = Counter({(m % (1 << top), s): c for (m, s), c in group.items()})
+        want = [oracle_read(group, keep=lambda m: m >> i == 0) for i in range(top + 1)]
+        assert perms._fixed_below(group, top) == want
+
+
+class TestEquivalenceWalks:
+    def test_each_size_walked_once_per_grouping(self, monkeypatch):
+        # equivalence_cases sweeps each S_m once, and at each n walks S_{n+1}
+        # for qnkj, qnkj-alt and p-asc and S_n for q-fix, q-bad and xi
+        sizes, sweeps, walks, at = {}, Counter(), Counter(), []
+        real_rows, real_group = suites.project_rows, perms._group
+        real_classes = perms._run_classes
+
+        def sweep(m):
+            sweeps[m] += 1
+            hist = sweep_histogram(m)
+            sizes[id(hist)] = m
+            return hist
+
+        def rows(families, hists, n):
+            at.append(n)
+            return real_rows(families, hists, n)
+
+        def group(hist, *grouping):
+            walks[at[-1], sizes[id(hist)], grouping] += 1
+            return real_group(hist, *grouping)
+
+        def classes(hist):
+            walks[at[-1], sizes[id(hist)], "xi"] += 1
+            return real_classes(hist)
+
+        monkeypatch.setattr(suites, "sweep_histogram", sweep)
+        monkeypatch.setattr(suites, "project_rows", rows)
+        monkeypatch.setattr(perms, "_group", group)
+        monkeypatch.setattr(perms, "_run_classes", classes)
+        n_max = 4
+        assert all(c.ok for c in suites.equivalence_cases(n_max))
+        assert sweeps == Counter(range(n_max + 2))
+        assert at == list(range(n_max + 1))
+        assert set(walks.values()) == {1}
+        for n in range(n_max + 1):
+            by_size = Counter(m for at_n, m, _ in walks if at_n == n)
+            assert by_size == {n + 1: 3, n: 3}, (n, by_size)
