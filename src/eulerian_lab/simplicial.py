@@ -18,6 +18,10 @@ construction, so they skip the closure walk of the validating constructor
 (see SimplicialComplex._trusted); complexes given by their faces or facets
 are still checked.  The h-polynomials of all partial antiprism complexes
 are read off one tally of the sphere's faces.
+
+identity_suite decides its interval identities on integers: the value of
+each polynomial at one power of two, large enough that equal values
+certify equal polynomials.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from itertools import combinations_with_replacement
 from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+from ._cases import CaseResult, case as _case
 from .budget import check_face_budget
 from .errors import CertificationError
 from .poly import (
@@ -213,7 +218,8 @@ class CarriedTriangulation:
     constructor counts faces by carrier mask and size in rows of
     max(n, top face size) + 1 entries: exact[F][i] counts the i-element
     faces with carrier F, and closed[F][i] those with carrier inside F,
-    summed over submasks one base vertex at a time.
+    summed over submasks one base vertex at a time.  The faces themselves
+    stay grouped by (carrier mask, size), for antiprism_sphere.
     """
 
     __slots__ = (
@@ -222,6 +228,7 @@ class CarriedTriangulation:
         "carrier",
         "exact",
         "closed",
+        "_by_carrier",
         "_base_index",
         "_h_cache",
         "_local_cache",
@@ -248,17 +255,21 @@ class CarriedTriangulation:
                     raise ValueError(f"carrier of {u!r} leaves the base simplex")
                 mask |= 1 << base_index[v]
             vertex_mask[u] = mask
-        counts: dict[tuple[int, int], int] = {}
+        by_carrier: dict[tuple[int, int], list[frozenset]] = {}
         for f in complex.faces:
             mask = 0
             for u in f:
                 mask |= vertex_mask[u]
             key = (mask, len(f))
-            counts[key] = counts.get(key, 0) + 1
-        width = max([len(base)] + [size for _, size in counts]) + 1
+            group = by_carrier.get(key)
+            if group is None:
+                by_carrier[key] = [f]
+            else:
+                group.append(f)
+        width = max([len(base)] + [size for _, size in by_carrier]) + 1
         exact = [[0] * width for _ in range(1 << len(base))]
-        for (mask, size), c in counts.items():
-            exact[mask][size] = c
+        for (mask, size), group in by_carrier.items():
+            exact[mask][size] = len(group)
         closed = [list(row) for row in exact]
         for bit in (1 << i for i in range(len(base))):
             for mask in range(1 << len(base)):
@@ -276,6 +287,7 @@ class CarriedTriangulation:
         )
         object.__setattr__(self, "exact", tuple(map(tuple, exact)))
         object.__setattr__(self, "closed", tuple(map(tuple, closed)))
+        object.__setattr__(self, "_by_carrier", by_carrier)
         object.__setattr__(self, "_base_index", base_index)
         object.__setattr__(self, "_h_cache", {})
         object.__setattr__(self, "_local_cache", {})
@@ -530,19 +542,12 @@ def antiprism_sphere(t: CarriedTriangulation) -> AntiprismSphere:
         "the antiprism sphere",
     )
     u_vertices = tuple(("u", i) for i in range(1, n + 1))
-    vmask = {u: t.base_mask(t.carrier[u]) for u in t.complex.vertex_order}
-    by_carrier: dict[int, list[frozenset]] = {}
-    for f in t.complex.faces:
-        mask = 0
-        for u in f:
-            mask |= vmask[u]
-        by_carrier.setdefault(mask, []).append(f)
     faces = []
     full = (1 << n) - 1
     for imask in range(1 << n):
         u_part = frozenset(u_vertices[i] for i in range(n) if imask >> i & 1)
         allowed = full & ~imask
-        for cmask, fs in by_carrier.items():
+        for (cmask, _), fs in t._by_carrier.items():
             if cmask & ~allowed == 0:
                 faces.extend(u_part | f for f in fs)
     order = u_vertices + t.complex.vertex_order
@@ -875,16 +880,28 @@ def theta_flags(triangle: FTriangle) -> ThetaFlags:
     )
 
 
-@dataclass(frozen=True)
-class IdentityCase:
-    name: str
-    detail: str
-    ok: bool
+def _l1(p: Poly) -> int:
+    return sum(map(abs, p.coeffs))
 
 
-def identity_suite(t: CarriedTriangulation) -> list[IdentityCase]:
+def _at_power_of_two(p: Poly, b: int) -> int:
+    """p(2^b) for an integer polynomial p, by Horner's rule on shifts."""
+    value = 0
+    for c in reversed(p.coeffs):
+        value = (value << b) + c
+    return value
+
+
+def _certified_bits(s: int) -> int:
+    """The least b with 2^b > 4s: two integer polynomials whose
+    coefficients are at most s in absolute value are equal exactly when
+    their values at 2^b are (see identity_suite)."""
+    return (4 * s).bit_length()
+
+
+def identity_suite(t: CarriedTriangulation, prefix: str = "") -> list[CaseResult]:
     """Certify the face-count identities tying h, theta and local h together
-    on one carried triangulation.
+    on one carried triangulation; each case name starts with prefix.
 
     Runs, over every base face / pair of base faces where applicable:
     interior reciprocity, theta symmetry, the Eulerian and derangement
@@ -892,16 +909,35 @@ def identity_suite(t: CarriedTriangulation) -> list[IdentityCase]:
     reconstruction of restriction h from relative local h, and the
     subdivision-sum form of relative local h.  A failed identity is a case
     with ok False; nothing is raised.
+
+    The per-face cases and the two expansions whose detail prints both
+    sides compare Poly values.  The interval identities compare integers:
+    every restriction h, theta_F and d(a, c) is evaluated once at B = 2^b,
+    and since evaluation is a ring homomorphism, each side of an identity
+    evaluates to the same sums and products of those values.  The relative
+    local h-polynomials come from one Moebius pass, L(F, F) = h_F and
+    L(E, F) = L(E + i, F) - L(E, F - i) for any i in F - E.
+
+    Why comparing values decides the identities: each side is a signed sum
+    of at most 4^n restriction h-polynomials or of at most 2^n products
+    theta_F d(a, c), so every coefficient of either side is at most
+    S = max(4^n max_G |h_G|_1, 2^n max_F |theta_F|_1 max |d(a, c)|_1) in
+    absolute value, |.|_1 the sum of absolute coefficients.  b is chosen with
+    2^b > 4S.  If P != Q, the coefficients of P - Q are below 2S < B in
+    absolute value; with d_k the lowest nonzero one, (P - Q)(B) = B^k (d_k +
+    B m) for an integer m, which is not zero since B does not divide d_k.
+    So P(B) = Q(B) if and only if P = Q.
     """
     n = t.n
-    full = (1 << n) - 1
-    cases: list[IdentityCase] = []
+    size = 1 << n
+    full = size - 1
+    cases: list[CaseResult] = []
 
     def record(name: str, detail: str, ok: bool) -> None:
-        cases.append(IdentityCase(name=name, detail=detail, ok=ok))
+        cases.append(_case(prefix + name, ok, detail))
 
-    thetas: dict[int, Poly] = {}
-    for fmask in range(1 << n):
+    thetas: list[Poly] = []
+    for fmask in range(size):
         m = int.bit_count(fmask)
         try:
             t.interior_h(fmask)
@@ -909,54 +945,77 @@ def identity_suite(t: CarriedTriangulation) -> list[IdentityCase]:
         except CertificationError:
             ok = False
         record("interior-reciprocity", f"face mask {fmask}", ok)
-        theta = thetas[fmask] = t.theta(fmask)
+        theta = t.theta(fmask)
+        thetas.append(theta)
         record("theta-symmetric", f"face mask {fmask}", is_symmetric(theta, m))
 
     # Each right-hand side is summed term by term: one (1, summand, 0) term
     # per face mask, so the identity checked is the sum written out.
-    lhs = t.restriction_h(full)
+    h = [t.restriction_h(g) for g in range(size)]
+    lhs = h[full]
     rhs = linear_combination(
         (1, theta * eulerian(n - int.bit_count(fmask)), 0)
-        for fmask, theta in thetas.items()
+        for fmask, theta in enumerate(thetas)
     )
     record("h-from-theta", f"{lhs!r} vs {rhs!r}", lhs == rhs)
 
     lhs = t.local_h()
     rhs = linear_combination(
         (1, theta * derangement(n - int.bit_count(fmask)), 0)
-        for fmask, theta in thetas.items()
+        for fmask, theta in enumerate(thetas)
     )
     record("local-h-from-theta", f"{lhs!r} vs {rhs!r}", lhs == rhs)
 
-    # theta_F d(n - |F|, n - |E u F|) depends on E only through |E u F|
-    relative = {
-        (f, u): theta * dnk(n - int.bit_count(f), n - u)
-        for f, theta in thetas.items()
-        for u in range(int.bit_count(f), n + 1)
-    }
-    for emask in range(1 << n):
-        lhs = t.local_h(emask)
-        rhs = linear_combination(
-            (1, relative[f, int.bit_count(emask | f)], 0) for f in thetas
-        )
+    d = {(a, c): dnk(a, c) for a in range(n + 1) for c in range(a + 1)}
+    bound = max(
+        size * size * max(map(_l1, h)),
+        size * max(map(_l1, thetas)) * max(map(_l1, d.values())),
+    )
+    b = _certified_bits(bound)
+    h_at = [_at_power_of_two(p, b) for p in h]
+    d_at = {key: _at_power_of_two(p, b) for key, p in d.items()}
+    # theta_F d(n - |F|, n - |E u F|) depends on E only through u = |E u F|,
+    # so relative[F][u] holds it for u >= |F|
+    relative = []
+    for fmask, theta in enumerate(thetas):
+        m = int.bit_count(fmask)
+        value = _at_power_of_two(theta, b)
+        relative.append([0] * m + [value * d_at[n - m, n - u] for u in range(m, n + 1)])
+    # local[E << n | F] = L(E, F), for F in increasing order and E running
+    # down the submasks of F, so that both terms of the step are known
+    local = [0] * (size * size)
+    for fmask in range(size):
+        emask = fmask
+        while True:
+            free = fmask & ~emask
+            if free:
+                i = free & -free
+                local[emask << n | fmask] = (
+                    local[(emask | i) << n | fmask] - local[emask << n | fmask ^ i]
+                )
+            else:
+                local[emask << n | fmask] = h_at[fmask]
+            if not emask:
+                break
+            emask = (emask - 1) & fmask
+
+    for emask in range(size):
+        row = emask << n
+        lhs = local[row | full]
+        rhs = sum(relative[f][int.bit_count(emask | f)] for f in range(size))
         record("relative-local-h-from-theta", f"E mask {emask}", lhs == rhs)
 
         comp = full & ~emask
-        rhs = linear_combination(
-            (1, t.local_h(0, fmask), 0) for fmask in _submasks_over(comp, full)
-        )
+        rhs = sum(local[fmask] for fmask in _submasks_over(comp, full))
         record("relative-local-h-from-restrictions", f"E mask {emask}", lhs == rhs)
 
         if int.bit_count(emask) == n - 1:
-            diff = t.restriction_h(full) - t.restriction_h(emask)
+            diff = h_at[full] - h_at[emask]
             record("facet-difference", f"E mask {emask}", lhs == diff)
 
         for gmask in _submasks_over(emask, full):
-            rhs = linear_combination(
-                (1, t.local_h(emask, fmask), 0)
-                for fmask in _submasks_over(emask, gmask)
-            )
-            ok = t.restriction_h(gmask) == rhs
+            rhs = sum(local[row | fmask] for fmask in _submasks_over(emask, gmask))
+            ok = h_at[gmask] == rhs
             record("h-from-relative-local-h", f"E mask {emask} G mask {gmask}", ok)
 
     return cases

@@ -10,18 +10,18 @@ certified decompositions against sampled inputs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb, lcm
 
+from ._cases import CaseResult, case as _case
 from .poly import (
     ONE,
     X,
-    ZERO,
     Poly,
     basis_p_combination,
     is_symmetric,
+    linear_combination,
     one_plus_x_power,
     reciprocal,
 )
@@ -72,21 +72,6 @@ from .simplicial import (
     theta_flags,
     trivial_f_triangle,
 )
-
-
-@dataclass(frozen=True)
-class CaseResult:
-    name: str
-    status: str
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "pass"
-
-
-def _case(name: str, ok: bool, detail: str = "") -> CaseResult:
-    return CaseResult(name=name, status="pass" if ok else "fail", detail=detail)
 
 
 def _eq_case(name: str, got: Poly, want: Poly) -> CaseResult:
@@ -246,11 +231,12 @@ def identity_cases(n_max: int = 8) -> list[CaseResult]:
                         qnk(n, k) + X * qnk(n - 1, k),
                     )
                 )
-            via_binomial = sum(
-                (eulerian(n - i).times_x_power(i) * comb(k, i) for i in range(k + 1)),
-                ZERO,
+            via_binomial = linear_combination(
+                (comb(k, i), eulerian(n - i), i) for i in range(k + 1)
             )
-            via_p = sum((pnk(n - i, k - i) * comb(k, i) for i in range(k + 1)), ZERO)
+            via_p = linear_combination(
+                (comb(k, i), pnk(n - i, k - i), 0) for i in range(k + 1)
+            )
             cases.append(_eq_case(f"qnk-binomial-form-{n}-{k}", qnk(n, k), via_binomial))
             cases.append(_eq_case(f"qnk-p-form-{n}-{k}", qnk(n, k), via_p))
             cases.append(
@@ -284,9 +270,11 @@ def identity_cases(n_max: int = 8) -> list[CaseResult]:
                 )
         for k in range(n):
             if n >= 1:
-                total = sum((qnkj(n - 1, k, j) for j in range(n)), ZERO)
+                total = linear_combination((1, qnkj(n - 1, k, j), 0) for j in range(n))
                 cases.append(_eq_case(f"qnk-from-qnkj-{n}-{k}", qnk(n, k), total))
-                total = sum((qnkj_star(n - 1, k + 1, j) for j in range(n)), ZERO)
+                total = linear_combination(
+                    (1, qnkj_star(n - 1, k + 1, j), 0) for j in range(n)
+                )
                 cases.append(_eq_case(f"qnk-from-qstar-{n}-{k}", qnk(n, k), total))
         for j in range(n + 1):
             cases.append(
@@ -306,9 +294,8 @@ def identity_cases(n_max: int = 8) -> list[CaseResult]:
                 )
         # derangement family: alternating form and recurrence
         for k in range(n + 1):
-            alt = sum(
-                (eulerian(n - i) * ((-1) ** i * comb(k, i)) for i in range(k + 1)),
-                ZERO,
+            alt = linear_combination(
+                ((-1) ** i * comb(k, i), eulerian(n - i), 0) for i in range(k + 1)
             )
             cases.append(_eq_case(f"dnk-alternating-form-{n}-{k}", dnk(n, k), alt))
             if k >= 1:
@@ -539,10 +526,7 @@ def geometry_cases(family: str, n: int, r: int = 2) -> list[CaseResult]:
     subcomplex formula."""
     t = build_geometry_family(family, n, r)
     label = f"{family}-{n}" + (f"-r{r}" if GEOMETRY_FAMILIES[family].takes_r else "")
-    cases = []
-
-    for c in identity_suite(t):
-        cases.append(_case(f"{label}-{c.name}", c.ok, c.detail))
+    cases = identity_suite(t, f"{label}-")
 
     try:
         triangle = f_triangle(t)

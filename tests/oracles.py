@@ -18,6 +18,10 @@ decide each sampled p of ``sample_p_polynomial`` on its ``Fraction``
 coefficients, and the derangement route decides the real rootedness of
 each image on its own; the library decides each sample on its integer
 multiple and reads real rootedness off the verdict.
+``oracle_identity_suite`` sums each identity of ``identity_suite`` on
+``Poly`` terms, term by term; the library decides the interval identities
+on their values at one power of two that makes equal values certify equal
+polynomials.
 ``oracle_h_where`` and the oracles built on it read the h-polynomials and
 f-triangle rows of a carried triangulation by counting its faces by
 carrier mask and size (``oracle_carrier_counts``, a walk of its own over
@@ -30,19 +34,27 @@ import random
 from fractions import Fraction
 
 from eulerian_lab._intpoly import _cauchy_index, _int_poly, _neg, _signed_remainders
+from eulerian_lab.errors import CertificationError
 from eulerian_lab.poly import (
     ONE,
     X,
     ZERO,
     Poly,
     basis_p_combination,
+    is_symmetric,
     linear_combination,
     reciprocal,
 )
 from eulerian_lab.roots import interlaces, interlacing_symmetric_decomposition, is_real_rooted
-from eulerian_lab.simplicial import derangement_transform, eulerian_transform
+from eulerian_lab.simplicial import _submasks_over, derangement_transform, eulerian_transform
 from eulerian_lab.suites import CaseResult
-from eulerian_lab.transforms import apply_transform, binomial_eulerian, eulerian
+from eulerian_lab.transforms import (
+    apply_transform,
+    binomial_eulerian,
+    derangement,
+    dnk,
+    eulerian,
+)
 
 
 def oracle_gcd(a: Poly, b: Poly) -> Poly:
@@ -248,3 +260,67 @@ def oracle_face_rows(t) -> list[list[int]]:
                 row[size] += count
         rows.append(row)
     return rows
+
+
+def oracle_identity_suite(t) -> list[tuple[str, bool, str]]:
+    """(name, ok, detail) of each case of simplicial.identity_suite, every
+    identity summed on Poly terms: one term per base face, and each relative
+    local h read from t.local_h.  The library decides the interval
+    identities on their values at one certified power of two."""
+    n = t.n
+    full = (1 << n) - 1
+    cases: list[tuple[str, bool, str]] = []
+
+    thetas: dict[int, Poly] = {}
+    for fmask in range(1 << n):
+        m = fmask.bit_count()
+        try:
+            t.interior_h(fmask)
+            ok = True
+        except CertificationError:
+            ok = False
+        cases.append(("interior-reciprocity", ok, f"face mask {fmask}"))
+        theta = thetas[fmask] = t.theta(fmask)
+        cases.append(("theta-symmetric", is_symmetric(theta, m), f"face mask {fmask}"))
+
+    lhs = t.restriction_h(full)
+    rhs = linear_combination(
+        (1, theta * eulerian(n - fmask.bit_count()), 0) for fmask, theta in thetas.items()
+    )
+    cases.append(("h-from-theta", lhs == rhs, f"{lhs!r} vs {rhs!r}"))
+
+    lhs = t.local_h()
+    rhs = linear_combination(
+        (1, theta * derangement(n - fmask.bit_count()), 0) for fmask, theta in thetas.items()
+    )
+    cases.append(("local-h-from-theta", lhs == rhs, f"{lhs!r} vs {rhs!r}"))
+
+    # theta_F d(n - |F|, n - |E u F|) depends on E only through |E u F|
+    relative = {
+        (f, u): theta * dnk(n - f.bit_count(), n - u)
+        for f, theta in thetas.items()
+        for u in range(f.bit_count(), n + 1)
+    }
+    for emask in range(1 << n):
+        lhs = t.local_h(emask)
+        rhs = linear_combination((1, relative[f, (emask | f).bit_count()], 0) for f in thetas)
+        cases.append(("relative-local-h-from-theta", lhs == rhs, f"E mask {emask}"))
+
+        comp = full & ~emask
+        rhs = linear_combination(
+            (1, t.local_h(0, fmask), 0) for fmask in _submasks_over(comp, full)
+        )
+        cases.append(("relative-local-h-from-restrictions", lhs == rhs, f"E mask {emask}"))
+
+        if emask.bit_count() == n - 1:
+            diff = t.restriction_h(full) - t.restriction_h(emask)
+            cases.append(("facet-difference", lhs == diff, f"E mask {emask}"))
+
+        for gmask in _submasks_over(emask, full):
+            rhs = linear_combination(
+                (1, t.local_h(emask, fmask), 0) for fmask in _submasks_over(emask, gmask)
+            )
+            ok = t.restriction_h(gmask) == rhs
+            cases.append(("h-from-relative-local-h", ok, f"E mask {emask} G mask {gmask}"))
+
+    return cases

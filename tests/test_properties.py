@@ -35,6 +35,7 @@ from eulerian_lab.roots import (
     interlacing_symmetric_decomposition,
     is_real_rooted,
 )
+from eulerian_lab.simplicial import _at_power_of_two, _certified_bits
 from eulerian_lab.transforms import apply_transform
 from oracles import list_interlaces
 
@@ -334,3 +335,34 @@ class TestScalingInvariance:
             assert getattr(scaled, field) == getattr(verdict, field), field
         assert scaled.a == verdict.a * scale
         assert scaled.b == verdict.b * scale
+
+
+class TestValuesAtAPowerOfTwo:
+    """identity_suite compares integer polynomials by their values at
+    2^b, with b from _certified_bits: the coefficients it compares stay
+    below 2^(b-2) in absolute value."""
+
+    @SUITE
+    @given(st.integers(min_value=2, max_value=70), st.data())
+    def test_small_coefficients_give_distinct_values(self, b, data):
+        top = (1 << (b - 2)) - 1
+        # the extremes make the largest differences between coefficients common
+        coeff = st.one_of(st.sampled_from([-top, top, 0, 1, -1]), st.integers(-top, top))
+        p = Poly(tuple(data.draw(st.lists(coeff, max_size=8))))
+        q = Poly(tuple(data.draw(st.lists(coeff, max_size=8))))
+        assert _at_power_of_two(p, b) == p.evaluate(1 << b)
+        assert (_at_power_of_two(p, b) == _at_power_of_two(q, b)) == (p == q)
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 8, 64])
+    def test_coefficients_of_half_the_point_collide(self, b):
+        # 2^(b-1) and x - 2^(b-1) both take the value 2^(b-1) at 2^b
+        half = 1 << (b - 1)
+        p, q = Poly((half,)), Poly((-half, 1))
+        assert p != q
+        assert _at_power_of_two(p, b) == _at_power_of_two(q, b) == half
+
+    def test_the_bound_keeps_coefficients_below_a_quarter_of_the_point(self):
+        for s in [*range(2000), 10**6, 2**40 - 1, 2**40, 3**50]:
+            b = _certified_bits(s)
+            assert 4 * s < 1 << b, s
+            assert b == 0 or 4 * s >= 1 << (b - 1), s  # the least such b

@@ -19,6 +19,7 @@ from eulerian_lab.simplicial import (
     antiprism_sphere,
     barycentric_f_triangle,
     barycentric_subdivision,
+    build_geometry_family,
     colored_barycentric,
     edgewise_subdivision,
     f_triangle,
@@ -44,6 +45,7 @@ from oracles import (
     oracle_boundary_h,
     oracle_carrier_counts,
     oracle_face_rows,
+    oracle_identity_suite,
     oracle_interior_h,
     oracle_restriction_h,
 )
@@ -580,6 +582,55 @@ class TestFTriangleInvariants:
         bad = CarriedTriangulation(stray, (1, 2), {1: {1}, 2: {2}, 3: {1, 2}})
         failed = {c.name for c in identity_suite(bad) if not c.ok}
         assert "interior-reciprocity" in failed
+
+
+
+def suite_rows(t) -> list[tuple[str, bool, str]]:
+    return [(c.name, c.ok, c.detail) for c in identity_suite(t)]
+
+
+class TestIdentitySuiteAgainstTheOracle:
+    """identity_suite decides the interval identities on their values at a
+    certified power of two; the oracle sums every identity on Poly terms.
+    Both give the same cases, in the same order."""
+
+    @pytest.mark.parametrize(
+        "family, r",
+        [("trivial", 2), ("barycentric", 2), ("esd", 2), ("esd", 3), ("colored", 2), ("colored", 3)],
+    )
+    def test_every_family_up_to_n_5(self, family, r):
+        for n in range(6):
+            got = suite_rows(build_geometry_family(family, n, r))
+            assert got == oracle_identity_suite(build_geometry_family(family, n, r)), n
+            assert all(ok for _, ok, _ in got), n
+
+    def test_the_stray_vertex_fails_the_same_cases(self):
+        def stray():
+            c = SimplicialComplex.from_facets([(1, 2), (3,)])
+            return CarriedTriangulation(c, (1, 2), {1: {1}, 2: {2}, 3: {1, 2}})
+
+        got = suite_rows(stray())
+        assert got == oracle_identity_suite(stray())
+        assert "interior-reciprocity" in {name for name, ok, _ in got if not ok}
+
+    @pytest.mark.parametrize("fmask, i", [(0, 0), (1, 1), (3, 0), (5, 2), (6, 1), (7, 0), (7, 3)])
+    def test_a_moved_coefficient_fails_the_same_cases(self, monkeypatch, fmask, i):
+        # x^i added to the restriction h of a proper base face moves its
+        # theta, so relative local h no longer expands over theta; at the
+        # full face both sides of every interval identity move by x^i
+        original = CarriedTriangulation.restriction_h
+
+        def moved(self, mask):
+            h = original(self, mask)
+            return h + Poly((0,) * i + (1,)) if mask == fmask else h
+
+        monkeypatch.setattr(CarriedTriangulation, "restriction_h", moved)
+        got = suite_rows(barycentric_subdivision(3))
+        want = oracle_identity_suite(barycentric_subdivision(3))
+        failed = [name for name, ok, _ in got if not ok]
+        assert failed == [name for name, ok, _ in want if not ok]
+        assert ("relative-local-h-from-theta" in failed) == (fmask != 7)
+        assert got == want
 
 
 FACE_TABLE_FAMILIES = {
