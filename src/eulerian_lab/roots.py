@@ -20,8 +20,10 @@ two facts:
   arXiv:math/0612833; the proof is in ``interlaces``).  So one sequence
   decides real rootedness and interlacing together: g is nearly always a
   constant or x, and it needs a Sturm chain of its own only when its
-  degree is 2 or more.  A passed decision certifies both members real
-  rooted, and callers read that off the verdict;
+  degree is 2 or more.  A passed decision thus certifies both of its
+  members real rooted.  No verdict is cached: callers read real
+  rootedness off the passed decisions that hold a member, and decide it
+  on its own only for a member that none holds;
 * the chain lemma: for real rooted, nonconstant f_0..f_n with positive
   leading coefficients, f_i interlaces f_(i+1) for every i and f_0
   interlaces f_n exactly when f_i interlaces f_j for all i < j
@@ -36,7 +38,7 @@ two facts:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 from ._intpoly import (
@@ -58,11 +60,6 @@ __all__ = [
     "interlacing_symmetric_decomposition",
 ]
 
-# Entries kept by the is_real_rooted cache.  Callers reuse a verdict within
-# one row or one sample; a bound keeps long sampling runs from growing it.
-_REAL_ROOTED_CACHE_SIZE = 512
-
-
 def _real_rooted(f: IntPoly) -> bool:
     """Whether a nonconstant integer polynomial has only real roots: its
     Sturm chain counts deg f - deg gcd(f, f') distinct real roots."""
@@ -73,7 +70,6 @@ def _real_rooted(f: IntPoly) -> bool:
 # -- public decisions ----------------------------------------------------------
 
 
-@lru_cache(maxsize=_REAL_ROOTED_CACHE_SIZE)
 def is_real_rooted(p: Poly) -> bool:
     """Whether all complex roots of p are real.
 

@@ -19,9 +19,9 @@ construction, so they skip the closure walk of the validating constructor
 are still checked.  The h-polynomials of all partial antiprism complexes
 are read off one tally of the sphere's faces.
 
-identity_suite decides its interval identities on integers: the value of
-each polynomial at one power of two, large enough that equal values
-certify equal polynomials.
+This module builds complexes, counts faces and derives polynomials; it
+decides no verdict.  The identities these counts satisfy, and the
+interlacing hypothesis over them, are checked in suites.
 """
 
 from __future__ import annotations
@@ -33,29 +33,17 @@ from itertools import combinations_with_replacement
 from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from ._cases import CaseResult, case as _case
 from .budget import check_face_budget
 from .errors import CertificationError
 from .poly import (
     ZERO,
     Poly,
-    is_gamma_positive,
-    is_symmetric,
-    is_unimodal,
     linear_combination,
     one_plus_x_power,
     reciprocal,
     series_numerator,
 )
-from .roots import interlaces, is_real_rooted
-from .transforms import (
-    LinearTransform,
-    derangement,
-    dnk,
-    eulerian,
-    generic_hnk,
-    generic_lnk,
-)
+from .transforms import LinearTransform, generic_hnk, generic_lnk
 
 
 @lru_cache(maxsize=256)
@@ -839,183 +827,3 @@ def derangement_transform(n: int) -> LinearTransform:
     """The local transform of the barycentric subdivision: x^m -> d_m; sends
     (1+x)^n to A_n."""
     return ft_local_transform(barycentric_f_triangle(n))
-
-
-@dataclass(frozen=True)
-class ThetaFlags:
-    theta_unimodal: bool
-    theta_gamma_positive: bool
-    strong_interlacing: bool
-
-
-def theta_flags(triangle: FTriangle) -> ThetaFlags:
-    """Structural positivity of the theta polynomials, plus the interlacing
-    hypothesis: for 2 <= m < n the restriction h-polynomial is real rooted
-    and theta is zero or real rooted of degree m-1 with nonnegative
-    coefficients, interlaced by the next smaller h-polynomial.  A passed
-    interlacing decision certifies theta real rooted, so theta is not
-    checked on its own."""
-    thetas = [ft_theta(triangle, m) for m in range(triangle.n + 1)]
-    unimodal = all(is_unimodal(theta) is not None for theta in thetas)
-    gamma = all(is_gamma_positive(theta, m) for m, theta in enumerate(thetas))
-    strong = True
-    for m in range(2, triangle.n):
-        if not is_real_rooted(ft_h(triangle, m)):
-            strong = False
-            break
-        theta = thetas[m]
-        if theta.is_zero():
-            continue
-        if (
-            theta.deg() != m - 1
-            or any(c < 0 for c in theta.coeffs)
-            or not interlaces(ft_h(triangle, m - 1), theta)
-        ):
-            strong = False
-            break
-    return ThetaFlags(
-        theta_unimodal=unimodal,
-        theta_gamma_positive=gamma,
-        strong_interlacing=strong,
-    )
-
-
-def _l1(p: Poly) -> int:
-    return sum(map(abs, p.coeffs))
-
-
-def _at_power_of_two(p: Poly, b: int) -> int:
-    """p(2^b) for an integer polynomial p, by Horner's rule on shifts."""
-    value = 0
-    for c in reversed(p.coeffs):
-        value = (value << b) + c
-    return value
-
-
-def _certified_bits(s: int) -> int:
-    """The least b with 2^b > 4s: two integer polynomials whose
-    coefficients are at most s in absolute value are equal exactly when
-    their values at 2^b are (see identity_suite)."""
-    return (4 * s).bit_length()
-
-
-def identity_suite(t: CarriedTriangulation, prefix: str = "") -> list[CaseResult]:
-    """Certify the face-count identities tying h, theta and local h together
-    on one carried triangulation; each case name starts with prefix.
-
-    Runs, over every base face / pair of base faces where applicable:
-    interior reciprocity, theta symmetry, the Eulerian and derangement
-    expansions of h and local h over theta, the relative expansion, the
-    reconstruction of restriction h from relative local h, and the
-    subdivision-sum form of relative local h.  A failed identity is a case
-    with ok False; nothing is raised.
-
-    The per-face cases and the two expansions whose detail prints both
-    sides compare Poly values.  The interval identities compare integers:
-    every restriction h, theta_F and d(a, c) is evaluated once at B = 2^b,
-    and since evaluation is a ring homomorphism, each side of an identity
-    evaluates to the same sums and products of those values.  The relative
-    local h-polynomials come from one Moebius pass, L(F, F) = h_F and
-    L(E, F) = L(E + i, F) - L(E, F - i) for any i in F - E.
-
-    Why comparing values decides the identities: each side is a signed sum
-    of at most 4^n restriction h-polynomials or of at most 2^n products
-    theta_F d(a, c), so every coefficient of either side is at most
-    S = max(4^n max_G |h_G|_1, 2^n max_F |theta_F|_1 max |d(a, c)|_1) in
-    absolute value, |.|_1 the sum of absolute coefficients.  b is chosen with
-    2^b > 4S.  If P != Q, the coefficients of P - Q are below 2S < B in
-    absolute value; with d_k the lowest nonzero one, (P - Q)(B) = B^k (d_k +
-    B m) for an integer m, which is not zero since B does not divide d_k.
-    So P(B) = Q(B) if and only if P = Q.
-    """
-    n = t.n
-    size = 1 << n
-    full = size - 1
-    cases: list[CaseResult] = []
-
-    def record(name: str, detail: str, ok: bool) -> None:
-        cases.append(_case(prefix + name, ok, detail))
-
-    thetas: list[Poly] = []
-    for fmask in range(size):
-        m = int.bit_count(fmask)
-        try:
-            t.interior_h(fmask)
-            ok = True
-        except CertificationError:
-            ok = False
-        record("interior-reciprocity", f"face mask {fmask}", ok)
-        theta = t.theta(fmask)
-        thetas.append(theta)
-        record("theta-symmetric", f"face mask {fmask}", is_symmetric(theta, m))
-
-    # Each right-hand side is summed term by term: one (1, summand, 0) term
-    # per face mask, so the identity checked is the sum written out.
-    h = [t.restriction_h(g) for g in range(size)]
-    lhs = h[full]
-    rhs = linear_combination(
-        (1, theta * eulerian(n - int.bit_count(fmask)), 0)
-        for fmask, theta in enumerate(thetas)
-    )
-    record("h-from-theta", f"{lhs!r} vs {rhs!r}", lhs == rhs)
-
-    lhs = t.local_h()
-    rhs = linear_combination(
-        (1, theta * derangement(n - int.bit_count(fmask)), 0)
-        for fmask, theta in enumerate(thetas)
-    )
-    record("local-h-from-theta", f"{lhs!r} vs {rhs!r}", lhs == rhs)
-
-    d = {(a, c): dnk(a, c) for a in range(n + 1) for c in range(a + 1)}
-    bound = max(
-        size * size * max(map(_l1, h)),
-        size * max(map(_l1, thetas)) * max(map(_l1, d.values())),
-    )
-    b = _certified_bits(bound)
-    h_at = [_at_power_of_two(p, b) for p in h]
-    d_at = {key: _at_power_of_two(p, b) for key, p in d.items()}
-    # theta_F d(n - |F|, n - |E u F|) depends on E only through u = |E u F|,
-    # so relative[F][u] holds it for u >= |F|
-    relative = []
-    for fmask, theta in enumerate(thetas):
-        m = int.bit_count(fmask)
-        value = _at_power_of_two(theta, b)
-        relative.append([0] * m + [value * d_at[n - m, n - u] for u in range(m, n + 1)])
-    # local[E << n | F] = L(E, F), for F in increasing order and E running
-    # down the submasks of F, so that both terms of the step are known
-    local = [0] * (size * size)
-    for fmask in range(size):
-        emask = fmask
-        while True:
-            free = fmask & ~emask
-            if free:
-                i = free & -free
-                local[emask << n | fmask] = (
-                    local[(emask | i) << n | fmask] - local[emask << n | fmask ^ i]
-                )
-            else:
-                local[emask << n | fmask] = h_at[fmask]
-            if not emask:
-                break
-            emask = (emask - 1) & fmask
-
-    for emask in range(size):
-        row = emask << n
-        lhs = local[row | full]
-        rhs = sum(relative[f][int.bit_count(emask | f)] for f in range(size))
-        record("relative-local-h-from-theta", f"E mask {emask}", lhs == rhs)
-
-        comp = full & ~emask
-        rhs = sum(local[fmask] for fmask in _submasks_over(comp, full))
-        record("relative-local-h-from-restrictions", f"E mask {emask}", lhs == rhs)
-
-        if int.bit_count(emask) == n - 1:
-            diff = h_at[full] - h_at[emask]
-            record("facet-difference", f"E mask {emask}", lhs == diff)
-
-        for gmask in _submasks_over(emask, full):
-            rhs = sum(local[row | fmask] for fmask in _submasks_over(emask, gmask))
-            ok = h_at[gmask] == rhs
-            record("h-from-relative-local-h", f"E mask {emask} G mask {gmask}", ok)
-
-    return cases

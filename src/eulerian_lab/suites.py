@@ -4,23 +4,30 @@ Each engine returns a flat list of CaseResult records so callers can render
 them as a report or assert that every status is "pass".  The suites pit
 independent routes against each other: closed forms against full-group
 enumerations, geometric face counts against permutation statistics, and
-certified decompositions against sampled inputs.
+certified decompositions against sampled inputs.  Every case of the
+package is decided here; simplicial only builds complexes, counts faces
+and derives polynomials.  Real rootedness is read off the interlacing
+decisions that certify it (see roots).
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb, lcm
 
-from ._cases import CaseResult, case as _case
+from .errors import CertificationError
 from .poly import (
     ONE,
     X,
     Poly,
     basis_p_combination,
+    is_gamma_positive,
     is_symmetric,
+    is_unimodal,
     linear_combination,
     one_plus_x_power,
     reciprocal,
@@ -36,6 +43,7 @@ from .transforms import (
     apply_transform,
     binomial_base,
     binomial_eulerian,
+    derangement,
     dnk,
     eulerian,
     generic_hnk,
@@ -54,7 +62,9 @@ from .permutations import (
 )
 from .simplicial import (
     GEOMETRY_FAMILIES,
+    CarriedTriangulation,
     FTriangle,
+    _submasks_over,
     antiprism_partial_h,
     antiprism_sphere,
     barycentric_f_triangle,
@@ -63,15 +73,29 @@ from .simplicial import (
     eulerian_transform,
     f_triangle,
     family_f_triangle,
+    ft_h,
     ft_interior_transform,
     ft_lnk,
     ft_local_transform,
     ft_qnk,
     ft_theta,
-    identity_suite,
-    theta_flags,
     trivial_f_triangle,
 )
+
+
+@dataclass(frozen=True)
+class CaseResult:
+    name: str
+    status: str
+    detail: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return self.status == "pass"
+
+
+def _case(name: str, ok: bool, detail: str = "") -> CaseResult:
+    return CaseResult(name=name, status="pass" if ok else "fail", detail=detail)
 
 
 def _eq_case(name: str, got: Poly, want: Poly) -> CaseResult:
@@ -399,14 +423,14 @@ def worpitzky_cases(n: int) -> list[CaseResult]:
 def _row_verdicts(row: list[Poly]) -> tuple[list[bool], list[tuple[int, int]]]:
     """The real rootedness of each member of a row and its failed pairs.
 
-    Every passed interlacing decision certifies both of its members real
-    rooted, so a row of two or more members with no failed pair is real
-    rooted throughout.  Members are decided one by one only when the row
-    fails or has fewer than two members."""
+    interlacing_failures lists every failed pair whenever it lists one, so
+    a pair it leaves out passed, and its members are certified real rooted.
+    A member is decided on its own only when all of its len(row) - 1 pairs
+    failed, which is every member of a row of one."""
     fails = interlacing_failures(row)
-    if len(row) >= 2 and not fails:
-        return [True] * len(row), fails
-    return [is_real_rooted(q) for q in row], fails
+    failed = Counter(i for pair in fails for i in pair)
+    last = len(row) - 1
+    return [failed[i] < last or is_real_rooted(q) for i, q in enumerate(row)], fails
 
 
 def _row_interlacing_cases(name: str, family, n_max: int) -> list[CaseResult]:
@@ -519,6 +543,147 @@ def derangement_sample_cases(n: int, samples: int, seed: int) -> list[CaseResult
     return cases
 
 
+def _l1(p: Poly) -> int:
+    return sum(map(abs, p.coeffs))
+
+
+def _at_power_of_two(p: Poly, b: int) -> int:
+    """p(2^b) for an integer polynomial p, by Horner's rule on shifts."""
+    value = 0
+    for c in reversed(p.coeffs):
+        value = (value << b) + c
+    return value
+
+
+def _certified_bits(s: int) -> int:
+    """The least b with 2^b > 4s: two integer polynomials whose
+    coefficients are at most s in absolute value are equal exactly when
+    their values at 2^b are (see identity_suite)."""
+    return (4 * s).bit_length()
+
+
+def identity_suite(t: CarriedTriangulation, prefix: str = "") -> list[CaseResult]:
+    """Certify the face-count identities tying h, theta and local h together
+    on one carried triangulation; each case name starts with prefix.
+
+    Runs, over every base face / pair of base faces where applicable:
+    interior reciprocity, theta symmetry, the Eulerian and derangement
+    expansions of h and local h over theta, the relative expansion, the
+    reconstruction of restriction h from relative local h, and the
+    subdivision-sum form of relative local h.  A failed identity is a case
+    with ok False; nothing is raised.
+
+    The per-face cases and the two expansions whose detail prints both
+    sides compare Poly values.  The interval identities compare integers:
+    every restriction h, theta_F and d(a, c) is evaluated once at B = 2^b,
+    and since evaluation is a ring homomorphism, each side of an identity
+    evaluates to the same sums and products of those values.  The relative
+    local h-polynomials come from one Moebius pass, L(F, F) = h_F and
+    L(E, F) = L(E + i, F) - L(E, F - i) for any i in F - E.
+
+    Why comparing values decides the identities: each side is a signed sum
+    of at most 4^n restriction h-polynomials or of at most 2^n products
+    theta_F d(a, c), so every coefficient of either side is at most
+    S = max(4^n max_G |h_G|_1, 2^n max_F |theta_F|_1 max |d(a, c)|_1) in
+    absolute value, |.|_1 the sum of absolute coefficients.  b is chosen with
+    2^b > 4S.  If P != Q, the coefficients of P - Q are below 2S < B in
+    absolute value; with d_k the lowest nonzero one, (P - Q)(B) = B^k (d_k +
+    B m) for an integer m, which is not zero since B does not divide d_k.
+    So P(B) = Q(B) if and only if P = Q.
+    """
+    n = t.n
+    size = 1 << n
+    full = size - 1
+    cases: list[CaseResult] = []
+
+    def record(name: str, detail: str, ok: bool) -> None:
+        cases.append(_case(prefix + name, ok, detail))
+
+    thetas: list[Poly] = []
+    for fmask in range(size):
+        m = int.bit_count(fmask)
+        try:
+            t.interior_h(fmask)
+            ok = True
+        except CertificationError:
+            ok = False
+        record("interior-reciprocity", f"face mask {fmask}", ok)
+        theta = t.theta(fmask)
+        thetas.append(theta)
+        record("theta-symmetric", f"face mask {fmask}", is_symmetric(theta, m))
+
+    # Each right-hand side is summed term by term: one (1, summand, 0) term
+    # per face mask, so the identity checked is the sum written out.
+    h = [t.restriction_h(g) for g in range(size)]
+    lhs = h[full]
+    rhs = linear_combination(
+        (1, theta * eulerian(n - int.bit_count(fmask)), 0)
+        for fmask, theta in enumerate(thetas)
+    )
+    record("h-from-theta", f"{lhs!r} vs {rhs!r}", lhs == rhs)
+
+    lhs = t.local_h()
+    rhs = linear_combination(
+        (1, theta * derangement(n - int.bit_count(fmask)), 0)
+        for fmask, theta in enumerate(thetas)
+    )
+    record("local-h-from-theta", f"{lhs!r} vs {rhs!r}", lhs == rhs)
+
+    d = {(a, c): dnk(a, c) for a in range(n + 1) for c in range(a + 1)}
+    bound = max(
+        size * size * max(map(_l1, h)),
+        size * max(map(_l1, thetas)) * max(map(_l1, d.values())),
+    )
+    b = _certified_bits(bound)
+    h_at = [_at_power_of_two(p, b) for p in h]
+    d_at = {key: _at_power_of_two(p, b) for key, p in d.items()}
+    # theta_F d(n - |F|, n - |E u F|) depends on E only through u = |E u F|,
+    # so relative[F][u] holds it for u >= |F|
+    relative = []
+    for fmask, theta in enumerate(thetas):
+        m = int.bit_count(fmask)
+        value = _at_power_of_two(theta, b)
+        relative.append([0] * m + [value * d_at[n - m, n - u] for u in range(m, n + 1)])
+    # local[E << n | F] = L(E, F), for F in increasing order and E running
+    # down the submasks of F, so that both terms of the step are known
+    local = [0] * (size * size)
+    for fmask in range(size):
+        emask = fmask
+        while True:
+            free = fmask & ~emask
+            if free:
+                i = free & -free
+                local[emask << n | fmask] = (
+                    local[(emask | i) << n | fmask] - local[emask << n | fmask ^ i]
+                )
+            else:
+                local[emask << n | fmask] = h_at[fmask]
+            if not emask:
+                break
+            emask = (emask - 1) & fmask
+
+    for emask in range(size):
+        row = emask << n
+        lhs = local[row | full]
+        rhs = sum(relative[f][int.bit_count(emask | f)] for f in range(size))
+        record("relative-local-h-from-theta", f"E mask {emask}", lhs == rhs)
+
+        comp = full & ~emask
+        rhs = sum(local[fmask] for fmask in _submasks_over(comp, full))
+        record("relative-local-h-from-restrictions", f"E mask {emask}", lhs == rhs)
+
+        if int.bit_count(emask) == n - 1:
+            diff = h_at[full] - h_at[emask]
+            record("facet-difference", f"E mask {emask}", lhs == diff)
+
+        for gmask in _submasks_over(emask, full):
+            rhs = sum(local[row | fmask] for fmask in _submasks_over(emask, gmask))
+            ok = h_at[gmask] == rhs
+            record("h-from-relative-local-h", f"E mask {emask} G mask {gmask}", ok)
+
+    return cases
+
+
 def geometry_cases(family: str, n: int, r: int = 2) -> list[CaseResult]:
     """Everything the face-count calculus promises for one triangulation:
     the identity suite, uniformity of the f-triangle, theta symmetry, the
@@ -604,6 +769,45 @@ def _conclusion_cases(
         }
 
 
+@dataclass(frozen=True)
+class ThetaFlags:
+    theta_unimodal: bool
+    theta_gamma_positive: bool
+    strong_interlacing: bool
+
+
+def theta_flags(triangle: FTriangle) -> ThetaFlags:
+    """Structural positivity of the theta polynomials, plus the interlacing
+    hypothesis: for 2 <= m < n the restriction h-polynomial is real rooted
+    and theta is zero or real rooted of degree m-1 with nonnegative
+    coefficients, interlaced by the next smaller h-polynomial.  A passed
+    interlacing decision certifies theta real rooted, so theta is not
+    checked on its own."""
+    thetas = [ft_theta(triangle, m) for m in range(triangle.n + 1)]
+    unimodal = all(is_unimodal(theta) is not None for theta in thetas)
+    gamma = all(is_gamma_positive(theta, m) for m, theta in enumerate(thetas))
+    strong = True
+    for m in range(2, triangle.n):
+        if not is_real_rooted(ft_h(triangle, m)):
+            strong = False
+            break
+        theta = thetas[m]
+        if theta.is_zero():
+            continue
+        if (
+            theta.deg() != m - 1
+            or any(c < 0 for c in theta.coeffs)
+            or not interlaces(ft_h(triangle, m - 1), theta)
+        ):
+            strong = False
+            break
+    return ThetaFlags(
+        theta_unimodal=unimodal,
+        theta_gamma_positive=gamma,
+        strong_interlacing=strong,
+    )
+
+
 def conjecture_cases(
     triangle: FTriangle, part: str = "both"
 ) -> tuple[list[CaseResult], dict]:
@@ -629,6 +833,15 @@ def conjecture_cases(
     return cases, summary
 
 
+def _consecutive_interlacing(hs: tuple[Poly, ...], n: int) -> bool:
+    """Whether h_0..h_n are real rooted and h_(m-1) interlaces h_m for each
+    m.  For n >= 1 the n consecutive decisions decide both, since every h_m
+    is in one of them."""
+    if n == 0:
+        return is_real_rooted(hs[0])
+    return all(interlaces(hs[m - 1], hs[m]) for m in range(1, n + 1))
+
+
 def generic_conjecture_cases(
     hs: tuple[Poly, ...], n: int, part: str = "both"
 ) -> tuple[list[CaseResult], dict]:
@@ -637,9 +850,9 @@ def generic_conjecture_cases(
     polynomials are real rooted and interlace."""
     if part not in ("a", "b", "both"):
         raise ValueError(f"part must be a, b or both, not {part!r}")
-    hyp = all(is_real_rooted(h) for h in hs[: n + 1]) and all(
-        interlaces(hs[m - 1], hs[m]) for m in range(1, n + 1)
-    )
+    if n >= len(hs):
+        raise ValueError(f"base sequence too short for n={n}")
+    hyp = _consecutive_interlacing(hs, n)
     cases = [_case("hypothesis-consecutive-interlacing", hyp)]
     summary: dict = {"hypothesis": hyp}
     additive, alternating = partial(generic_hnk, hs, n), partial(generic_lnk, hs, n)

@@ -18,6 +18,10 @@ decide each sampled p of ``sample_p_polynomial`` on its ``Fraction``
 coefficients, and the derangement route decides the real rootedness of
 each image on its own; the library decides each sample on its integer
 multiple and reads real rootedness off the verdict.
+``oracle_row_verdicts`` decides the real rootedness of every member of a
+row on its own, and ``oracle_generic_hypothesis`` decides each base
+polynomial and then each consecutive pair; the library reads real
+rootedness off the passed interlacing decisions that hold a member.
 ``oracle_identity_suite`` sums each identity of ``identity_suite`` on
 ``Poly`` terms, term by term; the library decides the interval identities
 on their values at one power of two that makes equal values certify equal
@@ -45,7 +49,12 @@ from eulerian_lab.poly import (
     linear_combination,
     reciprocal,
 )
-from eulerian_lab.roots import interlaces, interlacing_symmetric_decomposition, is_real_rooted
+from eulerian_lab.roots import (
+    interlaces,
+    interlacing_failures,
+    interlacing_symmetric_decomposition,
+    is_real_rooted,
+)
 from eulerian_lab.simplicial import _submasks_over, derangement_transform, eulerian_transform
 from eulerian_lab.suites import CaseResult
 from eulerian_lab.transforms import (
@@ -262,8 +271,21 @@ def oracle_face_rows(t) -> list[list[int]]:
     return rows
 
 
+def oracle_row_verdicts(row) -> tuple[list[bool], list[tuple[int, int]]]:
+    """suites._row_verdicts with every member decided on its own."""
+    return [is_real_rooted(q) for q in row], interlacing_failures(row)
+
+
+def oracle_generic_hypothesis(hs, n: int) -> bool:
+    """The hypothesis of suites.generic_conjecture_cases as a conjunction:
+    h_0..h_n real rooted, then each consecutive pair interlacing."""
+    return all(is_real_rooted(h) for h in hs[: n + 1]) and all(
+        interlaces(hs[m - 1], hs[m]) for m in range(1, n + 1)
+    )
+
+
 def oracle_identity_suite(t) -> list[tuple[str, bool, str]]:
-    """(name, ok, detail) of each case of simplicial.identity_suite, every
+    """(name, ok, detail) of each case of suites.identity_suite, every
     identity summed on Poly terms: one term per base face, and each relative
     local h read from t.local_h.  The library decides the interval
     identities on their values at one certified power of two."""

@@ -340,16 +340,17 @@ class TestGeometryRegistry:
         "colored": lambda n: colored_barycentric(n, 2),
     }
 
-    def test_family_choices(self):
+    @staticmethod
+    def family_choices(command: str) -> list[str]:
         sub = next(
             a for a in build_parser()._actions
             if isinstance(a, argparse._SubParsersAction)
         )
+        actions = sub.choices[command]._actions
+        return list(next(a.choices for a in actions if a.dest == "family"))
 
-        def choices(command):
-            actions = sub.choices[command]._actions
-            return list(next(a.choices for a in actions if a.dest == "family"))
-
+    def test_family_choices(self):
+        choices = self.family_choices
         assert choices("check-conjecture") == [
             "barycentric", "trivial", "colored", "esd", "generic-binomial"
         ]
@@ -357,6 +358,12 @@ class TestGeometryRegistry:
             "trivial", "barycentric", "esd", "colored", "antiprism"
         ]
         assert choices("ft-from-family") == list(self.CONSTRUCTORS)
+
+    def test_every_registered_family_is_a_conjecture_choice(self):
+        # check-conjecture lists its choices by hand to fix the --help order,
+        # so a family added only to the registry would be missing there
+        choices = self.family_choices("check-conjecture")
+        assert [family for family in GEOMETRY_FAMILIES if family not in choices] == []
 
     @pytest.mark.parametrize("n", range(4))
     @pytest.mark.parametrize("family", list(GEOMETRY_FAMILIES))

@@ -1,10 +1,12 @@
 """The package's public surface and the bounds of its memos."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import eulerian_lab
-from eulerian_lab import roots
+from eulerian_lab import roots, simplicial
 
 
 def test_public_names_resolve():
@@ -27,3 +29,18 @@ def test_power_caches_are_bounded():
     assert "eulerian_lab.simplicial._one_minus_x_power" in memos
     assert "eulerian_lab.poly.one_plus_x_power" in memos
     assert [name for name, size in memos.items() if size is None] == []
+
+
+def test_simplicial_imports_no_verdicts():
+    # simplicial builds complexes, counts faces and derives polynomials; the
+    # decisions live in roots and _intpoly, the verdicts in suites
+    sources = set()
+    for node in ast.walk(ast.parse(inspect.getsource(simplicial))):
+        if isinstance(node, ast.ImportFrom):
+            sources.add((node.module or "").split(".")[-1])
+            if node.module is None:  # from . import x
+                sources.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            sources.update(alias.name.split(".")[-1] for alias in node.names)
+    assert "transforms" in sources
+    assert sources & {"roots", "_intpoly", "suites"} == set()

@@ -9,6 +9,7 @@ latter builds and validates a new strategy for every value it draws, which
 roughly doubled the run time of this file.
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -35,9 +36,16 @@ from eulerian_lab.roots import (
     interlacing_symmetric_decomposition,
     is_real_rooted,
 )
-from eulerian_lab.simplicial import _at_power_of_two, _certified_bits
-from eulerian_lab.transforms import apply_transform
-from oracles import list_interlaces
+from eulerian_lab.simplicial import family_f_triangle, ft_lnk
+from eulerian_lab.suites import (
+    _at_power_of_two,
+    _certified_bits,
+    _consecutive_interlacing,
+    _row_verdicts,
+    generic_conjecture_cases,
+)
+from eulerian_lab.transforms import apply_transform, binomial_base, generic_hnk, generic_lnk
+from oracles import list_interlaces, oracle_generic_hypothesis, oracle_row_verdicts
 
 SUITE = settings(
     max_examples=1000,
@@ -146,6 +154,46 @@ nonneg_polys = st.one_of(
         poly_from_roots,
         st.lists(neg_root_pool, min_size=0, max_size=6),
         nonneg_pool.filter(bool),
+    ),
+)
+
+
+# members of a row: zero, nonzero constants, products of linear factors
+# over a tight root pool (repeated and shared roots) with leading
+# coefficients of either sign, and multiples of x^2 + 1, which have no real
+# root and so are in no passed pair
+X2_PLUS_1 = Poly((1, 0, 1))
+row_members = st.one_of(
+    st.just(ZERO),
+    fractions_small.filter(bool).map(lambda c: Poly((c,))),
+    st.builds(
+        poly_from_roots,
+        st.lists(root_pool, min_size=1, max_size=4),
+        st.sampled_from([1, 3, -1, -2]),
+    ),
+    st.builds(
+        poly_from_roots, st.lists(root_pool, max_size=2), st.sampled_from([1, -1])
+    ).map(X2_PLUS_1.__mul__),
+)
+
+
+def derivative_chain(f: Poly, length: int) -> list[Poly]:
+    """f^(length - 1), ..., f', f: each entry interlaces the next when f is
+    real rooted, and the entries past the degree of f are zero."""
+    chain = [f]
+    for _ in range(length - 1):
+        chain.append(chain[-1].derivative())
+    return chain[::-1]
+
+
+# rows of 0-7 members; derivative chains make rows whose consecutive pairs
+# pass, so that a member is certified by a passed pair, not decided alone
+rows = st.one_of(
+    st.lists(row_members, max_size=7),
+    st.builds(
+        derivative_chain,
+        st.one_of(row_members, st.builds(poly_from_roots, st.lists(root_pool, max_size=6))),
+        st.integers(min_value=0, max_value=7),
     ),
 )
 
@@ -366,3 +414,49 @@ class TestValuesAtAPowerOfTwo:
             b = _certified_bits(s)
             assert 4 * s < 1 << b, s
             assert b == 0 or 4 * s >= 1 << (b - 1), s  # the least such b
+
+
+class TestRealRootednessReadOffDecisions:
+    """The suites read real rootedness off the passed interlacing decisions
+    that hold a member; the oracles decide every member on its own."""
+
+    @SUITE
+    @given(rows)
+    def test_row_verdicts_and_generic_hypothesis_match_the_oracles(self, row):
+        # one draw serves both: the row, and the row as a base h_0..h_n
+        assert _row_verdicts(row) == oracle_row_verdicts(row)
+        n = len(row) - 1
+        assert _consecutive_interlacing(row, n) == oracle_generic_hypothesis(row, n)
+
+    def test_the_rows_reach_every_kind_of_member(self):
+        seen = Counter()
+        for row in _seeded_draws(rows):
+            rr = oracle_row_verdicts(row)[0]
+            seen["zero"] += ZERO in row
+            seen["non-real"] += not all(rr)
+            seen["mixed"] += any(rr) and not all(rr)
+            seen["hypothesis"] += len(row) >= 3 and oracle_generic_hypothesis(row, len(row) - 1)
+        assert min(seen.values()) >= 5, seen
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_generic_binomial_rows(self, n):
+        # every member real rooted, and exactly the pairs two or more apart fail
+        hs = binomial_base(n)
+        far = [(i, j) for i in range(n + 1) for j in range(i + 2, n + 1)]
+        for family in (generic_hnk, generic_lnk):
+            row = [family(hs, n, k) for k in range(n + 1)]
+            assert _row_verdicts(row) == oracle_row_verdicts(row) == ([True] * (n + 1), far)
+        _, summary = generic_conjecture_cases(hs, n)
+        assert summary["hypothesis"] is oracle_generic_hypothesis(hs, n) is True
+
+    @pytest.mark.parametrize("n", range(3))
+    def test_a_short_base_is_refused(self, n):
+        # before any decision, as generic_hnk refuses it
+        with pytest.raises(ValueError, match="too short"):
+            generic_conjecture_cases(binomial_base(n)[:n], n)
+
+    def test_esd_alternating_row_ending_in_zero(self):
+        # the chain and the outer pair pass, yet (0, 3) and (0, 4) fail
+        row = [ft_lnk(family_f_triangle("esd", 5, 2), 5, k) for k in range(6)]
+        assert row[-1] == ZERO
+        assert _row_verdicts(row) == oracle_row_verdicts(row) == ([True] * 6, [(0, 3), (0, 4)])

@@ -32,14 +32,12 @@ from eulerian_lab.simplicial import (
     ft_qnk,
     ft_theta,
     h_poly,
-    identity_suite,
     restriction,
     sd_complex,
-    theta_flags,
     trivial_f_triangle,
     trivial_triangulation,
 )
-from eulerian_lab.suites import identity_cases
+from eulerian_lab.suites import identity_cases, identity_suite, theta_flags
 from eulerian_lab.transforms import apply_transform, dnk, eulerian, qnk
 from oracles import (
     oracle_boundary_h,
