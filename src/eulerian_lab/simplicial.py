@@ -16,8 +16,10 @@ use and freed with the triangle; no cache is keyed by a triangle.
 The subdivisions, antiprism spheres and induced subcomplexes are closed by
 construction, so they skip the closure walk of the validating constructor
 (see SimplicialComplex._trusted); complexes given by their faces or facets
-are still checked.  The h-polynomials of all partial antiprism complexes
-are read off one tally of the sphere's faces.
+are still checked.  The edgewise subdivision lists each facet's faces once,
+as Freudenthal-Kuhn chains.  The h-polynomials of all partial antiprism
+complexes are read off the triangulation's face table; the sphere itself
+is built only to be listed.
 
 This module builds complexes, counts faces and derives polynomials; it
 decides no verdict.  The identities these counts satisfy, and the
@@ -133,11 +135,9 @@ class SimplicialComplex:
         return tuple(out)
 
     def facets(self) -> tuple[frozenset, ...]:
-        out = []
-        for f in self.faces:
-            if not any(f | {v} in self.faces for v in self.vertex_order if v not in f):
-                out.append(f)
-        return tuple(sorted(out, key=self._face_key))
+        """The faces in no larger face; by closure, the others are g - {v}."""
+        below = {g - {v} for g in self.faces for v in g}
+        return tuple(sorted(self.faces - below, key=self._face_key))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** (len(f) - 1) for f in self.faces if f)
@@ -152,8 +152,9 @@ class SimplicialComplex:
         - induced: a subface of a kept face is a face inside the kept set;
         - sd_complex: the faces are all chains of nonempty faces, and a
           subchain of a chain is a chain;
-        - edgewise_subdivision: every subset of a clique of a facet's
-          joinability relation is emitted, and is a clique of that facet;
+        - edgewise_subdivision: a facet's faces are the cliques of its
+          joinability relation, each listed once as a Kuhn chain, and a
+          subset of a clique is a clique;
         - antiprism_sphere: u_I | f with carrier(f) disjoint from I stays a
           face when I or f shrinks, since f's subfaces have smaller carriers.
         Each also lists a vertex only when its singleton is a face.
@@ -206,8 +207,8 @@ class CarriedTriangulation:
     constructor counts faces by carrier mask and size in rows of
     max(n, top face size) + 1 entries: exact[F][i] counts the i-element
     faces with carrier F, and closed[F][i] those with carrier inside F,
-    summed over submasks one base vertex at a time.  The faces themselves
-    stay grouped by (carrier mask, size), for antiprism_sphere.
+    summed over submasks one base vertex at a time.  The table is the only
+    record of the faces kept besides the complex itself.
     """
 
     __slots__ = (
@@ -216,10 +217,8 @@ class CarriedTriangulation:
         "carrier",
         "exact",
         "closed",
-        "_by_carrier",
         "_base_index",
         "_h_cache",
-        "_local_cache",
     )
 
     def __init__(
@@ -243,21 +242,13 @@ class CarriedTriangulation:
                     raise ValueError(f"carrier of {u!r} leaves the base simplex")
                 mask |= 1 << base_index[v]
             vertex_mask[u] = mask
-        by_carrier: dict[tuple[int, int], list[frozenset]] = {}
+        width = max(len(base), max(map(len, complex.faces), default=0)) + 1
+        exact = [[0] * width for _ in range(1 << len(base))]
         for f in complex.faces:
             mask = 0
             for u in f:
                 mask |= vertex_mask[u]
-            key = (mask, len(f))
-            group = by_carrier.get(key)
-            if group is None:
-                by_carrier[key] = [f]
-            else:
-                group.append(f)
-        width = max([len(base)] + [size for _, size in by_carrier]) + 1
-        exact = [[0] * width for _ in range(1 << len(base))]
-        for (mask, size), group in by_carrier.items():
-            exact[mask][size] = len(group)
+            exact[mask][len(f)] += 1
         closed = [list(row) for row in exact]
         for bit in (1 << i for i in range(len(base))):
             for mask in range(1 << len(base)):
@@ -275,10 +266,8 @@ class CarriedTriangulation:
         )
         object.__setattr__(self, "exact", tuple(map(tuple, exact)))
         object.__setattr__(self, "closed", tuple(map(tuple, closed)))
-        object.__setattr__(self, "_by_carrier", by_carrier)
         object.__setattr__(self, "_base_index", base_index)
         object.__setattr__(self, "_h_cache", {})
-        object.__setattr__(self, "_local_cache", {})
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("CarriedTriangulation is immutable")
@@ -331,20 +320,16 @@ class CarriedTriangulation:
     def local_h(self, emask: int = 0, fmask: int | None = None) -> Poly:
         """The alternating sum over emask <= G <= fmask of restriction
         h-polynomials: the (relative) local h-polynomial of the restriction
-        to fmask.  Each pair is computed once: at most 3^n pairs exist, and
-        the cache lives as long as the triangulation."""
+        to fmask."""
         if fmask is None:
             fmask = (1 << self.n) - 1
         if emask & ~fmask:
             raise ValueError("emask must be a submask of fmask")
-        key = (emask, fmask)
-        if key not in self._local_cache:
-            m = int.bit_count(fmask)
-            self._local_cache[key] = linear_combination(
-                ((-1) ** (m - int.bit_count(g)), self.restriction_h(g), 0)
-                for g in _submasks_over(emask, fmask)
-            )
-        return self._local_cache[key]
+        m = int.bit_count(fmask)
+        return linear_combination(
+            ((-1) ** (m - int.bit_count(g)), self.restriction_h(g), 0)
+            for g in _submasks_over(emask, fmask)
+        )
 
 
 def _submasks_over(emask: int, fmask: int) -> Iterator[int]:
@@ -438,10 +423,13 @@ def edgewise_subdivision(
     tuples of (vertex index, weight) pairs.  Each facet of the input, with
     vertex indices idx_1 < ... < idx_L, contributes its lattice points
     directly as the prefix sums s_1 <= ... <= s_L = r of their weights.
-    Two of them are joinable when the difference of their prefix sums
-    spans at most 1 (it never holds both +1 and -1); prefix sums over the
-    whole vertex order would only repeat these values.  The faces of each
-    facet are the cliques of that relation, and the facets are glued.
+    Its faces are the Freudenthal-Kuhn chains (Edelsbrunner-Grayson,
+    "Edgewise subdivision of a simplex", 2000): a lowest point s and the
+    points s + 1_S_1, ..., s + 1_S_k for nonempty sets S_1 < ... < S_k of
+    positions below L, each keeping the prefix sums nondecreasing (if S
+    holds i and s_i = s_(i+1), it holds i + 1).  The chains are walked by
+    their top set, as sd_complex walks chains by their top face, and the
+    facets are glued.
     """
     if r < 1:
         raise ValueError("r must be positive")
@@ -459,9 +447,10 @@ def edgewise_subdivision(
         if not facet:  # the empty complex's one facet has no lattice points
             continue
         idx = sorted(base_complex.index(v) for v in facet)
-        pool: list[tuple] = []
-        sums: list[tuple[int, ...]] = []
-        for cuts in combinations_with_replacement(range(r + 1), len(idx) - 1):
+        below = len(idx) - 1
+        by_size = sorted(range(1, 1 << below), key=int.bit_count)
+        label_of: dict[tuple[int, ...], tuple] = {}
+        for cuts in combinations_with_replacement(range(r + 1), below):
             s = cuts + (r,)
             label = tuple(
                 (i, hi - lo) for i, lo, hi in zip(idx, (0,) + cuts, s) if hi > lo
@@ -470,27 +459,21 @@ def edgewise_subdivision(
                 vertex_carrier[label] = frozenset().union(
                     *(t.carrier[order[i]] for i, _ in label)
                 )
-            pool.append(label)
-            sums.append(s)
-        size = len(pool)
-        adj = [0] * size
-        for a in range(size):
-            for b in range(a + 1, size):
-                diff = [x - y for x, y in zip(sums[a], sums[b])]
-                if max(diff) - min(diff) <= 1:
-                    adj[a] |= 1 << b
-                    adj[b] |= 1 << a
-
-        def extend(clique: tuple[int, ...], allowed: int) -> None:
-            if clique:
-                faces.add(frozenset(pool[i] for i in clique))
-            m = allowed
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                extend(clique + (j,), allowed & adj[j] & ~((1 << (j + 1)) - 1))
-
-        extend((), (1 << size) - 1)
+            label_of[s] = label
+        for s, low in label_of.items():
+            faces.add(frozenset((low,)))
+            tied = sum(1 << i for i in range(below) if s[i] == s[i + 1])
+            ending: dict[int, list[frozenset]] = {}
+            for S in by_size:
+                if S & tied & ~(S >> 1):
+                    continue  # s + 1_S decreases at a tie
+                top = label_of[tuple(x + (S >> i & 1) for i, x in enumerate(s))]
+                mine = [frozenset((low, top))]
+                for T, chains in ending.items():
+                    if not T & ~S:
+                        mine.extend(c | {top} for c in chains)
+                ending[S] = mine
+                faces.update(mine)
 
     complex = SimplicialComplex._trusted(frozenset(faces), tuple(sorted(vertex_carrier)))
     return CarriedTriangulation(complex, t.base_vertices, vertex_carrier)
@@ -523,21 +506,29 @@ class AntiprismSphere:
 
 def antiprism_sphere(t: CarriedTriangulation) -> AntiprismSphere:
     """Faces are unions of {u_i : i in I} with a face of the restriction of
-    t to the complementary base face."""
+    t to the complementary base face: each face f of t, with carrier mask
+    C, is joined to the apex set of every submask I of the complement of C.
+
+    Only dump-complex and the tests build the sphere; the suites read its
+    face counts off the triangulation's table (antiprism_partial_h)."""
     n = t.n
     check_face_budget(
         sum(sum(row) << (n - int.bit_count(mask)) for mask, row in enumerate(t.exact)),
         "the antiprism sphere",
     )
     u_vertices = tuple(("u", i) for i in range(1, n + 1))
+    u_parts = [
+        frozenset(u_vertices[i] for i in range(n) if imask >> i & 1)
+        for imask in range(1 << n)
+    ]
+    vertex_mask = {u: t.base_mask(t.carrier[u]) for u in t.complex.vertex_order}
     faces = []
     full = (1 << n) - 1
-    for imask in range(1 << n):
-        u_part = frozenset(u_vertices[i] for i in range(n) if imask >> i & 1)
-        allowed = full & ~imask
-        for (cmask, _), fs in t._by_carrier.items():
-            if cmask & ~allowed == 0:
-                faces.extend(u_part | f for f in fs)
+    for f in t.complex.faces:
+        cmask = 0
+        for u in f:
+            cmask |= vertex_mask[u]
+        faces.extend(u_parts[imask] | f for imask in _submasks_over(0, full & ~cmask))
     order = u_vertices + t.complex.vertex_order
     return AntiprismSphere(SimplicialComplex._trusted(frozenset(faces), order), u_vertices, n)
 
@@ -551,19 +542,23 @@ def antiprism_partial(sphere: AntiprismSphere, k: int) -> SimplicialComplex:
     return sphere.complex.induced(keep)
 
 
-def antiprism_partial_h(sphere: AntiprismSphere) -> tuple[Poly, ...]:
-    """h_poly(antiprism_partial(sphere, k), sphere.n) for k = 0..n, from one
-    walk over the faces of a sphere that antiprism_sphere built.  A face
-    lies in the k-th partial complex exactly when its largest apex index is
-    at most k, so faces are tallied by that index and by size, and row k of
-    face counts is the sum of the tallies up to k."""
-    n = sphere.n
-    apex = dict.fromkeys(sphere.complex.vertex_order, 0)
-    apex.update((u, i) for i, u in enumerate(sphere.u_vertices, 1))
-    tally = [[0] * (n + 1) for _ in range(n + 1)]
-    for f in sphere.complex.faces:
-        tally[max(map(apex.__getitem__, f), default=0)][len(f)] += 1
-    row = [0] * (n + 1)
+def antiprism_partial_h(t: CarriedTriangulation) -> tuple[Poly, ...]:
+    """h_poly(antiprism_partial(antiprism_sphere(t), k), t.n) for k = 0..n,
+    read off the face table of t without building the sphere.  The sphere's
+    faces with apex set I are u_I | f for the faces f of t carried inside
+    the complement of I, counted by closed[full & ~I] shifted by |I|; such
+    a face lies in the k-th partial complex exactly when max(I) <= k, so
+    they are tallied by that index and row k of face counts is the sum of
+    the tallies up to k."""
+    n = t.n
+    full = (1 << n) - 1
+    width = len(t.closed[0]) + n  # room for a face past the window, which raises
+    tally = [[0] * width for _ in range(n + 1)]
+    for imask in range(1 << n):
+        counts = tally[imask.bit_length()]
+        for size, c in enumerate(t.closed[full & ~imask], imask.bit_count()):
+            counts[size] += c
+    row = [0] * width
     out = []
     for counts in tally:
         row = [a + b for a, b in zip(row, counts)]

@@ -31,6 +31,8 @@ f-triangle rows of a carried triangulation by counting its faces by
 carrier mask and size (``oracle_carrier_counts``, a walk of its own over
 the faces) and keeping the carrier masks a test asks for; the library
 reads one row of its per-mask face table.
+``oracle_facets`` probes every vertex outside each face for a larger face;
+the library removes the faces one vertex below another face in one pass.
 """
 
 import itertools
@@ -217,6 +219,17 @@ def oracle_derangement_sample_cases(n: int, samples: int, rng: random.Random) ->
         )
         cases.append(_sample_case(f"derangement-sample-{n}-{s}", ok, p, g, verdict))
     return cases
+
+
+def oracle_facets(c) -> tuple[frozenset, ...]:
+    """The faces of the complex c that no vertex extends to a face, in the
+    complex's face order."""
+    out = [
+        f
+        for f in c.faces
+        if not any(f | {v} in c.faces for v in c.vertex_order if v not in f)
+    ]
+    return tuple(sorted(out, key=c._face_key))
 
 
 def oracle_carrier_counts(t) -> dict[tuple[int, int], int]:

@@ -43,6 +43,7 @@ from oracles import (
     oracle_boundary_h,
     oracle_carrier_counts,
     oracle_face_rows,
+    oracle_facets,
     oracle_identity_suite,
     oracle_interior_h,
     oracle_restriction_h,
@@ -94,6 +95,18 @@ class TestSimplicialComplex:
     def test_faces_as_index_lines_sorted(self):
         c = SimplicialComplex.from_facets([(2, 1), (3,)])
         assert faces_as_index_lines(c) == ["0", "1", "2", "0 1"]
+
+    def test_facets_agree_with_the_vertex_probe(self):
+        complexes = [
+            SimplicialComplex(faces=(), vertex_order=()),
+            SimplicialComplex(faces=(frozenset(),), vertex_order=()),
+            SimplicialComplex.from_facets([(1, 2, 3), (3, 4), (5,), (2, 6), (1, 2, 7, 8)]),
+        ] + [barycentric_subdivision(n).complex for n in range(6)]
+        for c in complexes:
+            assert c.facets() == oracle_facets(c), c.f_vector()
+        assert complexes[0].facets() == ()
+        assert complexes[1].facets() == (frozenset(),)
+        assert [len(f) for f in complexes[2].facets()] == [1, 2, 2, 3, 4]
 
 
 class TestBarycentric:
@@ -273,6 +286,11 @@ EDGEWISE_ORACLE_CASES = {
         for n in range(6)
     },
     "esd-of-esd-3-2": (lambda: edgewise_subdivision(3, 2), range(1, 4)),
+    # bases whose vertex labels are not integers, or whose base vertices
+    # are not consecutive
+    "sd-of-esd-3-2": (lambda: barycentric_subdivision(edgewise_subdivision(3, 2)), range(1, 4)),
+    "esd-of-sd-3-2": (lambda: edgewise_subdivision(barycentric_subdivision(3), 2), range(1, 4)),
+    "sd-4-on-2-4": (lambda: restriction(barycentric_subdivision(4), (2, 4)), range(1, 4)),
 }
 
 
@@ -342,6 +360,41 @@ class TestAntiprism:
         for k in range(4):
             part = antiprism_partial(sphere, k)
             assert h_poly(part, 3) == ft_qnk(ft, 3, k), k
+
+
+def antiprism_table_inputs():
+    """Every geometry family at n <= 4 (r = 2 and 3 where r applies), and
+    for n >= 2 its restriction to the base face without the second vertex."""
+    for family, entry in GEOMETRY_FAMILIES.items():
+        for r in (2, 3) if entry.takes_r else (2,):
+            for n in range(5):
+                t = entry.build(n, r)
+                yield f"{family}-{n}-r{r}", t
+                if n >= 2:
+                    face = t.base_vertices[:1] + t.base_vertices[2:]
+                    yield f"{family}-{n}-r{r}-restricted", restriction(t, face)
+
+
+class TestAntiprismFromTheFaceTable:
+    """antiprism_partial_h reads the partial complexes off the face table;
+    the built sphere, its induced partial complexes and its faces' Euler
+    characteristic are the oracle.  The void triangulation, whose sphere
+    has no empty face, is compared in test_partial_h_of_the_void_sphere."""
+
+    def test_partial_h_and_euler_characteristic_match_the_sphere(self):
+        checked = 0
+        for name, t in antiprism_table_inputs():
+            n = t.n
+            sphere = antiprism_sphere(t)
+            rows = antiprism_partial_h(t)
+            assert rows == tuple(
+                h_poly(antiprism_partial(sphere, k), n) for k in range(n + 1)
+            ), name
+            # the sphere is the k = n complex; its empty face makes f_0 = 1
+            euler = 1 - (-1) ** n * rows[n][n]
+            assert euler == sphere.complex.euler_characteristic(), name
+            checked += 1
+        assert checked == 48
 
 
 class TestFTriangle:
@@ -722,7 +775,7 @@ def mask_pairs(n: int):
                 yield emask, fmask
 
 
-class TestLocalHCache:
+class TestLocalH:
     @pytest.mark.parametrize("family", sorted(LOCAL_H_FAMILIES))
     def test_every_pair_matches_the_definition(self, family):
         build = LOCAL_H_FAMILIES[family]
@@ -730,9 +783,7 @@ class TestLocalHCache:
             t, fresh = build(n), build(n)
             for emask, fmask in mask_pairs(n):
                 want = alternating_restriction_sum(fresh, emask, fmask)
-                got = t.local_h(emask, fmask)
-                assert got == want, (family, n, emask, fmask)
-                assert t.local_h(emask, fmask) is got
+                assert t.local_h(emask, fmask) == want, (family, n, emask, fmask)
             assert t.local_h() == alternating_restriction_sum(fresh, 0, (1 << n) - 1)
 
     @pytest.mark.parametrize("family", sorted(LOCAL_H_FAMILIES))
@@ -745,7 +796,7 @@ class TestLocalHCache:
                 want = alternating_restriction_sum(fresh, emask, fmask)
                 assert t.local_h(emask, fmask) == want, (family, n, emask, fmask)
 
-    def test_invalid_masks_raise_with_a_full_cache(self):
+    def test_invalid_masks_raise(self):
         t = barycentric_subdivision(3)
         identity_suite(t)
         for emask, fmask in mask_pairs(3):
@@ -808,7 +859,8 @@ class TestInducedAgainstValidatingConstructor:
 
 def trusted_build_complexes():
     """Every geometry family at n <= 4 with r = 2 and 3 (trivial and
-    barycentric once), and the antiprism spheres over them at n <= 3."""
+    barycentric once), and the antiprism spheres over them at n <= 3, each
+    with the triangulation it was built over."""
     for family, entry in GEOMETRY_FAMILIES.items():
         for r in (2, 3) if entry.takes_r else (2,):
             for n in range(5):
@@ -817,7 +869,7 @@ def trusted_build_complexes():
                 yield name, t.complex, None
                 if n <= 3:
                     sphere = antiprism_sphere(t)
-                    yield f"{name}-antiprism", sphere.complex, sphere
+                    yield f"{name}-antiprism", sphere.complex, (t, sphere)
 
 
 class TestTrustedBuildsAgainstValidatingConstructor:
@@ -838,11 +890,12 @@ class TestTrustedBuildsAgainstValidatingConstructor:
 
     def test_partial_h_from_one_tally(self):
         checked = 0
-        for name, _, sphere in trusted_build_complexes():
-            if sphere is None:
+        for name, _, built in trusted_build_complexes():
+            if built is None:
                 continue
+            t, sphere = built
             n = sphere.n
-            rows = antiprism_partial_h(sphere)
+            rows = antiprism_partial_h(t)
             assert len(rows) == n + 1, name
             for k, h in enumerate(rows):
                 assert h == h_poly(antiprism_partial(sphere, k), n), (name, k)
@@ -853,4 +906,4 @@ class TestTrustedBuildsAgainstValidatingConstructor:
         void = CarriedTriangulation(SimplicialComplex([]), (), {})
         sphere = antiprism_sphere(void)
         assert sphere.complex.is_void()
-        assert antiprism_partial_h(sphere) == (h_poly(antiprism_partial(sphere, 0), 0),)
+        assert antiprism_partial_h(void) == (h_poly(antiprism_partial(sphere, 0), 0),)
