@@ -21,8 +21,9 @@ coefficient.  Arithmetic builds its results through the private
 ``Fraction`` into its numerator: it trusts that every entry of its list is
 an ``int`` or ``Fraction`` that this module computed from canonical
 coefficients and scalars.  Its callers are the ring operations,
-``times_x_power``, ``derivative``, ``reciprocal``, ``linear_combination``
-and ``series_numerator``.  Nothing outside this module may call ``Poly._of``.
+``times_x_power``, ``derivative``, ``reciprocal``, ``linear_combination``,
+``series_numerator`` and ``symmetric_decomposition``.  Nothing outside this
+module may call ``Poly._of``.
 
 ``linear_combination`` is the one way library code sums polynomials: it
 takes (c, p, shift) terms and accumulates every c * p * x^shift into one
@@ -454,28 +455,64 @@ class GammaVector:
         return all(g >= 0 for g in self.gammas)
 
 
+def _window(p: Poly, n: int) -> list[Scalar]:
+    """The stored coefficients of p padded with zeros to n + 1 entries;
+    requires deg(p) <= n."""
+    cs = list(p.coeffs)
+    cs += [0] * (n + 1 - len(cs))
+    return cs
+
+
+def _peel(cs: list[Scalar], widths: Iterable[int]) -> list[Scalar]:
+    """Expand cs in the basis x^j (1+x)^(m_j), m_j the j-th of widths, when
+    that basis spans it; cs is used up.
+
+    The basis is triangular in the lowest degree term: for j = 0, 1, ...
+    the coefficient c_j is what is left at x^j, and c_j x^j (1+x)^(m_j) is
+    subtracted in place.  Every entry stays an int when cs holds ints.  The
+    expansion exists exactly when nothing is left over, which is asserted."""
+    out = []
+    for j, m in enumerate(widths):
+        c = cs[j]
+        out.append(c)
+        if c:
+            for i, b in enumerate(one_plus_x_power(m).coeffs, j):
+                cs[i] -= c * b
+    assert not any(cs)
+    return out
+
+
+def _gammas(p: Poly, n: int) -> list[Scalar] | None:
+    """The gamma vector of p in window n as stored coefficients, or None
+    when p is not palindromic inside the window."""
+    if p.deg() > n:
+        return None
+    if n < 0:
+        raise ValueError("window degree must be nonnegative")
+    cs = _window(p, n)
+    if cs != cs[::-1]:
+        return None
+    # a palindromic residual stays palindromic after each step, so the
+    # floor(n/2) + 1 widths n, n - 2, ... use it up
+    return _peel(cs, range(n, -1, -2))
+
+
 def gamma_expand(p: Poly, n: int) -> GammaVector | None:
     """Expand p in the basis x^k (1+x)^(n-2k) by iterated peeling, or None.
 
     The expansion exists exactly when p is palindromic inside the degree
-    window n; the vector has floor(n/2) + 1 entries.
+    window n; the vector has floor(n/2) + 1 entries.  The peel runs on the
+    stored coefficients, so an integer p is expanded on ints.
     """
-    if not is_symmetric(p, n):
+    gammas = _gammas(p, n)
+    if gammas is None:
         return None
-    gammas: list[Fraction] = []
-    residual = p
-    for k in range(n // 2 + 1):
-        g = residual[k]
-        gammas.append(g)
-        if g != 0:
-            residual = residual - one_plus_x_power(n - 2 * k).times_x_power(k) * g
-    assert residual.is_zero()
-    return GammaVector(n=n, gammas=tuple(gammas))
+    return GammaVector(n=n, gammas=tuple(map(_as_fraction, gammas)))
 
 
 def is_gamma_positive(p: Poly, n: int) -> bool:
-    gv = gamma_expand(p, n)
-    return gv is not None and gv.is_nonnegative()
+    gammas = _gammas(p, n)
+    return gammas is not None and all(g >= 0 for g in gammas)
 
 
 @dataclass(frozen=True)
@@ -491,34 +528,36 @@ class SymmetricDecomposition:
 def symmetric_decomposition(p: Poly, n: int) -> SymmetricDecomposition:
     """Split p = a + x*b into its palindromic parts for degree window n.
 
-    Works for any p with deg(p) <= n; the difference p - x^n p(1/x) always
-    vanishes at 1, which makes the division by x - 1 exact.
+    Works for any p with deg(p) <= n.  b = (p - x^n p(1/x)) / (x - 1): the
+    numerator d vanishes at 1, so the division is exact, and its quotient
+    has the coefficients b_i = -(d_0 + ... + d_i), read off one prefix-sum
+    pass.  Then a = p - x*b.
     """
     if p.deg() > n:
         raise ValueError(f"degree {p.deg()} exceeds window {n}")
-    b = (p - reciprocal(p, n)).exact_div(X - ONE)
-    a = p - b.times_x_power(1)
-    assert is_symmetric(a, n) and is_symmetric(b, n - 1) if n >= 1 else b.is_zero()
-    return SymmetricDecomposition(a=a, b=b, n=n)
+    if n < 0:
+        raise ValueError("window degree must be nonnegative")
+    cs = _window(p, n)
+    b: list[Scalar] = []
+    acc: Scalar = 0
+    for i in range(n):
+        acc += cs[n - i] - cs[i]
+        b.append(acc)
+    a = cs[:1] + [c - d for c, d in zip(cs[1:], b)]
+    assert a == a[::-1] and b == b[::-1]
+    return SymmetricDecomposition(a=Poly._of(a), b=Poly._of(b), n=n)
 
 
 def basis_p_coeffs(p: Poly, n: int) -> tuple[Fraction, ...]:
     """Coefficients c_0..c_n with p = sum of c_k x^(n-k) (1+x)^k.
 
     The basis is triangular in the lowest degree term, so the expansion
-    always exists and is unique for deg(p) <= n.
+    always exists and is unique for deg(p) <= n; c_n is peeled first.
     """
     if p.deg() > n:
         raise ValueError(f"degree {p.deg()} exceeds window {n}")
-    residual = p
-    out = [Fraction(0)] * (n + 1)
-    for k in range(n, -1, -1):
-        c = residual[n - k]
-        out[k] = c
-        if c != 0:
-            residual = residual - one_plus_x_power(k).times_x_power(n - k) * c
-    assert residual.is_zero()
-    return tuple(out)
+    out = _peel(_window(p, n), range(n, -1, -1))
+    return tuple(map(_as_fraction, reversed(out)))
 
 
 def basis_p_combination(coeffs: Sequence[Scalar], n: int) -> Poly:

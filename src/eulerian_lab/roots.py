@@ -54,7 +54,6 @@ from .poly import Poly, is_gamma_positive, is_unimodal, symmetric_decomposition
 __all__ = [
     "is_real_rooted",
     "interlaces",
-    "is_interlacing_sequence",
     "interlacing_failures",
     "DecompositionVerdict",
     "interlacing_symmetric_decomposition",
@@ -175,21 +174,6 @@ def interlacing_failures(polys: Sequence[Poly]) -> list[tuple[int, int]]:
             if not interlaces(polys[i], polys[j]):
                 out.append((i, j))
     return out
-
-
-def is_interlacing_sequence(polys: Sequence[Poly]) -> bool:
-    """Whether every earlier entry interlaces every later one.
-
-    Through interlacing_failures, a row of nonconstant members with positive
-    leading coefficients is certified by the chain lemma
-    (Braenden, Handbook of Enumerative Combinatorics, 2015; Fisk,
-    arXiv:math/0612833) in n + 1 decisions: f_i <= f_(i+1) for each i and
-    f_0 <= f_n.  Consecutive
-    degree steps are 0 or 1 and the outer pair bounds their sum by 1, so
-    every pair also meets its degree window.  Other rows are decided pair
-    by pair.
-    """
-    return not interlacing_failures(polys)
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,10 @@ FTriangle owns what is derived from it: its h-rows, interior rows, family
 members ft_qnk and ft_lnk, and interior images, each computed once on first
 use and freed with the triangle; no cache is keyed by a triangle.
 
-The subdivisions, antiprism spheres and induced subcomplexes are closed by
-construction, so they skip the closure walk of the validating constructor
-(see SimplicialComplex._trusted); complexes given by their faces or facets
-are still checked.  The edgewise subdivision lists each facet's faces once,
+The subdivisions and antiprism spheres are closed by construction, so
+they skip the closure walk of the validating constructor (see
+SimplicialComplex._trusted); complexes given by their faces or facets are
+still checked.  The edgewise subdivision lists each facet's faces once,
 as Freudenthal-Kuhn chains.  The h-polynomials of all partial antiprism
 complexes are read off the triangulation's face table; the sphere itself
 is built only to be listed.
@@ -149,14 +149,15 @@ class SimplicialComplex:
         their vertices once each.
 
         Only constructions whose result is closed by construction call it:
-        - induced: a subface of a kept face is a face inside the kept set;
         - sd_complex: the faces are all chains of nonempty faces, and a
           subchain of a chain is a chain;
         - edgewise_subdivision: a facet's faces are the cliques of its
           joinability relation, each listed once as a Kuhn chain, and a
           subset of a clique is a clique;
         - antiprism_sphere: u_I | f with carrier(f) disjoint from I stays a
-          face when I or f shrinks, since f's subfaces have smaller carriers.
+          face when I or f shrinks, since f's subfaces have smaller carriers;
+        - induced, in tests/oracles.py: a subface of a kept face is a face
+          inside the kept set.
         Each also lists a vertex only when its singleton is a face.
         from_facets and the public constructor still validate."""
         c = object.__new__(cls)
@@ -164,16 +165,6 @@ class SimplicialComplex:
         object.__setattr__(c, "vertex_order", order)
         object.__setattr__(c, "_index", {v: i for i, v in enumerate(order)})
         return c
-
-    def induced(self, keep: Iterable) -> "SimplicialComplex":
-        keep_set = set(keep)
-        # No re-validation: every subface of a kept face is a face of self
-        # and lies inside keep, so the kept faces are downward closed, and
-        # each kept vertex v of self keeps its face {v}, so order lists the
-        # vertices of the kept faces exactly.
-        faces = frozenset(f for f in self.faces if f <= keep_set)
-        order = tuple(v for v in self.vertex_order if v in keep_set)
-        return SimplicialComplex._trusted(faces, order)
 
     def _face_key(self, f: frozenset) -> tuple:
         return (len(f), tuple(sorted(self._index[v] for v in f)))
@@ -341,18 +332,6 @@ def _submasks_over(emask: int, fmask: int) -> Iterator[int]:
         if sub == 0:
             return
         sub = (sub - 1) & free
-
-
-def restriction(t: CarriedTriangulation, face: Iterable) -> CarriedTriangulation:
-    """The carried triangulation induced on a base face."""
-    fmask = t.base_mask(face)
-    keep = [
-        u
-        for u in t.complex.vertex_order
-        if t.base_mask(t.carrier[u]) & ~fmask == 0
-    ]
-    sub = t.complex.induced(keep)
-    return CarriedTriangulation(sub, t.mask_face(fmask), t.carrier)
 
 
 def trivial_triangulation(n: int) -> CarriedTriangulation:
@@ -533,17 +512,9 @@ def antiprism_sphere(t: CarriedTriangulation) -> AntiprismSphere:
     return AntiprismSphere(SimplicialComplex._trusted(frozenset(faces), order), u_vertices, n)
 
 
-def antiprism_partial(sphere: AntiprismSphere, k: int) -> SimplicialComplex:
-    """The induced subcomplex keeping only the first k apex vertices."""
-    if not 0 <= k <= sphere.n:
-        raise ValueError(f"k={k} out of range 0..{sphere.n}")
-    dropped = set(sphere.u_vertices[k:])
-    keep = [v for v in sphere.complex.vertex_order if v not in dropped]
-    return sphere.complex.induced(keep)
-
-
 def antiprism_partial_h(t: CarriedTriangulation) -> tuple[Poly, ...]:
-    """h_poly(antiprism_partial(antiprism_sphere(t), k), t.n) for k = 0..n,
+    """For k = 0..n, the h-polynomial in window t.n of the subcomplex of
+    antiprism_sphere(t) induced on all vertices but the apexes u_(k+1)..u_n,
     read off the face table of t without building the sphere.  The sphere's
     faces with apex set I are u_I | f for the faces f of t carried inside
     the complement of I, counted by closed[full & ~I] shifted by |I|; such

@@ -1,7 +1,10 @@
 """Named verification suites shared by the test battery and the CLI.
 
 Each engine returns a flat list of CaseResult records so callers can render
-them as a report or assert that every status is "pass".  The suites pit
+them as a report or assert that every status is "pass".  A case's detail
+text is built when it is first read, not when the case is decided: the text
+report reads it only for failing cases, so a passing run renders no
+polynomial.  The suites pit
 independent routes against each other: closed forms against full-group
 enumerations, geometric face counts against permutation statistics, and
 certified decompositions against sampled inputs.  Every case of the
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb, lcm
+from typing import Callable, Union
 
 from .errors import CertificationError
 from .poly import (
@@ -82,26 +86,74 @@ from .simplicial import (
 )
 
 
-@dataclass(frozen=True)
+Detail = Union[str, Callable[[], str]]
+
+
 class CaseResult:
-    name: str
-    status: str
-    detail: str = ""
+    """One decided case: its name, its status "pass" or "fail", and a
+    detail text.
+
+    The detail is given either as a string or as a zero-argument renderer.
+    A renderer runs on the first read of ``detail`` and its text is kept,
+    so a case whose detail nobody reads builds no text.  Equality and
+    hashing compare the rendered detail."""
+
+    __slots__ = ("name", "status", "_detail")
+
+    def __init__(self, name: str, status: str, detail: Detail = "") -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "_detail", detail)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("CaseResult is immutable")
+
+    @property
+    def detail(self) -> str:
+        detail = self._detail
+        if not isinstance(detail, str):
+            detail = detail()
+            object.__setattr__(self, "_detail", detail)
+        return detail
 
     @property
     def ok(self) -> bool:
         return self.status == "pass"
 
+    def _key(self) -> tuple[str, str, str]:
+        return self.name, self.status, self.detail
 
-def _case(name: str, ok: bool, detail: str = "") -> CaseResult:
-    return CaseResult(name=name, status="pass" if ok else "fail", detail=detail)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CaseResult):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        name, status, detail = self._key()
+        return f"CaseResult(name={name!r}, status={status!r}, detail={detail!r})"
+
+
+def _case(name: str, ok: bool, detail: Detail = "") -> CaseResult:
+    return CaseResult(name, "pass" if ok else "fail", detail)
 
 
 def _eq_case(name: str, got: Poly, want: Poly) -> CaseResult:
-    ok = got == want
-    want_text = want.to_text()
-    got_text = want_text if ok else got.to_text()
-    return _case(name, ok, f"got {got_text}, want {want_text}")
+    """got == want; the detail shows both, and keeps only want when they
+    are equal."""
+    if got == want:
+        return _case(name, True, partial(_got_want_text, want, want))
+    return _case(name, False, partial(_got_want_text, got, want))
+
+
+def _got_want_text(got: Poly, want: Poly) -> str:
+    return f"got {got.to_text()}, want {want.to_text()}"
+
+
+def _versus_text(lhs: object, rhs: object) -> str:
+    return f"{lhs!r} vs {rhs!r}"
 
 
 GOLDEN_QNK = {
@@ -399,24 +451,18 @@ def worpitzky_cases(n: int) -> list[CaseResult]:
         target = pnk(n, k)
         ok = all(prod[i] == target[i] for i in range(m_top + 1))
         cases.append(
-            _case(
-                f"worpitzky-p-{n}-{k}",
-                ok,
-                f"truncated product {prod.to_text()} vs {target.to_text()}",
-            )
+            _case(f"worpitzky-p-{n}-{k}", ok, partial(_truncated_text, prod, target))
         )
     series = Poly([(2 * m + 1) ** n for m in range(m_top + 1)])
     prod = series * one_minus
     target = typeB_eulerian(n)
     ok = all(prod[i] == target[i] for i in range(m_top + 1))
-    cases.append(
-        _case(
-            f"worpitzky-B-{n}",
-            ok,
-            f"truncated product {prod.to_text()} vs {target.to_text()}",
-        )
-    )
+    cases.append(_case(f"worpitzky-B-{n}", ok, partial(_truncated_text, prod, target)))
     return cases
+
+
+def _truncated_text(prod: Poly, target: Poly) -> str:
+    return f"truncated product {prod.to_text()} vs {target.to_text()}"
 
 
 def _row_verdicts(row: list[Poly]) -> tuple[list[bool], list[tuple[int, int]]]:
@@ -468,13 +514,15 @@ def _sample_case(
 ) -> CaseResult:
     """The case of one sample; its detail shows p = lp / mult and the image
     limage / mult."""
+    return _case(name, ok, partial(_sample_text, lp, limage, mult, verdict))
+
+
+def _sample_text(lp: Poly, limage: Poly, mult: int, verdict: DecompositionVerdict) -> str:
     scale = Fraction(1, mult)
-    return _case(
-        name,
-        ok,
+    return (
         f"p = {(lp * scale).to_text()}; image {(limage * scale).to_text()}; "
         f"nonneg={verdict.nonnegative} rr={verdict.real_rooted_pair} "
-        f"interlacing={verdict.interlacing}",
+        f"interlacing={verdict.interlacing}"
     )
 
 
@@ -491,8 +539,8 @@ def theorem1_sample_cases(n: int, samples: int, seed: int) -> list[CaseResult]:
     so real rootedness and interlacing in either order are unchanged; the
     split of L*f is (L*a, L*b), whose signs and coefficient order are those
     of (a, b), and whose gamma vectors are L times those of a and b, since
-    the gamma expansion is linear.  p and its image are divided by L once,
-    for the detail text only."""
+    the gamma expansion is linear.  p and its image are divided by L only
+    when the detail text is read."""
     rng = random.Random(seed)
     transform = eulerian_transform(n)
     upper = X * eulerian(n)
@@ -595,7 +643,7 @@ def identity_suite(t: CarriedTriangulation, prefix: str = "") -> list[CaseResult
     full = size - 1
     cases: list[CaseResult] = []
 
-    def record(name: str, detail: str, ok: bool) -> None:
+    def record(name: str, detail: Detail, ok: bool) -> None:
         cases.append(_case(prefix + name, ok, detail))
 
     thetas: list[Poly] = []
@@ -619,14 +667,14 @@ def identity_suite(t: CarriedTriangulation, prefix: str = "") -> list[CaseResult
         (1, theta * eulerian(n - int.bit_count(fmask)), 0)
         for fmask, theta in enumerate(thetas)
     )
-    record("h-from-theta", f"{lhs!r} vs {rhs!r}", lhs == rhs)
+    record("h-from-theta", partial(_versus_text, lhs, rhs), lhs == rhs)
 
     lhs = t.local_h()
     rhs = linear_combination(
         (1, theta * derangement(n - int.bit_count(fmask)), 0)
         for fmask, theta in enumerate(thetas)
     )
-    record("local-h-from-theta", f"{lhs!r} vs {rhs!r}", lhs == rhs)
+    record("local-h-from-theta", partial(_versus_text, lhs, rhs), lhs == rhs)
 
     d = {(a, c): dnk(a, c) for a in range(n + 1) for c in range(a + 1)}
     bound = max(
@@ -703,11 +751,7 @@ def geometry_cases(family: str, n: int, r: int = 2) -> list[CaseResult]:
     for m in range(n + 1):
         theta = ft_theta(triangle, m)
         cases.append(
-            _case(
-                f"{label}-ft-theta-symmetric-{m}",
-                is_symmetric(theta, m),
-                theta.to_text(),
-            )
+            _case(f"{label}-ft-theta-symmetric-{m}", is_symmetric(theta, m), theta.to_text)
         )
 
     if family in ("trivial", "barycentric"):

@@ -33,6 +33,17 @@ the faces) and keeping the carrier masks a test asks for; the library
 reads one row of its per-mask face table.
 ``oracle_facets`` probes every vertex outside each face for a larger face;
 the library removes the faces one vertex below another face in one pass.
+``oracle_gamma_expand``, ``oracle_basis_p_coeffs`` and
+``oracle_symmetric_decomposition`` peel and divide on ``Poly`` values with
+``Fraction`` scalars; the library peels the stored coefficients in place
+and reads the split off one prefix-sum pass.
+``oracle_eq_case``, ``oracle_sample_case`` and ``oracle_worpitzky_cases``
+build each case's detail text with the case; the library builds it on
+first read.  ``eager_case_result`` renders a detail as its case is made.
+
+``is_interlacing_sequence``, ``induced``, ``restriction`` and
+``antiprism_partial`` serve the tests only, so they live here and not in
+the package.
 """
 
 import itertools
@@ -45,10 +56,13 @@ from eulerian_lab.poly import (
     ONE,
     X,
     ZERO,
+    GammaVector,
     Poly,
+    SymmetricDecomposition,
     basis_p_combination,
     is_symmetric,
     linear_combination,
+    one_plus_x_power,
     reciprocal,
 )
 from eulerian_lab.roots import (
@@ -57,7 +71,15 @@ from eulerian_lab.roots import (
     interlacing_symmetric_decomposition,
     is_real_rooted,
 )
-from eulerian_lab.simplicial import _submasks_over, derangement_transform, eulerian_transform
+from eulerian_lab.simplicial import (
+    AntiprismSphere,
+    CarriedTriangulation,
+    SimplicialComplex,
+    _submasks_over,
+    derangement_transform,
+    eulerian_transform,
+)
+from eulerian_lab import suites
 from eulerian_lab.suites import CaseResult
 from eulerian_lab.transforms import (
     apply_transform,
@@ -358,4 +380,114 @@ def oracle_identity_suite(t) -> list[tuple[str, bool, str]]:
             ok = t.restriction_h(gmask) == rhs
             cases.append(("h-from-relative-local-h", ok, f"E mask {emask} G mask {gmask}"))
 
+    return cases
+
+
+def is_interlacing_sequence(polys) -> bool:
+    """Whether every earlier entry interlaces every later one."""
+    return not interlacing_failures(polys)
+
+
+def induced(c: SimplicialComplex, keep) -> SimplicialComplex:
+    """The subcomplex of c induced on the vertex set keep.  Every subface of
+    a kept face is a face of c inside keep, and each kept vertex keeps its
+    face {v}, so the result is closed and built unchecked."""
+    keep_set = set(keep)
+    faces = frozenset(f for f in c.faces if f <= keep_set)
+    order = tuple(v for v in c.vertex_order if v in keep_set)
+    return SimplicialComplex._trusted(faces, order)
+
+
+def restriction(t: CarriedTriangulation, face) -> CarriedTriangulation:
+    """The carried triangulation induced on a base face."""
+    fmask = t.base_mask(face)
+    keep = [u for u in t.complex.vertex_order if t.base_mask(t.carrier[u]) & ~fmask == 0]
+    return CarriedTriangulation(induced(t.complex, keep), t.mask_face(fmask), t.carrier)
+
+
+def antiprism_partial(sphere: AntiprismSphere, k: int) -> SimplicialComplex:
+    """The induced subcomplex keeping only the first k apex vertices."""
+    if not 0 <= k <= sphere.n:
+        raise ValueError(f"k={k} out of range 0..{sphere.n}")
+    dropped = set(sphere.u_vertices[k:])
+    return induced(sphere.complex, [v for v in sphere.complex.vertex_order if v not in dropped])
+
+
+def oracle_gamma_expand(p: Poly, n: int) -> GammaVector | None:
+    """gamma_expand peeled on Poly values with Fraction scalars."""
+    if not is_symmetric(p, n):
+        return None
+    gammas = []
+    residual = p
+    for k in range(n // 2 + 1):
+        g = residual[k]
+        gammas.append(g)
+        if g != 0:
+            residual = residual - one_plus_x_power(n - 2 * k).times_x_power(k) * g
+    assert residual.is_zero()
+    return GammaVector(n=n, gammas=tuple(gammas))
+
+
+def oracle_basis_p_coeffs(p: Poly, n: int) -> tuple[Fraction, ...]:
+    """basis_p_coeffs peeled on Poly values with Fraction scalars."""
+    if p.deg() > n:
+        raise ValueError(f"degree {p.deg()} exceeds window {n}")
+    residual = p
+    out = [Fraction(0)] * (n + 1)
+    for k in range(n, -1, -1):
+        c = residual[n - k]
+        out[k] = c
+        if c != 0:
+            residual = residual - one_plus_x_power(k).times_x_power(n - k) * c
+    assert residual.is_zero()
+    return tuple(out)
+
+
+def oracle_symmetric_decomposition(p: Poly, n: int) -> SymmetricDecomposition:
+    """symmetric_decomposition by long division of p - x^n p(1/x) by x - 1."""
+    if p.deg() > n:
+        raise ValueError(f"degree {p.deg()} exceeds window {n}")
+    b = (p - reciprocal(p, n)).exact_div(X - ONE)
+    a = p - b.times_x_power(1)
+    assert is_symmetric(a, n) and is_symmetric(b, n - 1) if n >= 1 else b.is_zero()
+    return SymmetricDecomposition(a=a, b=b, n=n)
+
+
+def eager_case_result(name: str, status: str, detail="") -> CaseResult:
+    """A CaseResult whose detail is rendered now, as the case is made."""
+    return CaseResult(name, status, detail if isinstance(detail, str) else detail())
+
+
+def oracle_eq_case(name: str, got: Poly, want: Poly) -> CaseResult:
+    """suites._eq_case with its detail built with the case."""
+    ok = got == want
+    want_text = want.to_text()
+    got_text = want_text if ok else got.to_text()
+    return CaseResult(name, "pass" if ok else "fail", f"got {got_text}, want {want_text}")
+
+
+def oracle_sample_case(
+    name: str, ok: bool, lp: Poly, limage: Poly, mult: int, verdict
+) -> CaseResult:
+    """suites._sample_case with its detail built with the case."""
+    scale = Fraction(1, mult)
+    return _sample_case(name, ok, lp * scale, limage * scale, verdict)
+
+
+def oracle_worpitzky_cases(n: int) -> list[CaseResult]:
+    """suites.worpitzky_cases with each detail built with its case; the
+    targets are read through the suites module, as the library reads them."""
+    m_top = n + 3
+    one_minus = (ONE - X) ** (n + 1)
+    rows = [
+        (f"worpitzky-p-{n}-{k}", lambda m, k=k: m**k * (m + 1) ** (n - k), suites.pnk(n, k))
+        for k in range(n + 1)
+    ]
+    rows.append((f"worpitzky-B-{n}", lambda m: (2 * m + 1) ** n, suites.typeB_eulerian(n)))
+    cases = []
+    for name, term, target in rows:
+        prod = Poly([term(m) for m in range(m_top + 1)]) * one_minus
+        ok = all(prod[i] == target[i] for i in range(m_top + 1))
+        detail = f"truncated product {prod.to_text()} vs {target.to_text()}"
+        cases.append(CaseResult(name, "pass" if ok else "fail", detail))
     return cases

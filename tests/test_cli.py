@@ -90,6 +90,8 @@ class TestPinnedOutputs:
         "generic-l": "eeaebc7c2262f3e1c66a427636458c82a7b6591dc50f11d93658558ea6ecc920",
     }
     VERIFY_N6_JSON = "13fd18162daf21757eb78148f7edd689a6376d936cc2aa820e2e4fd1c9ea2404"
+    # recorded while every case detail was still built with its case
+    VERIFY_N6_CSV = "c21974104d2c691edaf56be4ac1e8bf443ac451b4dc5ba61329f1592595f8e18"
     # recorded before A, p and B and the f-triangle h-rows were read off one
     # series route; n = 12 is past the enumeration checks (n <= 6)
     TABLE_N12_JSON = {
@@ -131,6 +133,27 @@ class TestPinnedOutputs:
         code, out, _ = run(capsys, "verify-identities", "--n", "6", "--format", "json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.VERIFY_N6_JSON
+
+    def test_verify_identities_csv_pinned(self, capsys):
+        code, out, _ = run(capsys, "verify-identities", "--n", "6", "--format", "csv")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.VERIFY_N6_CSV
+
+    def test_failing_verify_identities_text_pinned(self, capsys, broken_closed_forms):
+        # the text report prints the detail of every failing kind of case,
+        # among them the got/want pairs, the Worpitzky products, both theta
+        # expansions and the ft-theta polynomials
+        code, out, _ = run(capsys, "verify-identities", "--n", "3", "--format", "text")
+        assert code == 1
+        assert out == (DATA / "verify-identities-n3-failing.txt").read_text()
+
+    def test_failing_samples_text_pinned(self, capsys, broken_closed_forms):
+        # every sample prints p and its image, divided back from their
+        # integer multiples
+        code, out, _ = run(capsys, "sample-theorem1", "--n", "4", "--samples", "3",
+                           "--format", "text")
+        assert code == 1
+        assert out == (DATA / "sample-theorem1-n4-s3-failing.txt").read_text()
 
 
 class TestDeterminism:

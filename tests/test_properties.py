@@ -22,10 +22,13 @@ from eulerian_lab.poly import (
     ONE,
     X,
     ZERO,
+    GammaVector,
     Poly,
+    SymmetricDecomposition,
     basis_p_coeffs,
     basis_p_combination,
     gamma_expand,
+    is_gamma_positive,
     is_symmetric,
     one_plus_x_power,
     reciprocal,
@@ -45,7 +48,14 @@ from eulerian_lab.suites import (
     generic_conjecture_cases,
 )
 from eulerian_lab.transforms import apply_transform, binomial_base, generic_hnk, generic_lnk
-from oracles import list_interlaces, oracle_generic_hypothesis, oracle_row_verdicts
+from oracles import (
+    list_interlaces,
+    oracle_basis_p_coeffs,
+    oracle_gamma_expand,
+    oracle_generic_hypothesis,
+    oracle_row_verdicts,
+    oracle_symmetric_decomposition,
+)
 
 SUITE = settings(
     max_examples=1000,
@@ -256,6 +266,104 @@ class TestSymmetryProperties:
         n = len(coeffs) - 1
         p = basis_p_combination(coeffs, n)
         assert basis_p_coeffs(p, n) == tuple(coeffs)
+
+
+# int and Fraction coefficient lists, the zero polynomial among them
+coefficient_lists = st.one_of(
+    st.lists(st.integers(-60, 60), max_size=8),
+    st.lists(fractions_small, max_size=8),
+)
+
+
+@st.composite
+def palindromes(draw):
+    """(p, n) with p palindromic inside window n >= 0: a mirrored list,
+    with or without a middle entry, whose ends may be zero."""
+    half = draw(coefficient_lists)
+    middle = draw(st.lists(st.one_of(st.integers(-60, 60), fractions_small), max_size=1))
+    cs = half + middle + half[::-1]
+    return Poly(cs), max(len(cs) - 1, 0)
+
+
+# (p, n) with deg p - 1 <= n <= deg p + 3: windows past the degree, n = 0,
+# and one window below the degree, which every route refuses
+windowed = st.one_of(
+    st.tuples(coefficient_lists.map(Poly), st.integers(-1, 3)).map(
+        lambda t: (t[0], max(t[0].deg(), 0) + t[1])
+    ),
+    palindromes(),
+)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and text of what it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+def _canonical(p: Poly) -> bool:
+    return all(type(c) is int or c.denominator != 1 for c in p.coeffs)
+
+
+class TestStoredCoefficientRoutesAgainstPolyRoutes:
+    """gamma_expand, is_gamma_positive, basis_p_coeffs and
+    symmetric_decomposition run on the stored coefficients; the oracles
+    peel and divide on Poly values with Fraction scalars."""
+
+    @SUITE
+    @given(windowed)
+    def test_gamma_expand(self, pn):
+        p, n = pn
+        got = _outcome(gamma_expand, p, n)
+        assert got == _outcome(oracle_gamma_expand, p, n)
+        if isinstance(got, GammaVector):
+            assert all(type(g) is Fraction for g in got.gammas)
+        if 0 <= n and p.deg() <= n and not is_symmetric(p, n):
+            assert got is None
+
+    @SUITE
+    @given(windowed)
+    def test_is_gamma_positive(self, pn):
+        p, n = pn
+
+        def oracle(p, n):
+            gv = oracle_gamma_expand(p, n)
+            return gv is not None and gv.is_nonnegative()
+
+        assert _outcome(is_gamma_positive, p, n) == _outcome(oracle, p, n)
+
+    @SUITE
+    @given(windowed)
+    def test_symmetric_decomposition(self, pn):
+        p, n = pn
+        got = _outcome(symmetric_decomposition, p, n)
+        assert got == _outcome(oracle_symmetric_decomposition, p, n)
+        if isinstance(got, SymmetricDecomposition):
+            assert _canonical(got.a) and _canonical(got.b)
+
+    @SUITE
+    @given(windowed)
+    def test_basis_p_coeffs(self, pn):
+        p, n = pn
+        got = _outcome(basis_p_coeffs, p, n)
+        assert got == _outcome(oracle_basis_p_coeffs, p, n)
+        if isinstance(got, tuple) and got[:1] != (ValueError,):
+            assert all(type(c) is Fraction for c in got)
+
+    def test_edge_windows(self):
+        # n = 0, p = 0 in a wider window, and a negative window
+        for route, oracle in (
+            (gamma_expand, oracle_gamma_expand),
+            (symmetric_decomposition, oracle_symmetric_decomposition),
+            (basis_p_coeffs, oracle_basis_p_coeffs),
+        ):
+            for p, n in ((ONE * 5, 0), (ZERO, 0), (ZERO, 3), (ZERO, -1), (ONE, -1)):
+                assert _outcome(route, p, n) == _outcome(oracle, p, n), (route, p, n)
+        assert gamma_expand(ZERO, 3).gammas == (0, 0)
+        assert symmetric_decomposition(ONE * 5, 0) == SymmetricDecomposition(ONE * 5, ZERO, 0)
+        assert basis_p_coeffs(ZERO, 0) == (0,)
 
 
 class TestInterlacingOracle:

@@ -15,7 +15,6 @@ from eulerian_lab.roots import (
     interlaces,
     interlacing_failures,
     interlacing_symmetric_decomposition,
-    is_interlacing_sequence,
     is_real_rooted,
 )
 from eulerian_lab.simplicial import (
@@ -45,6 +44,7 @@ from eulerian_lab.transforms import (
     qnk,
 )
 from oracles import (
+    is_interlacing_sequence,
     list_interlaces,
     oracle_derangement_sample_cases,
     oracle_gcd,

@@ -14,7 +14,6 @@ from eulerian_lab.simplicial import (
     CarriedTriangulation,
     FTriangle,
     SimplicialComplex,
-    antiprism_partial,
     antiprism_partial_h,
     antiprism_sphere,
     barycentric_f_triangle,
@@ -32,7 +31,6 @@ from eulerian_lab.simplicial import (
     ft_qnk,
     ft_theta,
     h_poly,
-    restriction,
     sd_complex,
     trivial_f_triangle,
     trivial_triangulation,
@@ -40,6 +38,8 @@ from eulerian_lab.simplicial import (
 from eulerian_lab.suites import identity_cases, identity_suite, theta_flags
 from eulerian_lab.transforms import apply_transform, dnk, eulerian, qnk
 from oracles import (
+    antiprism_partial,
+    induced,
     oracle_boundary_h,
     oracle_carrier_counts,
     oracle_face_rows,
@@ -47,6 +47,7 @@ from oracles import (
     oracle_identity_suite,
     oracle_interior_h,
     oracle_restriction_h,
+    restriction,
 )
 
 
@@ -80,7 +81,7 @@ class TestSimplicialComplex:
 
     def test_induced(self):
         c = SimplicialComplex.from_facets([(1, 2, 3)])
-        sub = c.induced({1, 2})
+        sub = induced(c, {1, 2})
         assert sub.f_vector() == (1, 2, 1)
 
     def test_h_poly_boundary_triangle(self):
@@ -846,7 +847,7 @@ class TestInducedAgainstValidatingConstructor:
                 keeps.append({v for v in order if rng.random() < p})
             keeps.append(set(rng.sample(order, len(order) // 2)) | {-1})
             for keep in keeps:
-                got = c.induced(keep)
+                got = induced(c, keep)
                 faces = [f for f in c.faces if f <= keep]
                 want = SimplicialComplex(faces, [v for v in order if v in keep])
                 assert got.faces == want.faces, (name, keep)

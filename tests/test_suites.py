@@ -1,0 +1,107 @@
+"""Case details built on first read.
+
+A passing suite run renders no polynomial, and every detail read after the
+suite has returned is the text an eager build gives: the one the case had
+when details were built with their cases (the oracles in ``oracles``)."""
+
+import pytest
+
+from eulerian_lab import suites
+from eulerian_lab.poly import Poly
+from eulerian_lab.suites import CaseResult
+from oracles import (
+    eager_case_result,
+    oracle_eq_case,
+    oracle_sample_case,
+    oracle_worpitzky_cases,
+)
+
+# The suites are looked up on the module at call time, so the monkeypatched
+# helpers below are the ones they run.
+RUNS = {
+    "theorem1": lambda: suites.theorem1_sample_cases(8, 10, 0),
+    "derangement": lambda: suites.derangement_sample_cases(8, 10, 0),
+    "identities": lambda: suites.identity_cases(4),
+    "equivalence": lambda: suites.equivalence_cases(4),
+    "geometry-colored": lambda: suites.geometry_cases("colored", 3, 2),
+}
+
+
+def _build_eagerly(monkeypatch) -> None:
+    """Every case renders its detail as it is made, and the helpers that
+    render polynomials are the eager ones the library had."""
+    monkeypatch.setattr(suites, "CaseResult", eager_case_result)
+    monkeypatch.setattr(suites, "_eq_case", oracle_eq_case)
+    monkeypatch.setattr(suites, "_sample_case", oracle_sample_case)
+    monkeypatch.setattr(suites, "worpitzky_cases", oracle_worpitzky_cases)
+
+
+def _triples(cases) -> list[tuple[str, str, str]]:
+    return [(c.name, c.status, c.detail) for c in cases]
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_passing_run_renders_no_polynomial(monkeypatch, run):
+    rendered = []
+    to_text = Poly.to_text
+
+    def counted(self):
+        rendered.append(self)
+        return to_text(self)
+
+    # repr goes through to_text as well
+    monkeypatch.setattr(Poly, "to_text", counted)
+    cases = RUNS[run]()
+    assert cases and all(c.ok for c in cases)
+    assert rendered == []
+    for c in cases:
+        c.detail
+    assert rendered
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["passing", "failing"])
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_details_read_late_are_the_eager_text(request, monkeypatch, run, broken):
+    if broken:
+        request.getfixturevalue("broken_closed_forms")
+    got = RUNS[run]()
+    # read only now, after the suite has returned and its loops moved on
+    lazy = _triples(got)
+    with monkeypatch.context() as m:
+        _build_eagerly(m)
+        want = _triples(RUNS[run]())
+    assert lazy == want
+    assert any(status == "fail" for _, status, _ in lazy) == broken
+
+
+class TestCaseResult:
+    def test_string_detail_as_third_positional_argument(self):
+        case = CaseResult("name", "fail", "text")
+        assert (case.name, case.status, case.detail, case.ok) == ("name", "fail", "text", False)
+        assert CaseResult("name", "pass").detail == ""
+
+    def test_renderer_runs_once_on_first_read(self):
+        calls = []
+
+        def render():
+            calls.append(1)
+            return "text"
+
+        case = CaseResult("name", "pass", render)
+        assert calls == []
+        assert case.ok
+        assert case.detail == "text" and case.detail == "text"
+        assert calls == [1]
+
+    def test_equality_and_hash_compare_the_rendered_detail(self):
+        text = CaseResult("name", "pass", "text")
+        lazy = CaseResult("name", "pass", lambda: "text")
+        assert lazy == text and hash(lazy) == hash(text)
+        assert lazy != CaseResult("name", "pass", lambda: "other")
+        assert lazy != CaseResult("name", "fail", "text")
+        assert repr(lazy) == "CaseResult(name='name', status='pass', detail='text')"
+
+    def test_immutable(self):
+        case = CaseResult("name", "pass", "text")
+        with pytest.raises(AttributeError):
+            case.status = "fail"
