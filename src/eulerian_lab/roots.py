@@ -1,12 +1,14 @@
 """Exact decisions on real roots: real rootedness and interlacing.
 
 Everything here is decided exactly, without floating point, on the
-package's one exact polynomial kernel, ``_intpoly``: primitive integer
-coefficient tuples, sign preserving pseudo remainders and signed remainder
-sequences.  No decision isolates a root, counts roots on an interval or
-divides by a gcd; each reads the signs of one signed remainder sequence at
--inf and +inf only.  A polynomial is real rooted when its Sturm chain counts as
-many distinct real roots as it has distinct roots.  Interlacing rests on
+package's one exact polynomial kernel, ``_intpoly``: integer coefficient
+tuples and signed subresultant remainder sequences, each entry a positive
+multiple of the rational signed remainder, reached by exact divisions
+with no gcd taken inside a sequence.  No decision isolates a root, counts
+roots on an interval or divides by a gcd; each reads the signs of one
+signed remainder sequence at -inf and +inf only.  A polynomial is real
+rooted when its Sturm chain counts as many distinct real roots as it has
+distinct roots.  Interlacing rests on
 two facts:
 
 * the Cauchy index: for q != 0, the signed remainder sequence

@@ -40,6 +40,10 @@ and reads the split off one prefix-sum pass.
 ``oracle_eq_case``, ``oracle_sample_case`` and ``oracle_worpitzky_cases``
 build each case's detail text with the case; the library builds it on
 first read.  ``eager_case_result`` renders a detail as its case is made.
+``oracle_signed_remainders`` forms each entry of a signed remainder
+sequence as the primitive part of a pseudo remainder, with a gcd taken at
+every elimination step; the library divides each pseudo remainder by a
+factor known in advance and takes no gcd.
 
 ``is_interlacing_sequence``, ``induced``, ``restriction`` and
 ``antiprism_partial`` serve the tests only, so they live here and not in
@@ -47,6 +51,7 @@ the package.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -97,6 +102,52 @@ def oracle_gcd(a: Poly, b: Poly) -> Poly:
     if a.is_zero():
         return ZERO
     return a * (1 / a.leading())
+
+
+def _oracle_primitive(cs) -> tuple[int, ...]:
+    """Strip trailing zeros and divide out the (positive) content."""
+    n = len(cs)
+    while n and not cs[n - 1]:
+        n -= 1
+    content = math.gcd(*cs[:n])
+    if content <= 1:
+        return tuple(cs[:n])
+    return tuple(c // content for c in cs[:n])
+
+
+def _oracle_prem(a, b) -> tuple[int, ...]:
+    """Primitive part of a positive multiple of the remainder of a by b != 0.
+    Each elimination step scales the running remainder by |lc b| over its
+    gcd with the current leading coefficient, a positive factor."""
+    db = len(b) - 1
+    lb = b[-1]
+    if lb < 0:
+        b, lb = _neg(b), -lb
+    r = list(a)
+    while len(r) > db:
+        lr = r[-1]
+        g = math.gcd(lb, lr)
+        mb, mr = lb // g, lr // g
+        if mb != 1:
+            r = [mb * c for c in r]
+        shift = len(r) - 1 - db
+        for j in range(db):
+            r[shift + j] -= mr * b[j]
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return _oracle_primitive(r)
+
+
+def oracle_signed_remainders(a, b) -> list[tuple[int, ...]]:
+    """Signed remainder sequence a, b, -rem(a, b), ... of a nonzero integer
+    polynomial a, each later entry the primitive part of a positive multiple
+    of the rational one; it stops before the first zero."""
+    chain = [a]
+    while b:
+        chain.append(b)
+        b = _neg(_oracle_prem(chain[-2], b))
+    return chain
 
 
 def oracle_squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:

@@ -107,6 +107,10 @@ class TestPinnedOutputs:
         ("esd", "2"): "de97ab674f8952736aa25cfd0d440e4c014467ee9fffb90cf9dffe35552b545a",
         ("colored", "3"): "b49e22cb672e97d2270aa065d0b75081ab88c357a08804d03d424498d6e6b364",
     }
+    # recorded while each remainder sequence still divided out the content of
+    # every entry; remainder sequences of degree 20 to 24
+    SAMPLE_N24_JSON = "d2bca91bf2749974b9319074efba96520515f70ddc3412f4642c2e3cf9d6f638"
+    TABLE_QSTAR_N20_JSON = "8a1f6d9bef6685cf955f30664402a97af7350225b698d013b8df0481095c5bdf"
 
     @pytest.mark.parametrize("family", list(TABLE_FAMILIES))
     def test_table_json_pinned(self, capsys, family):
@@ -128,6 +132,18 @@ class TestPinnedOutputs:
                            "--r", r)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.FT_N12[family, r]
+
+    def test_sample_theorem1_n24_json_pinned(self, capsys):
+        code, out, _ = run(capsys, "sample-theorem1", "--n", "24", "--samples", "5",
+                           "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SAMPLE_N24_JSON
+
+    def test_table_qstar_n20_json_pinned(self, capsys):
+        code, out, _ = run(capsys, "table", "--family", "qstar", "--n", "20",
+                           "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.TABLE_QSTAR_N20_JSON
 
     def test_verify_identities_json_pinned(self, capsys):
         code, out, _ = run(capsys, "verify-identities", "--n", "6", "--format", "json")

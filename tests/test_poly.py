@@ -23,7 +23,12 @@ from eulerian_lab.poly import (
     symmetric_decomposition,
 )
 from eulerian_lab._intpoly import _int_poly, _signed_remainders, _sturm_chain
-from oracles import oracle_gcd, oracle_squarefree_decomposition, oracle_squarefree_part
+from oracles import (
+    oracle_gcd,
+    oracle_signed_remainders,
+    oracle_squarefree_decomposition,
+    oracle_squarefree_part,
+)
 
 
 def P(*coeffs) -> Poly:
@@ -192,6 +197,117 @@ class TestKernelAgainstFractionOracle:
             assert kernel_gcd(a, b) == oracle_gcd(a, b), (a, b)
         for f in (P(0, 1), P(0, 0, 0, Fraction(-2, 3)), p):
             assert monic_last(_sturm_chain(_int_poly(f.coeffs))) == oracle_gcd(f, f.derivative())
+
+
+def random_int_poly(rng: random.Random, deg: int, bits: int, sparse: bool):
+    """Integer coefficients of up to bits bits, with a nonzero leading one
+    of either sign; when sparse, most of the lower ones are zero."""
+    top = 1 << bits
+    cs = [rng.randint(-top, top) if not sparse or rng.random() < 0.25 else 0
+          for _ in range(deg)]
+    return tuple(cs) + (rng.randint(1, top) * rng.choice((1, -1)),)
+
+
+def in_x_squared(f):
+    """f(x^2)"""
+    out = [0] * (2 * len(f) - 1)
+    out[::2] = f
+    return tuple(out)
+
+
+def positive_multiple(f, g) -> bool:
+    """Whether f = t g for a rational t > 0, by cross-multiplied
+    coefficients."""
+    return (len(f) == len(g) and (f[-1] > 0) == (g[-1] > 0)
+            and all(x * g[-1] == y * f[-1] for x, y in zip(f, g)))
+
+
+def degree_drops(chain) -> list[int]:
+    return [len(f) - len(g) for f, g in zip(chain, chain[1:])]
+
+
+class TestSubresultantsAgainstPrimitiveOracle:
+    """Each entry of the kernel's sequence is a positive multiple of the
+    entry of the oracle that divides a gcd out at every elimination step:
+    the two agree in length, degrees and every sign that the Cauchy index
+    reads."""
+
+    @staticmethod
+    def agree(a, b):
+        got, want = _signed_remainders(a, b), oracle_signed_remainders(a, b)
+        assert len(got) == len(want), (a, b)
+        assert all(positive_multiple(f, g) for f, g in zip(got, want)), (a, b)
+        return want
+
+    def random_pair(self, rng):
+        """Two integer polynomials, drawn as one of four kinds: in x^2, b
+        dividing a, with a shared factor, or dense or sparse at random;
+        rarely in the other order."""
+        bits = rng.choice((3, 3, 3, 12, 40, 110))
+        deg = rng.choice((3, 6, 10, 10, 14, 24))
+        kind = rng.randrange(4)
+        da = rng.randint(deg // 3, deg)
+        db = max(0, min(deg, da - rng.choice((0, 0, 1, 1, 1, 2, 3, -1, -2))))
+        if kind == 0:  # polynomials in x^2 (times x): degrees drop by two
+            a = in_x_squared(random_int_poly(rng, da // 2, bits, False))
+            b = in_x_squared(random_int_poly(rng, db // 2, bits, False))
+            if rng.random() < 0.5:
+                b = (0,) + b
+        elif kind == 1:  # b divides a
+            b = random_int_poly(rng, db, bits, rng.random() < 0.3)
+            a = (Poly(b) * Poly(random_int_poly(rng, rng.randint(0, 4), bits, False))).coeffs
+        elif kind == 2:  # a shared factor of degree 1 to 3
+            g = Poly(random_int_poly(rng, rng.randint(1, 3), min(bits, 12), False))
+            a = (g * Poly(random_int_poly(rng, max(0, da - g.deg()), bits, False))).coeffs
+            b = (g * Poly(random_int_poly(rng, max(0, db - g.deg()), bits, False))).coeffs
+        else:
+            sparse = rng.random() < 0.4
+            a = random_int_poly(rng, da, bits, sparse)
+            b = random_int_poly(rng, db, bits, sparse)
+        if rng.random() < 0.15:
+            a, b = b, a
+        return a, b
+
+    def test_random_pairs(self):
+        rng = random.Random(20261020)
+        seen = dict.fromkeys(
+            ("non-normal", "first-degree-kept", "deg-a-below-deg-b", "b-divides-a",
+             "gcd-degree-2", "negative-leading", "100-bit", "degree-20"),
+            0,
+        )
+        for _ in range(5000):
+            a, b = self.random_pair(rng)
+            chain = self.agree(a, b)
+            drops = degree_drops(chain)
+            if len(a) >= len(b):
+                seen["non-normal"] += any(d >= 2 for d in drops[1:])
+                seen["first-degree-kept"] += drops[:1] == [0]
+                seen["b-divides-a"] += len(chain) == 2 and len(b) >= 2
+            seen["deg-a-below-deg-b"] += len(a) < len(b)
+            seen["gcd-degree-2"] += len(chain[-1]) >= 3
+            seen["negative-leading"] += a[-1] < 0 or b[-1] < 0
+            seen["100-bit"] += max(abs(c) for c in a + b).bit_length() >= 100
+            seen["degree-20"] += max(len(a), len(b)) >= 21
+        assert min(seen.values()) >= 100, seen
+
+    def test_degree_below_the_second(self):
+        # a = 1 + 2x, b = x^3 - x: a, b, -a, then -(8 b mod -a) = -8 b(-1/2) = -3
+        a, b = (1, 2), (0, -1, 0, 1)
+        assert _signed_remainders(a, b) == [a, b, (-1, -2), (-3,)]
+        self.agree(a, b)
+
+    def test_non_normal_chain(self):
+        # Knuth's example (TAOCP vol. 2, 4.6.1): degrees 8, 6, 4, 2, 1, 0, so
+        # two drops of two after the first step.  The first remainder is
+        # -(27 A mod B) = 15x^4 - 3x^2 + 9, 27 times -rem(A, B) =
+        # (5x^4 - x^2 + 3)/9; then psi = 3^2 = 9 and beta = 3 * 9^2 = 243, and
+        # the later entries are Collins' subresultants up to sign
+        a = (-5, 2, 8, -3, -3, 0, 1, 0, 1)
+        b = (21, -9, -4, 0, 5, 0, 3)
+        assert _signed_remainders(a, b) == [
+            a, b, (9, 0, -3, 0, 15), (-245, 125, 65), (-12300, 9326), (-260708,),
+        ]
+        assert degree_drops(self.agree(a, b)) == [2, 2, 2, 1, 1]
 
 
 class TestSymmetry:
