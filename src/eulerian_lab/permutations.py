@@ -1,23 +1,25 @@
-"""Permutation statistics and brute-force enumeration oracles.
+"""Permutation statistics and enumeration oracles.
 
 Permutations live as tuples of values (one-line notation, 1-based values and
 positions); the wrapper class exists for validation and a few conveniences,
 while iterators and statistics work on raw tuples so that full-group sweeps
-stay cheap.  Every generating polynomial here is an enumeration: no closed
-forms, no recurrences.  A family is read off one pass over its group:
-sweep_histogram counts the words of S_m by a tuple of raw statistics and
-project_rows reads the S_n families from that count, and the signed and
-colored families are tallied the same way.  One table gives each S_n
-family's group size, parameters, grouping and reading.  A grouping sorts
-the count by (statistic, selecting field, mask field), and one walk of the
-count per distinct grouping is shared by the families that read it: p and
-p-exc are the k = 0 reads of the qnkj-alt and qnkj groupings, A and A-exc
-those of q-bad and q-fix, and dnk and d read the q-fix grouping too.  A
-masked group gives its row for every k in one telescoped pass.
-flag_excedance_rows likewise reads every k off one tally by the largest
-zero-colour fixed point.  The closed-form counterparts live in
-transforms.py; suites.equivalence_cases and the tests compare the two
-routes.
+stay cheap.  Every generating polynomial here is a count of words by their
+own statistics, and no closed form enters.  The S_n families are read off
+symmetric_tallies: a dynamic program over the set of values placed so far
+counts each word of S_0..S_top exactly once, into a map tally (exc,
+w^{-1}(1), fix mask) and a word tally (des, w(1), bad mask, w(m), singleton
+runs), the two marginals that the families read.  project_rows reads the
+S_n families from those tallies, and the signed and colored families are
+tallied by a pass over their groups.  One table gives each S_n family's
+group size, parameters, grouping and reading.  A grouping sorts one tally
+by (statistic, selecting field, mask field), and one walk of the tally per
+distinct grouping is shared by the families that read it: p and p-exc are
+the k = 0 reads of the qnkj-alt and qnkj groupings, A and A-exc those of
+q-bad and q-fix, and dnk and d read the q-fix grouping too.  A masked group
+gives its row for every k in one telescoped pass.  flag_excedance_rows
+likewise reads every k off one tally by the largest zero-colour fixed
+point.  The closed-form counterparts live in transforms.py;
+suites.equivalence_cases and the tests compare the two routes.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from .budget import check_group_budget
-from .poly import Poly, linear_combination, one_plus_x_power, reciprocal
+from .poly import Poly, one_plus_x_power, reciprocal
 
 Word = Sequence[int]
 PermLike = Union["Permutation", Word]
@@ -238,75 +240,193 @@ def _des_B_tally(n: int) -> list[int]:
     return tally
 
 
-# Fields of a sweep_histogram key.
-_DES, _EXC, _FIX, _BAD, _FIRST, _INV1, _LAST, _FIRST_SINGLE, _LATER_SINGLE = range(9)
+# Fields of a map tally key and of a word tally key, and the two tallies of
+# one symmetric_tallies entry.
+_EXC, _INV1, _FIX = range(3)
+_DES, _FIRST, _BAD, _LAST, _FIRST_SINGLE, _LATER_SINGLE = range(6)
+_MAPS, _WORDS = range(2)
+
+# The map tally and the word tally of one S_m.
+Tally = tuple[Counter, Counter]
 
 
-def sweep_histogram(m: int) -> Counter:
-    """One pass over S_m: how many permutations share each key
-
-    (des, exc, fix mask, bad mask, w(1), w^{-1}(1), w(m),
-     first decreasing run is a singleton, a later one is a singleton).
+def symmetric_tallies(top: int) -> list[Tally]:
+    """Entry m, for m = 0..top, counts the words of S_m twice over: the map
+    tally by (exc, w^{-1}(1), fix mask) and the word tally by (des, w(1),
+    bad mask, w(m), first decreasing run is a singleton, a later one is a
+    singleton).
 
     Bit i-1 of the fix mask marks the fixed point i, and bit v-1 of the bad
     mask marks the value v that bad_k counts, so fix_k and bad_k are the
-    bits among the first k.  The empty permutation has the key of zeros.
-    Every S_n family of brute_force_family is a projection of this count.
+    bits among the first k.  The empty permutation has the keys of zeros.
+    Every S_n family of brute_force_family is a projection of one of the
+    two tallies: no grouping reads fields of both.
+
+    Each tally is a dynamic program over the set U of values placed so far,
+    one value at a time from left to right; see _map_tallies and
+    _word_tallies.  A word of S_m is a path through the sets with U =
+    {1..m} at step m, so one run up to top counts S_0..S_top, each word
+    exactly once and from its own statistics.
     """
-    hist: Counter = Counter()
-    for w in symmetric_group(m):
-        if not w:
-            hist[0, 0, 0, 0, 0, 0, 0, False, False] += 1
-            continue
-        exc = fix = bad = inv1 = up = 0
-        low = m + 1
-        for i in range(m - 1, -1, -1):
-            v = w[i]
-            if v > i + 1:
-                exc += 1
-            elif v == i + 1:
-                fix |= 1 << i
-            if v == 1:
-                inv1 = 1 + i
-            if v < low:
-                low = v
-                if i == 0 or w[i - 1] < v:
-                    bad |= 1 << (v - 1)
-            if i < m - 1 and v < w[i + 1]:
-                up |= 1 << i
-        # a decreasing run ends at every ascent and at position m, and a run
-        # is a singleton when it also starts there
-        ends = up | 1 << (m - 1)
-        key = (m - 1 - up.bit_count(), exc, fix, bad, w[0], inv1, w[-1],
-               bool(ends & 1), bool(up & ends >> 1))
-        hist[key] += 1
-    return hist
+    if top < 0:
+        raise ValueError("n must be nonnegative")
+    check_group_budget(math.factorial(top), f"S_{top}")
+    return list(zip(_map_tallies(top), _word_tallies(top)))
+
+
+def _merge(
+    target: dict[int, int], outs: dict[int, int], set_bits: int, add: int
+) -> None:
+    """Add each packed key o -> c of outs to target as (o | set_bits) + add."""
+    get = target.get
+    for o, c in outs.items():
+        o = (o | set_bits) + add
+        target[o] = get(o, 0) + c
+
+
+def _map_tallies(top: int) -> list[Counter]:
+    """The map tallies of S_0..S_top.
+
+    A state is the set U of placed values with the packed (fix mask,
+    w^{-1}(1), exc) of the prefixes that place it.  Placing v at position
+    p = |U| + 1 adds an excedance if v > p, sets fix bit p if v = p and
+    records w^{-1}(1) = p if v = 1.
+    """
+    width = top.bit_length()
+    inv1_at, exc_at = top, top + width
+    low, field = (1 << top) - 1, (1 << width) - 1
+    layer = {0: {0: 1}}
+    tallies = []
+    for p in range(1, top + 2):
+        placed = layer[(1 << (p - 1)) - 1]
+        tallies.append(Counter(
+            {(o >> exc_at, o >> inv1_at & field, o & low): c for o, c in placed.items()}
+        ))
+        if p > top:
+            break
+        nxt: dict[int, dict[int, int]] = {}
+        for used, outs in layer.items():
+            for v in range(1, top + 1):
+                bit = 1 << (v - 1)
+                if used & bit:
+                    continue
+                set_bits = bit if v == p else 0
+                if v == 1:
+                    set_bits |= p << inv1_at
+                target = nxt.get(used | bit)
+                if target is None:
+                    target = nxt[used | bit] = {}
+                _merge(target, outs, set_bits, 1 << exc_at if v > p else 0)
+        layer = nxt
+    return tallies
+
+
+def _word_tallies(top: int) -> list[Counter]:
+    """The word tallies of S_0..S_top.
+
+    A state is the set U of placed values, the last value placed and
+    whether a decreasing run starts at its position (the first position, or
+    one entered by an ascent), with the packed (bad mask, w(1), des,
+    singleton flags) of the prefixes that reach it.  Placing v at position
+    p = |U| + 1:
+
+    - adds a descent if v is below the last value;
+    - makes v a right-to-left minimum exactly when every smaller value is
+      already placed, U >= {1..v-1}, and sets its bad bit when that holds
+      and p = 1 or v is above the last value;
+    - ends the run that starts at the last position after one value when v
+      is above the last value: the first run if p = 2, a later one if not.
+
+    A run that starts at position m ends there too, so reading S_m marks
+    the last position's run a singleton when one starts there.
+    """
+    width = top.bit_length()
+    first_at, des_at = top, top + width
+    first_single, later_single = 1 << des_at + width, 1 << des_at + width + 1
+    low, field = (1 << top) - 1, (1 << width) - 1
+    # U -> (last value, a run starts at it) -> packed key -> count
+    layer = {0: {(0, True): {0: 1}}}
+    tallies = []
+    for p in range(1, top + 2):
+        m = p - 1
+        tally: Counter = Counter()
+        for (last, opens), outs in layer[(1 << m) - 1].items():
+            ends = 0
+            if m and opens:
+                ends = first_single if m == 1 else later_single
+            for o, c in outs.items():
+                o |= ends
+                key = (o >> des_at & field, o >> first_at & field, o & low, last,
+                       bool(o & first_single), bool(o & later_single))
+                tally[key] += c
+        tallies.append(tally)
+        if p > top:
+            break
+        nxt: dict[int, dict[tuple[int, bool], dict[int, int]]] = {}
+        for used, states in layer.items():
+            for v in range(1, top + 1):
+                bit = 1 << (v - 1)
+                if used & bit:
+                    continue
+                below = bit - 1
+                rl_min = used & below == below
+                into = nxt.get(used | bit)
+                if into is None:
+                    into = nxt[used | bit] = {}
+                for (last, opens), outs in states.items():
+                    if p == 1:
+                        up, set_bits, add = True, v << first_at, 0
+                    else:
+                        up = last < v
+                        add = 0 if up else 1 << des_at
+                        set_bits = 0
+                        if up and opens:
+                            set_bits = first_single if p == 2 else later_single
+                    if rl_min and up:
+                        set_bits |= bit
+                    target = into.get((v, up))
+                    if target is None:
+                        target = into[v, up] = {}
+                    _merge(target, outs, set_bits, add)
+        layer = nxt
+    return tallies
+
+
+def _accumulate(acc: list[int], terms: dict[tuple[int, int], int]) -> list[int]:
+    """Add c * (1+x)^t * x^e to the coefficient list acc for each entry
+    (t, e) -> c, and return acc."""
+    for (t, e), c in terms.items():
+        row = one_plus_x_power(t).coeffs
+        grow = e + len(row) - len(acc)
+        if grow > 0:
+            acc += [0] * grow
+        for i, b in enumerate(row, e):
+            acc[i] += c * b
+    return acc
 
 
 def _expand(terms: dict[tuple[int, int], int]) -> Poly:
     """Sum of c * (1+x)^t * x^e over the entries (t, e) -> c."""
-    return linear_combination(
-        (c, one_plus_x_power(t), e) for (t, e), c in terms.items()
-    )
+    return Poly(_accumulate([], terms))
 
 
 def _group(
-    hist: Counter, stat: int, field: int | None, mask: int | None
+    tally: Tally, side: int, stat: int, field: int | None, mask: int | None
 ) -> dict[int, Counter]:
-    """One walk over hist: for each value of key[field], how many
+    """One walk over tally[side]: for each value of key[field], how many
     permutations share each (key[mask], key[stat]).  A field or mask of None
     reads as 0."""
     # a field or mask of None picks stat in its place and is zeroed below
     pick = itemgetter(
         stat if field is None else field, stat if mask is None else mask, stat
     )
-    tally: dict[tuple[int, int, int], int] = {}
-    get = tally.get
-    for key, c in hist.items():
+    sums: dict[tuple[int, int, int], int] = {}
+    get = sums.get
+    for key, c in tally[side].items():
         key = pick(key)
-        tally[key] = get(key, 0) + c
+        sums[key] = get(key, 0) + c
     groups: dict[int, Counter] = {}
-    for (f, m, s), c in tally.items():
+    for (f, m, s), c in sums.items():
         if field is None:
             f = 0
         if mask is None:
@@ -324,44 +444,56 @@ def _telescope(group: Counter | None, top: int) -> list[Poly]:
     mask among the first k.  Since (1+x)^(t+1) - (1+x)^t = x(1+x)^t, row
     k + 1 is row k plus x * c * x^s * (1+x)^t over the entries whose mask has
     bit k, with t the bits below k: each entry is visited once per set bit
-    below top, not once per k."""
-    base: Counter = Counter()
-    steps = [Counter() for _ in range(top)]
+    below top, not once per k, and every step adds into one running list of
+    coefficients."""
+    base: dict[tuple[int, int], int] = {}
+    steps: list[dict[tuple[int, int], int]] = [{} for _ in range(top)]
     low = (1 << top) - 1
     for (m, s), c in (group or {}).items():
-        base[0, s] += c
+        key = 0, s
+        base[key] = base.get(key, 0) + c
         m &= low
         t = 0
+        s += 1
         while m:
             bit = m & -m
-            steps[bit.bit_length() - 1][t, s + 1] += c
+            step = steps[bit.bit_length() - 1]
+            key = t, s
+            step[key] = step.get(key, 0) + c
             m ^= bit
             t += 1
-    rows = [_expand(base)]
+    acc = _accumulate([], base)
+    rows = [Poly(acc)]
     for step in steps:
-        rows.append(rows[-1] + _expand(step))
+        rows.append(Poly(_accumulate(acc, step)))
     return rows
 
 
 def _fixed_below(group: Counter | None, top: int) -> list[Poly]:
     """Row i, for i = 0..top, is the sum of c * x^s over the entries
     (mask, s) -> c of a group whose mask has no bit at or above i: one walk
-    tallies the entries by the bit length of their mask."""
-    by_length = [Counter() for _ in range(top + 1)]
+    adds each entry to the running coefficients of the rows from its mask's
+    bit length on."""
+    by_length = [[] for _ in range(top + 1)]
     for (m, s), c in (group or {}).items():
-        by_length[m.bit_length()][0, s] += c
-    rows = [_expand(by_length[0])]
-    for tally in by_length[1:]:
-        rows.append(rows[-1] + _expand(tally))
+        by_length[m.bit_length()].append((s, c))
+    acc: list[int] = []
+    rows = []
+    for entries in by_length:
+        for s, c in entries:
+            if s >= len(acc):
+                acc += [0] * (s + 1 - len(acc))
+            acc[s] += c
+        rows.append(Poly(acc))
     return rows
 
 
-def _run_classes(hist: Counter) -> Counter:
-    """hist summed down to (w(1), first decreasing run is a singleton, a
-    later one is a singleton, des)."""
+def _run_classes(tally: Tally) -> Counter:
+    """The word tally summed down to (w(1), first decreasing run is a
+    singleton, a later one is a singleton, des)."""
     pick = itemgetter(_FIRST, _FIRST_SINGLE, _LATER_SINGLE, _DES)
     classes: Counter = Counter()
-    for key, c in hist.items():
+    for key, c in tally[_WORDS].items():
         classes[pick(key)] += c
     return classes
 
@@ -384,9 +516,9 @@ def _xi_classes(
     return tuple(plus), tuple(minus)
 
 
-def _xi_row(hist: Counter, n: int) -> dict[tuple[int, int], Poly]:
-    """The xi row at size n, every k off one walk of sweep_histogram(n)."""
-    classes = _run_classes(hist)
+def _xi_row(tally: Tally, n: int) -> dict[tuple[int, int], Poly]:
+    """The xi row at size n, every k off one walk of the tally of S_n."""
+    classes = _run_classes(tally)
     row = {}
     for k in range(n + 1):
         plus, minus = _xi_classes(classes, n, k)
@@ -406,7 +538,7 @@ def xi_counts(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range 0..{n}")
-    return _xi_classes(_run_classes(sweep_histogram(n)), n, k)
+    return _xi_classes(_run_classes(symmetric_tallies(n)[n]), n, k)
 
 
 def flag_excedance_rows(n: int, r: int) -> tuple[Poly, ...]:
@@ -447,14 +579,14 @@ def flag_excedance_poly(n: int, r: int, k: int) -> Poly:
     return flag_excedance_rows(n, r)[k]
 
 
-# The groupings of a sweep_histogram that the S_n families read: the
+# The groupings of the tallies that the S_n families read: the tally, the
 # statistic in the exponent, the field whose value selects a group and the
 # mask whose bits weigh by 1 + x.
-_QNKJ = (_EXC, _INV1, _FIX)
-_QNKJ_ALT = (_DES, _FIRST, _BAD)
-_P_ASC = (_DES, _LAST, None)
-_Q_FIX = (_EXC, None, _FIX)
-_Q_BAD = (_DES, None, _BAD)
+_QNKJ = (_MAPS, _EXC, _INV1, _FIX)
+_QNKJ_ALT = (_WORDS, _DES, _FIRST, _BAD)
+_P_ASC = (_WORDS, _DES, _LAST, None)
+_Q_FIX = (_MAPS, _EXC, None, _FIX)
+_Q_BAD = (_WORDS, _DES, None, _BAD)
 
 
 # Where a family finds its (k, j) entry at size n: the group of its grouping
@@ -475,8 +607,8 @@ def _fixed_in_first(n: int, k: int, j: int) -> tuple[int, int]:
     return 0, n - k
 
 
-# The S_n families: how far past n the swept group reaches, which of the
-# parameters k and j they take, the grouping of the histogram they read,
+# The S_n families: how far past n the tallied group reaches, which of the
+# parameters k and j they take, the grouping of the tallies they read,
 # how a group is read (_telescope: row k weighs the first k mask bits by
 # 1 + x; _fixed_below: row i keeps the words whose mask bits all lie below
 # i, so row 0 of the fix mask holds the derangements) and where each entry
@@ -510,7 +642,7 @@ def _checked_key(
     family: str, n: int, k: int | None, j: int | None
 ) -> tuple[int, tuple[int, int]]:
     """Check the parameters of an S_n family; return the size m of the
-    group S_m whose sweep_histogram it reads and its key in project_rows."""
+    group S_m whose tally it reads and its key in project_rows."""
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     offset, params = _FAMILIES[family][:2]
@@ -529,13 +661,13 @@ def _checked_key(
 
 
 def project_rows(
-    families: Sequence[str], hists: dict[int, Counter], n: int
+    families: Sequence[str], hists: Mapping[int, Tally] | Sequence[Tally], n: int
 ) -> dict[str, dict[tuple[int, int], Poly]]:
     """Every polynomial of each named S_n family at size n, keyed by family
     and then by (k, j) with 0 for a parameter the family does not take;
-    hists maps each size m to sweep_histogram(m).
+    hists[m] is the tally of S_m, entry m of symmetric_tallies.
 
-    One walk of a histogram per distinct grouping is shared by the families
+    One walk of a tally per distinct grouping is shared by the families
     that read it, and each group is read once: a masked group gives its row
     for every k in one telescoped pass."""
     grouped: dict = {}
@@ -554,7 +686,7 @@ def project_rows(
             g, r = locate(n, k, j)
             key = m, grouping, reader, g
             if key not in read:
-                top = 0 if grouping[2] is None else m
+                top = 0 if grouping[3] is None else m
                 read[key] = reader(grouped[m, grouping].get(g), top)
             row[k, j] = read[key][r]
         if family == "p-asc":
@@ -568,17 +700,17 @@ def project_rows(
 
 
 def project_row(
-    family: str, hists: dict[int, Counter], n: int
+    family: str, hists: Mapping[int, Tally] | Sequence[Tally], n: int
 ) -> dict[tuple[int, int], Poly]:
     """The row of one family from project_rows."""
     return project_rows((family,), hists, n)[family]
 
 
 def project_family(
-    family: str, hist: Counter, n: int, k: int | None = None, j: int | None = None
+    family: str, hist: Tally, n: int, k: int | None = None, j: int | None = None
 ) -> Poly:
-    """One S_n family of brute_force_family read off sweep_histogram(m),
-    with m = n + 1 for the p and qnkj families and m = n for the others."""
+    """One S_n family of brute_force_family read off the tally of S_m, with
+    m = n + 1 for the p and qnkj families and m = n for the others."""
     m, key = _checked_key(family, n, k, j)
     return project_row(family, {m: hist}, n)[key]
 
@@ -592,7 +724,7 @@ def brute_force_family(
 ) -> Poly:
     """Enumeration oracle for one named polynomial family.
 
-    Each call makes one pass over its group.  Families and their statistics:
+    Each call tallies its group once.  Families and their statistics:
 
     - "A": x^des over S_n; "A-exc": x^exc over S_n
     - "p": x^des over w in S_{n+1} with w(1) = k+1
@@ -609,8 +741,9 @@ def brute_force_family(
     - "B": x^des_B over signed permutations of size n
     - "colored-local": flag_excedance_poly(n, r, k)
 
-    The S_n families are read by project_rows off one sweep_histogram, each
-    from the grouping it shares with the other families that read it.
+    The S_n families are read by project_rows off the tallies of one
+    symmetric_tallies call, each from the grouping it shares with the other
+    families that read it.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -621,4 +754,4 @@ def brute_force_family(
             raise ValueError("family requires parameters k and r")
         return flag_excedance_poly(n, r, k)
     m, key = _checked_key(family, n, k, j)
-    return project_row(family, {m: sweep_histogram(m)}, n)[key]
+    return project_row(family, {m: symmetric_tallies(m)[m]}, n)[key]

@@ -62,7 +62,7 @@ from .permutations import (
     brute_force_family,
     flag_excedance_rows,
     project_rows,
-    sweep_histogram,
+    symmetric_tallies,
 )
 from .simplicial import (
     GEOMETRY_FAMILIES,
@@ -206,15 +206,14 @@ def golden_table_cases() -> list[CaseResult]:
 def equivalence_cases(n_max: int = 6) -> list[CaseResult]:
     """Closed forms against raw enumeration for every family, n <= n_max.
 
-    Each symmetric group is swept once: the histogram of S_{n+1} read for
-    size n is reused as the histogram of S_n for size n + 1.  One
+    One symmetric_tallies call counts S_0..S_{n_max+1}: the tally of
+    S_{n+1} read for size n is the tally of S_n for size n + 1.  One
     project_rows call per n reads every family's row, every k and j, off
-    three walks of each of the two histograms."""
+    three walks of the tallies of each of the two groups."""
     cases = []
-    hists = {0: sweep_histogram(0)}
+    tallies = symmetric_tallies(n_max + 1)
     for n in range(n_max + 1):
-        hists[n + 1] = sweep_histogram(n + 1)
-        row = project_rows(_EQUIVALENCE_FAMILIES, hists, n)
+        row = project_rows(_EQUIVALENCE_FAMILIES, tallies, n)
         cases.append(_eq_case(f"A-des-enumeration-{n}", row["A"][0, 0], eulerian(n)))
         cases.append(
             _eq_case(f"A-exc-enumeration-{n}", row["A-exc"][0, 0], eulerian(n))

@@ -13,6 +13,11 @@ rootedness checked first, by a Sturm chain on each member, before the
 index sequence; the library reads real rootedness off that one sequence.
 ``oracle_des_B_tally`` walks every signed word; the library tallies S_n by
 descent mask and evaluates each sign mask with bit operations.
+``oracle_sweep_histogram`` walks every word of S_m and counts it by one
+joint key of all the statistics that the S_n families read; the library
+counts two marginals of that key, the map and word tallies of
+``permutations.symmetric_tallies``, by a dynamic program over the sets of
+placed values, and ``oracle_marginals`` splits the joint key into them.
 ``oracle_theorem1_sample_cases`` and ``oracle_derangement_sample_cases``
 decide each sampled p of ``sample_p_polynomial`` on its ``Fraction``
 coefficients, and the derangement route decides the real rootedness of
@@ -53,6 +58,7 @@ the package.
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 from eulerian_lab._intpoly import _cauchy_index, _int_poly, _neg, _signed_remainders
@@ -232,6 +238,67 @@ def oracle_des_B_tally(n: int) -> list[int]:
                 prev = v
             tally[d] += 1
     return tally
+
+
+# Fields of an oracle_sweep_histogram key.
+(
+    SWEEP_DES, SWEEP_EXC, SWEEP_FIX, SWEEP_BAD, SWEEP_FIRST, SWEEP_INV1,
+    SWEEP_LAST, SWEEP_FIRST_SINGLE, SWEEP_LATER_SINGLE,
+) = range(9)
+
+
+def oracle_sweep_histogram(m: int) -> Counter:
+    """One pass over S_m: how many permutations share each key
+
+    (des, exc, fix mask, bad mask, w(1), w^{-1}(1), w(m),
+     first decreasing run is a singleton, a later one is a singleton).
+
+    Bit i-1 of the fix mask marks the fixed point i, and bit v-1 of the bad
+    mask marks the value v that bad_k counts.  The empty permutation has
+    the key of zeros.
+    """
+    hist: Counter = Counter()
+    for w in itertools.permutations(range(1, m + 1)):
+        if not w:
+            hist[0, 0, 0, 0, 0, 0, 0, False, False] += 1
+            continue
+        exc = fix = bad = inv1 = up = 0
+        low = m + 1
+        for i in range(m - 1, -1, -1):
+            v = w[i]
+            if v > i + 1:
+                exc += 1
+            elif v == i + 1:
+                fix |= 1 << i
+            if v == 1:
+                inv1 = 1 + i
+            if v < low:
+                low = v
+                if i == 0 or w[i - 1] < v:
+                    bad |= 1 << (v - 1)
+            if i < m - 1 and v < w[i + 1]:
+                up |= 1 << i
+        # a decreasing run ends at every ascent and at position m, and a run
+        # is a singleton when it also starts there
+        ends = up | 1 << (m - 1)
+        key = (m - 1 - up.bit_count(), exc, fix, bad, w[0], inv1, w[-1],
+               bool(ends & 1), bool(up & ends >> 1))
+        hist[key] += 1
+    return hist
+
+
+def oracle_marginals(hist: Counter) -> tuple[Counter, Counter]:
+    """The joint histogram summed down to the map tally (exc, w^{-1}(1),
+    fix mask) and the word tally (des, w(1), bad mask, w(m), first run is a
+    singleton, a later one is) of ``permutations.symmetric_tallies``."""
+    maps, words = Counter(), Counter()
+    for key, c in hist.items():
+        maps[key[SWEEP_EXC], key[SWEEP_INV1], key[SWEEP_FIX]] += c
+        words[
+            key[SWEEP_DES], key[SWEEP_FIRST], key[SWEEP_BAD], key[SWEEP_LAST],
+            key[SWEEP_FIRST_SINGLE], key[SWEEP_LATER_SINGLE],
+        ] += c
+    return maps, words
 
 
 def sample_p_polynomial(rng: random.Random, n: int) -> Poly:

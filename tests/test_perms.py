@@ -1,6 +1,7 @@
 """Permutation statistics against hand-checked and brute-forced values."""
 
 import functools
+import math
 from collections import Counter
 
 import pytest
@@ -24,12 +25,25 @@ from eulerian_lab.permutations import (
     project_rows,
     signed_permutations,
     stats,
-    sweep_histogram,
     symmetric_group,
+    symmetric_tallies,
     xi_counts,
 )
 from eulerian_lab.poly import Poly, one_plus_x_power, reciprocal
-from oracles import oracle_des_B_tally
+from oracles import (
+    SWEEP_BAD,
+    SWEEP_DES,
+    SWEEP_EXC,
+    SWEEP_FIRST,
+    SWEEP_FIRST_SINGLE,
+    SWEEP_FIX,
+    SWEEP_INV1,
+    SWEEP_LAST,
+    SWEEP_LATER_SINGLE,
+    oracle_des_B_tally,
+    oracle_marginals,
+    oracle_sweep_histogram,
+)
 
 
 def P(*coeffs) -> Poly:
@@ -97,6 +111,31 @@ class TestGroupIterators:
     def test_signed_words(self):
         words = set(signed_permutations(1))
         assert words == {(1,), (-1,)}
+
+
+class TestTalliesAgainstJointSweep:
+    """The map and word tallies against the marginals of the joint sweep,
+    key by key."""
+
+    def test_every_size_through_eight(self):
+        tallies = symmetric_tallies(8)
+        assert len(tallies) == 9
+        for m, (maps, words) in enumerate(tallies):
+            assert (maps, words) == oracle_marginals(oracle_sweep_histogram(m)), m
+            assert sum(maps.values()) == sum(words.values()) == math.factorial(m)
+            # the keys are packed into widths that depend on the top size
+            assert symmetric_tallies(m)[m] == (maps, words), m
+
+    def test_negative_size(self):
+        with pytest.raises(ValueError):
+            symmetric_tallies(-1)
+
+    def test_budget_guard(self, monkeypatch):
+        monkeypatch.setenv("EULERIAN_LAB_BUDGET", "23")
+        with pytest.raises(BudgetExceeded, match="S_4"):
+            symmetric_tallies(4)
+        monkeypatch.setenv("EULERIAN_LAB_BUDGET", "24")
+        assert len(symmetric_tallies(4)) == 5
 
 
 class TestDesB:
@@ -296,9 +335,10 @@ class TestHistogramAgainstPerWordSweep:
 
 
 # -- the projection routes that the shared, telescoped one replaced, kept as
-# its oracles.  oracle_project_family reads one (family, k, j) per walk over
-# the whole histogram.  oracle_grouped_row groups the histogram once per
-# family (oracle_group) and reads each k off one group (oracle_read).
+# its oracles, on the joint histogram of oracle_sweep_histogram.
+# oracle_project_family reads one (family, k, j) per walk over the whole
+# histogram.  oracle_grouped_row groups the histogram once per family
+# (oracle_group) and reads each k off one group (oracle_read).
 
 def oracle_poly(hist, stat, keep=None, mask=None, k=0):
     """Sum over the kept keys of count * (1+x)^t * x^key[stat], where t is
@@ -320,8 +360,8 @@ def oracle_expand(terms):
 
 
 def oracle_project_family(family, hist, n, k=None, j=None):
-    DES, EXC, FIX, BAD = perms._DES, perms._EXC, perms._FIX, perms._BAD
-    FIRST, INV1, LAST = perms._FIRST, perms._INV1, perms._LAST
+    DES, EXC, FIX, BAD = SWEEP_DES, SWEEP_EXC, SWEEP_FIX, SWEEP_BAD
+    FIRST, INV1, LAST = SWEEP_FIRST, SWEEP_INV1, SWEEP_LAST
     if family == "A":
         return oracle_poly(hist, DES)
     if family == "A-exc":
@@ -355,9 +395,9 @@ def oracle_project_family(family, hist, n, k=None, j=None):
     for key, c in hist.items() if n else ():
         runs = n - key[DES]
         if key[FIRST] > n - k:
-            if not (key[perms._FIRST_SINGLE] or key[perms._LATER_SINGLE]):
+            if not (key[SWEEP_FIRST_SINGLE] or key[SWEEP_LATER_SINGLE]):
                 plus[runs] += c
-        elif not key[perms._LATER_SINGLE]:
+        elif not key[SWEEP_LATER_SINGLE]:
             minus[runs - 1] += c
     terms = {(n - 2 * i, i): c for i, c in enumerate(plus)}
     terms.update({(n - 1 - 2 * i, i): c for i, c in enumerate(minus)})
@@ -367,18 +407,18 @@ def oracle_project_family(family, hist, n, k=None, j=None):
 # the grouping that each family walked on its own before the families
 # shared them: (statistic, selecting field, mask)
 ORACLE_GROUPINGS = {
-    "A": (perms._DES, None, None),
-    "A-exc": (perms._EXC, None, None),
-    "p": (perms._DES, perms._FIRST, None),
-    "p-asc": (perms._DES, perms._LAST, None),
-    "p-exc": (perms._EXC, perms._INV1, None),
-    "q-fix": (perms._EXC, None, perms._FIX),
-    "q-bad": (perms._DES, None, perms._BAD),
-    "qnkj": (perms._EXC, perms._INV1, perms._FIX),
-    "qnkj-alt": (perms._DES, perms._FIRST, perms._BAD),
-    "qstar": (perms._EXC, perms._INV1, perms._FIX),
-    "d": (perms._EXC, perms._FIX, None),
-    "dnk": (perms._EXC, None, perms._FIX),
+    "A": (SWEEP_DES, None, None),
+    "A-exc": (SWEEP_EXC, None, None),
+    "p": (SWEEP_DES, SWEEP_FIRST, None),
+    "p-asc": (SWEEP_DES, SWEEP_LAST, None),
+    "p-exc": (SWEEP_EXC, SWEEP_INV1, None),
+    "q-fix": (SWEEP_EXC, None, SWEEP_FIX),
+    "q-bad": (SWEEP_DES, None, SWEEP_BAD),
+    "qnkj": (SWEEP_EXC, SWEEP_INV1, SWEEP_FIX),
+    "qnkj-alt": (SWEEP_DES, SWEEP_FIRST, SWEEP_BAD),
+    "qstar": (SWEEP_EXC, SWEEP_INV1, SWEEP_FIX),
+    "d": (SWEEP_EXC, SWEEP_FIX, None),
+    "dnk": (SWEEP_EXC, None, SWEEP_FIX),
 }
 
 
@@ -445,7 +485,13 @@ def oracle_params(family, n):
 
 @functools.lru_cache(maxsize=None)
 def histogram(m):
-    return sweep_histogram(m)
+    return oracle_sweep_histogram(m)
+
+
+@functools.lru_cache(maxsize=None)
+def tallies():
+    """The tallies of S_0..S_{PROJECTION_N + 1}."""
+    return symmetric_tallies(PROJECTION_N + 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -467,14 +513,14 @@ class TestGroupedProjectionAgainstPerProjectionWalk:
         # each family alone
         hists = {m: histogram(m) for m in range(PROJECTION_N + 2)}
         for n in range(PROJECTION_N + 1):
-            hist = hists[n + 1 if family in WIDE_FAMILIES else n]
+            tally = tallies()[n + 1 if family in WIDE_FAMILIES else n]
             want = oracle_row(family, n)
-            row = project_row(family, hists, n)
+            row = project_row(family, tallies(), n)
             assert row == want, n
             if family in ORACLE_GROUPINGS:
                 assert oracle_grouped_row(family, hists, n) == want, n
             for k, j in oracle_params(family, n):
-                got = project_family(family, hist, n, k, j)
+                got = project_family(family, tally, n, k, j)
                 assert got == want[k or 0, j or 0], (n, k, j)
 
     @pytest.mark.parametrize("order", (1, -1))
@@ -482,17 +528,16 @@ class TestGroupedProjectionAgainstPerProjectionWalk:
         # in both orders, so that each family of a shared grouping is read
         # both before and after the others
         families = SWEPT_FAMILIES[::order]
-        hists = {m: histogram(m) for m in range(PROJECTION_N + 2)}
         for n in range(PROJECTION_N + 1):
-            rows = project_rows(families, hists, n)
+            rows = project_rows(families, tallies(), n)
             assert list(rows) == list(families)
             for family in families:
                 assert rows[family] == oracle_row(family, n), (family, n)
 
     @pytest.mark.parametrize("family", SWEPT_FAMILIES)
     def test_through_brute_force_family(self, family, monkeypatch):
-        # the sweeps are shared through the cache; the projections are not
-        monkeypatch.setattr(perms, "sweep_histogram", histogram)
+        # the tallies are shared through the cache; the projections are not
+        monkeypatch.setattr(perms, "symmetric_tallies", lambda top: tallies()[: top + 1])
         for n in range(PROJECTION_N + 1):
             want = oracle_row(family, n)
             for k, j in oracle_params(family, n):
@@ -539,37 +584,38 @@ class TestTelescopedRead:
 
 class TestEquivalenceWalks:
     def test_each_size_walked_once_per_grouping(self, monkeypatch):
-        # equivalence_cases sweeps each S_m once, and at each n walks S_{n+1}
-        # for qnkj, qnkj-alt and p-asc and S_n for q-fix, q-bad and xi
-        sizes, sweeps, walks, at = {}, Counter(), Counter(), []
-        real_rows, real_group = suites.project_rows, perms._group
-        real_classes = perms._run_classes
+        # equivalence_cases tallies S_0..S_{n_max+1} in one call, and at each
+        # n walks the tallies of S_{n+1} for qnkj, qnkj-alt and p-asc and
+        # those of S_n for q-fix, q-bad and xi
+        calls, sizes, walks, at = [], {}, Counter(), []
+        real_tallies, real_rows = suites.symmetric_tallies, suites.project_rows
+        real_group, real_classes = perms._group, perms._run_classes
 
-        def sweep(m):
-            sweeps[m] += 1
-            hist = sweep_histogram(m)
-            sizes[id(hist)] = m
-            return hist
+        def count(top):
+            calls.append(top)
+            out = real_tallies(top)
+            sizes.update((id(tally), m) for m, tally in enumerate(out))
+            return out
 
         def rows(families, hists, n):
             at.append(n)
             return real_rows(families, hists, n)
 
-        def group(hist, *grouping):
-            walks[at[-1], sizes[id(hist)], grouping] += 1
-            return real_group(hist, *grouping)
+        def group(tally, *grouping):
+            walks[at[-1], sizes[id(tally)], grouping] += 1
+            return real_group(tally, *grouping)
 
-        def classes(hist):
-            walks[at[-1], sizes[id(hist)], "xi"] += 1
-            return real_classes(hist)
+        def classes(tally):
+            walks[at[-1], sizes[id(tally)], "xi"] += 1
+            return real_classes(tally)
 
-        monkeypatch.setattr(suites, "sweep_histogram", sweep)
+        monkeypatch.setattr(suites, "symmetric_tallies", count)
         monkeypatch.setattr(suites, "project_rows", rows)
         monkeypatch.setattr(perms, "_group", group)
         monkeypatch.setattr(perms, "_run_classes", classes)
         n_max = 4
         assert all(c.ok for c in suites.equivalence_cases(n_max))
-        assert sweeps == Counter(range(n_max + 2))
+        assert calls == [n_max + 1]
         assert at == list(range(n_max + 1))
         assert set(walks.values()) == {1}
         for n in range(n_max + 1):

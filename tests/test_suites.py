@@ -7,6 +7,8 @@ when details were built with their cases (the oracles in ``oracles``)."""
 import pytest
 
 from eulerian_lab import suites
+from eulerian_lab.cli import main
+from eulerian_lab.errors import BudgetExceeded
 from eulerian_lab.poly import Poly
 from eulerian_lab.suites import CaseResult
 from oracles import (
@@ -105,3 +107,26 @@ class TestCaseResult:
         case = CaseResult("name", "pass", "text")
         with pytest.raises(AttributeError):
             case.status = "fail"
+
+
+# Whether equivalence_cases(6) is refused under each group budget, as it was
+# when it swept every word of each S_m: its largest groups are S_7 (5,040
+# words) and the signed permutations of size 6 (46,080).
+REFUSED_AT_N6 = {
+    0: True, 5: True, 23: True, 24: True, 30: True, 719: True, 720: True,
+    5039: True, 5040: True, 46079: True, 46080: False,
+}
+
+
+@pytest.mark.parametrize("budget", sorted(REFUSED_AT_N6))
+def test_budget_refusals_of_the_enumeration_suite(monkeypatch, capsys, budget):
+    monkeypatch.setenv("EULERIAN_LAB_BUDGET", str(budget))
+    try:
+        suites.equivalence_cases(6)
+        refused = False
+    except BudgetExceeded:
+        refused = True
+    assert refused == REFUSED_AT_N6[budget]
+    code = main(["verify-identities", "--n", "6", "--part", "families"])
+    capsys.readouterr()
+    assert (code == 2) == REFUSED_AT_N6[budget]
