@@ -396,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=_size, required=True)
     p.add_argument("--r", type=_size, default=2)
-    _add_common(p)
+    # the export is JSON only, so it takes no --format
+    p.add_argument("--out", default=None, help="write the report to a file")
     p.set_defaults(fn=_cmd_ft_from_family)
 
     return parser

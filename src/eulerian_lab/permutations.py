@@ -706,15 +706,6 @@ def project_row(
     return project_rows((family,), hists, n)[family]
 
 
-def project_family(
-    family: str, hist: Tally, n: int, k: int | None = None, j: int | None = None
-) -> Poly:
-    """One S_n family of brute_force_family read off the tally of S_m, with
-    m = n + 1 for the p and qnkj families and m = n for the others."""
-    m, key = _checked_key(family, n, k, j)
-    return project_row(family, {m: hist}, n)[key]
-
-
 def brute_force_family(
     family: str,
     n: int,

@@ -6,8 +6,9 @@ complex together with a carrier map: each triangulation vertex knows the
 smallest face of 2^V containing it.  One table, built once per
 triangulation, counts its faces by size for each base face F: those
 carried by F exactly and those carried inside F.  Every h / boundary-h /
-interior-h / theta / local-h row and the f-triangle read it, and no
-restriction is materialized.  The f-triangle keeps only the counts per face
+interior-h / theta row and the f-triangle read it, and no restriction is
+materialized; the relative local h-polynomials are read off the table of
+suites.identity_suite.  The f-triangle keeps only the counts per face
 size, which is all the uniform-triangulation theory consumes.  An
 FTriangle owns what is derived from it: its h-rows, interior rows, family
 members ft_qnk and ft_lnk, and interior images, each computed once on first
@@ -138,9 +139,6 @@ class SimplicialComplex:
         """The faces in no larger face; by closure, the others are g - {v}."""
         below = {g - {v} for g in self.faces for v in g}
         return tuple(sorted(self.faces - below, key=self._face_key))
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** (len(f) - 1) for f in self.faces if f)
 
     @classmethod
     def _trusted(cls, faces: frozenset, order: tuple) -> "SimplicialComplex":
@@ -276,9 +274,6 @@ class CarriedTriangulation:
             mask |= 1 << index[v]
         return mask
 
-    def mask_face(self, mask: int) -> tuple:
-        return tuple(v for i, v in enumerate(self.base_vertices) if mask >> i & 1)
-
     def restriction_h(self, fmask: int) -> Poly:
         """h-polynomial of the restriction to the base face fmask, in the
         window |fmask|."""
@@ -307,20 +302,6 @@ class CarriedTriangulation:
 
     def theta(self, fmask: int) -> Poly:
         return self.restriction_h(fmask) - self.boundary_h(fmask)
-
-    def local_h(self, emask: int = 0, fmask: int | None = None) -> Poly:
-        """The alternating sum over emask <= G <= fmask of restriction
-        h-polynomials: the (relative) local h-polynomial of the restriction
-        to fmask."""
-        if fmask is None:
-            fmask = (1 << self.n) - 1
-        if emask & ~fmask:
-            raise ValueError("emask must be a submask of fmask")
-        m = int.bit_count(fmask)
-        return linear_combination(
-            ((-1) ** (m - int.bit_count(g)), self.restriction_h(g), 0)
-            for g in _submasks_over(emask, fmask)
-        )
 
 
 def _submasks_over(emask: int, fmask: int) -> Iterator[int]:

@@ -608,6 +608,22 @@ def _certified_bits(s: int) -> int:
     return (4 * s).bit_length()
 
 
+def _from_power_of_two(value: int, b: int) -> Poly:
+    """The p with p(2^b) = value whose coefficients lie in [-2^(b-1),
+    2^(b-1)): the balanced base-2^b digits of value, lowest first, so the
+    inverse of _at_power_of_two on such p.  A nonzero value needs b >= 2,
+    as _certified_bits gives for s >= 1: at b = 1 a positive value has no
+    such digits.  b = 0 comes from s = 0, a void triangulation's bound, at
+    which every value is 0."""
+    half, mask = (1 << b) >> 1, (1 << b) - 1
+    coeffs = []
+    while value:
+        digit = ((value + half) & mask) - half
+        coeffs.append(digit)
+        value = (value - digit) >> b
+    return Poly._of(coeffs)
+
+
 def identity_suite(t: CarriedTriangulation, prefix: str = "") -> list[CaseResult]:
     """Certify the face-count identities tying h, theta and local h together
     on one carried triangulation; each case name starts with prefix.
@@ -636,7 +652,20 @@ def identity_suite(t: CarriedTriangulation, prefix: str = "") -> list[CaseResult
     absolute value; with d_k the lowest nonzero one, (P - Q)(B) = B^k (d_k +
     B m) for an integer m, which is not zero since B does not divide d_k.
     So P(B) = Q(B) if and only if P = Q.
+
+    Why the table gives each L(E, F) itself: L(E, F) is a signed sum of at
+    most 2^n restriction h-polynomials, so its coefficients are at most
+    S < 2^(b-2) in absolute value, and the balanced base-2^b digits of
+    L(E, F)(B) are its coefficients (_from_power_of_two).  This table is the
+    package's one route to a local h.
     """
+    return _identity_table(t, prefix)[0]
+
+
+def _identity_table(
+    t: CarriedTriangulation, prefix: str
+) -> tuple[list[CaseResult], Callable[[int, int], Poly]]:
+    """The cases of identity_suite and a reader (emask, fmask) -> L(E, F)."""
     n = t.n
     size = 1 << n
     full = size - 1
@@ -668,13 +697,6 @@ def identity_suite(t: CarriedTriangulation, prefix: str = "") -> list[CaseResult
     )
     record("h-from-theta", partial(_versus_text, lhs, rhs), lhs == rhs)
 
-    lhs = t.local_h()
-    rhs = linear_combination(
-        (1, theta * derangement(n - int.bit_count(fmask)), 0)
-        for fmask, theta in enumerate(thetas)
-    )
-    record("local-h-from-theta", partial(_versus_text, lhs, rhs), lhs == rhs)
-
     d = {(a, c): dnk(a, c) for a in range(n + 1) for c in range(a + 1)}
     bound = max(
         size * size * max(map(_l1, h)),
@@ -690,7 +712,7 @@ def identity_suite(t: CarriedTriangulation, prefix: str = "") -> list[CaseResult
         m = int.bit_count(fmask)
         value = _at_power_of_two(theta, b)
         relative.append([0] * m + [value * d_at[n - m, n - u] for u in range(m, n + 1)])
-    # local[E << n | F] = L(E, F), for F in increasing order and E running
+    # local[E << n | F] = L(E, F)(B), for F in increasing order and E running
     # down the submasks of F, so that both terms of the step are known
     local = [0] * (size * size)
     for fmask in range(size):
@@ -707,6 +729,16 @@ def identity_suite(t: CarriedTriangulation, prefix: str = "") -> list[CaseResult
             if not emask:
                 break
             emask = (emask - 1) & fmask
+
+    def read_local(emask: int, fmask: int) -> Poly:
+        return _from_power_of_two(local[emask << n | fmask], b)
+
+    lhs = read_local(0, full)
+    rhs = linear_combination(
+        (1, theta * derangement(n - int.bit_count(fmask)), 0)
+        for fmask, theta in enumerate(thetas)
+    )
+    record("local-h-from-theta", partial(_versus_text, lhs, rhs), lhs == rhs)
 
     for emask in range(size):
         row = emask << n
@@ -727,7 +759,7 @@ def identity_suite(t: CarriedTriangulation, prefix: str = "") -> list[CaseResult
             ok = h_at[gmask] == rhs
             record("h-from-relative-local-h", f"E mask {emask} G mask {gmask}", ok)
 
-    return cases
+    return cases, read_local
 
 
 def geometry_cases(family: str, n: int, r: int = 2) -> list[CaseResult]:
@@ -735,10 +767,12 @@ def geometry_cases(family: str, n: int, r: int = 2) -> list[CaseResult]:
     the identity suite, uniformity of the f-triangle, theta symmetry, the
     cross-checks against the permutation families, and the antiprism
     subcomplex formula and Euler characteristic, read off the face table of
-    the triangulation without building the sphere."""
+    the triangulation without building the sphere.  The local h-polynomials
+    L(E, full) of the permutation cross-checks are decoded, exactly, off the
+    identity suite's table (see identity_suite)."""
     t = build_geometry_family(family, n, r)
     label = f"{family}-{n}" + (f"-r{r}" if GEOMETRY_FAMILIES[family].takes_r else "")
-    cases = identity_suite(t, f"{label}-")
+    cases, read_local = _identity_table(t, f"{label}-")
 
     try:
         triangle = f_triangle(t)
@@ -756,26 +790,16 @@ def geometry_cases(family: str, n: int, r: int = 2) -> list[CaseResult]:
     if family in ("trivial", "barycentric"):
         closed = family_f_triangle(family, n, r)
         cases.append(_case(f"{label}-ft-matches-closed-form", triangle == closed))
-    if family == "barycentric":
+    # L(E, full) against its closed form, which depends on |E| only
+    if family in ("barycentric", "colored"):
+        if family == "barycentric":
+            name, rows = "derangement", [dnk(n, n - e) for e in range(n + 1)]
+        else:
+            name, rows = "flag-excedance", flag_excedance_rows(n, r)
+        full = (1 << n) - 1
         for emask in range(1 << n):
-            e = emask.bit_count()
-            cases.append(
-                _eq_case(
-                    f"{label}-local-h-derangement-{emask}",
-                    t.local_h(emask),
-                    dnk(n, n - e),
-                )
-            )
-    if family == "colored":
-        rows = flag_excedance_rows(n, r)
-        for emask in range(1 << n):
-            cases.append(
-                _eq_case(
-                    f"{label}-local-h-flag-excedance-{emask}",
-                    t.local_h(emask),
-                    rows[emask.bit_count()],
-                )
-            )
+            got, want = read_local(emask, full), rows[emask.bit_count()]
+            cases.append(_eq_case(f"{label}-local-h-{name}-{emask}", got, want))
 
     # the sphere is the k = n partial complex, with the empty face: the top
     # h coefficient of a window-n row of face counts f is sum (-1)^(n-i) f_i

@@ -30,7 +30,9 @@ rootedness off the passed interlacing decisions that hold a member.
 ``oracle_identity_suite`` sums each identity of ``identity_suite`` on
 ``Poly`` terms, term by term; the library decides the interval identities
 on their values at one power of two that makes equal values certify equal
-polynomials.
+polynomials.  ``alternating_restriction_sum`` writes each relative local h
+out from its definition, one restriction h per mask; the library decodes
+it off the Moebius table of ``identity_suite``.
 ``oracle_h_where`` and the oracles built on it read the h-polynomials and
 f-triangle rows of a carried triangulation by counting its faces by
 carrier mask and size (``oracle_carrier_counts``, a walk of its own over
@@ -50,9 +52,9 @@ sequence as the primitive part of a pseudo remainder, with a gcd taken at
 every elimination step; the library divides each pseudo remainder by a
 factor known in advance and takes no gcd.
 
-``is_interlacing_sequence``, ``induced``, ``restriction`` and
-``antiprism_partial`` serve the tests only, so they live here and not in
-the package.
+``is_interlacing_sequence``, ``induced``, ``restriction``,
+``antiprism_partial`` and ``euler_characteristic`` serve the tests only, so
+they live here and not in the package.
 """
 
 import itertools
@@ -437,11 +439,23 @@ def oracle_generic_hypothesis(hs, n: int) -> bool:
     )
 
 
+def alternating_restriction_sum(t, emask: int, fmask: int) -> Poly:
+    """The relative local h-polynomial L(E, F) written out from its
+    definition: the sum over E <= G <= F of (-1)^(|F| - |G|) h_G."""
+    m = bin(fmask).count("1")
+    total = Poly(())
+    for gmask in range(fmask + 1):
+        if gmask & emask == emask and gmask & ~fmask == 0:
+            sign = -1 if (m - bin(gmask).count("1")) % 2 else 1
+            total = total + t.restriction_h(gmask) * sign
+    return total
+
+
 def oracle_identity_suite(t) -> list[tuple[str, bool, str]]:
     """(name, ok, detail) of each case of suites.identity_suite, every
     identity summed on Poly terms: one term per base face, and each relative
-    local h read from t.local_h.  The library decides the interval
-    identities on their values at one certified power of two."""
+    local h written out by alternating_restriction_sum.  The library decides
+    the interval identities on their values at one certified power of two."""
     n = t.n
     full = (1 << n) - 1
     cases: list[tuple[str, bool, str]] = []
@@ -464,7 +478,13 @@ def oracle_identity_suite(t) -> list[tuple[str, bool, str]]:
     )
     cases.append(("h-from-theta", lhs == rhs, f"{lhs!r} vs {rhs!r}"))
 
-    lhs = t.local_h()
+    # every relative local h, each written out once
+    local = {
+        (emask, fmask): alternating_restriction_sum(t, emask, fmask)
+        for fmask in range(1 << n)
+        for emask in _submasks_over(0, fmask)
+    }
+    lhs = local[0, full]
     rhs = linear_combination(
         (1, theta * derangement(n - fmask.bit_count()), 0) for fmask, theta in thetas.items()
     )
@@ -477,13 +497,13 @@ def oracle_identity_suite(t) -> list[tuple[str, bool, str]]:
         for u in range(f.bit_count(), n + 1)
     }
     for emask in range(1 << n):
-        lhs = t.local_h(emask)
+        lhs = local[emask, full]
         rhs = linear_combination((1, relative[f, (emask | f).bit_count()], 0) for f in thetas)
         cases.append(("relative-local-h-from-theta", lhs == rhs, f"E mask {emask}"))
 
         comp = full & ~emask
         rhs = linear_combination(
-            (1, t.local_h(0, fmask), 0) for fmask in _submasks_over(comp, full)
+            (1, local[0, fmask], 0) for fmask in _submasks_over(comp, full)
         )
         cases.append(("relative-local-h-from-restrictions", lhs == rhs, f"E mask {emask}"))
 
@@ -493,7 +513,7 @@ def oracle_identity_suite(t) -> list[tuple[str, bool, str]]:
 
         for gmask in _submasks_over(emask, full):
             rhs = linear_combination(
-                (1, t.local_h(emask, fmask), 0) for fmask in _submasks_over(emask, gmask)
+                (1, local[emask, fmask], 0) for fmask in _submasks_over(emask, gmask)
             )
             ok = t.restriction_h(gmask) == rhs
             cases.append(("h-from-relative-local-h", ok, f"E mask {emask} G mask {gmask}"))
@@ -520,7 +540,13 @@ def restriction(t: CarriedTriangulation, face) -> CarriedTriangulation:
     """The carried triangulation induced on a base face."""
     fmask = t.base_mask(face)
     keep = [u for u in t.complex.vertex_order if t.base_mask(t.carrier[u]) & ~fmask == 0]
-    return CarriedTriangulation(induced(t.complex, keep), t.mask_face(fmask), t.carrier)
+    base = tuple(v for i, v in enumerate(t.base_vertices) if fmask >> i & 1)
+    return CarriedTriangulation(induced(t.complex, keep), base, t.carrier)
+
+
+def euler_characteristic(c: SimplicialComplex) -> int:
+    """The alternating count of the nonempty faces of c."""
+    return sum((-1) ** (len(f) - 1) for f in c.faces if f)
 
 
 def antiprism_partial(sphere: AntiprismSphere, k: int) -> SimplicialComplex:

@@ -312,6 +312,14 @@ class TestFTriangleRoundTrip:
         assert code == 0
         assert FTriangle.from_json(out) == family_f_triangle("colored", 7, 2)
 
+    def test_format_is_refused(self, capsys):
+        # the export is JSON only; --format was accepted and ignored before
+        with pytest.raises(SystemExit) as exc:
+            main(["ft-from-family", "--family", "trivial", "--n", "1", "--format", "csv"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert not captured.out and "unrecognized arguments: --format csv" in captured.err
+
     @pytest.mark.parametrize("family", ["esd", "colored"])
     def test_zero_r_exits_two(self, capsys, family):
         code, out, err = run(capsys, "ft-from-family", "--family", family,

@@ -44,6 +44,7 @@ from eulerian_lab.suites import (
     _at_power_of_two,
     _certified_bits,
     _consecutive_interlacing,
+    _from_power_of_two,
     _row_verdicts,
     generic_conjecture_cases,
 )
@@ -496,7 +497,8 @@ class TestScalingInvariance:
 class TestValuesAtAPowerOfTwo:
     """identity_suite compares integer polynomials by their values at
     2^b, with b from _certified_bits: the coefficients it compares stay
-    below 2^(b-2) in absolute value."""
+    below 2^(b-2) in absolute value, so _from_power_of_two reads each
+    relative local h back off its value."""
 
     @SUITE
     @given(st.integers(min_value=2, max_value=70), st.data())
@@ -516,6 +518,24 @@ class TestValuesAtAPowerOfTwo:
         p, q = Poly((half,)), Poly((-half, 1))
         assert p != q
         assert _at_power_of_two(p, b) == _at_power_of_two(q, b) == half
+
+    @SUITE
+    @given(st.integers(min_value=2, max_value=70), st.data())
+    def test_balanced_digits_give_the_polynomial_back(self, b, data):
+        # _from_power_of_two inverts the evaluation on every coefficient in
+        # [-2^(b-1), 2^(b-1)), both ends of the digit range included
+        half = 1 << (b - 1)
+        ends = [-half, half - 1, 0, 1, -1]
+        coeff = st.one_of(st.sampled_from(ends), st.integers(-half, half - 1))
+        p = Poly(tuple(data.draw(st.lists(coeff, max_size=8))))
+        assert _from_power_of_two(_at_power_of_two(p, b), b) == p
+
+    @pytest.mark.parametrize("b", [2, 3, 8, 64])
+    def test_a_coefficient_of_half_the_point_is_out_of_the_digit_range(self, b):
+        # 2^(b-1) is read as the balanced digits -2^(b-1) and 1
+        half = 1 << (b - 1)
+        assert _from_power_of_two(half, b) == Poly((-half, 1))
+        assert _from_power_of_two(-half, b) == Poly((-half,))
 
     def test_the_bound_keeps_coefficients_below_a_quarter_of_the_point(self):
         for s in [*range(2000), 10**6, 2**40 - 1, 2**40, 3**50]:

@@ -2,16 +2,20 @@
 
 A passing suite run renders no polynomial, and every detail read after the
 suite has returned is the text an eager build gives: the one the case had
-when details were built with their cases (the oracles in ``oracles``)."""
+when details were built with their cases (the oracles in ``oracles``).
+A failing per-mask local-h case of the geometry suite shows the local h
+written out from its definition."""
 
 import pytest
 
 from eulerian_lab import suites
 from eulerian_lab.cli import main
 from eulerian_lab.errors import BudgetExceeded
-from eulerian_lab.poly import Poly
-from eulerian_lab.suites import CaseResult
+from eulerian_lab.poly import ONE, Poly
+from eulerian_lab.suites import CaseResult, build_geometry_family
+from eulerian_lab.transforms import dnk
 from oracles import (
+    alternating_restriction_sum,
     eager_case_result,
     oracle_eq_case,
     oracle_sample_case,
@@ -130,3 +134,45 @@ def test_budget_refusals_of_the_enumeration_suite(monkeypatch, capsys, budget):
     code = main(["verify-identities", "--n", "6", "--part", "families"])
     capsys.readouterr()
     assert (code == 2) == REFUSED_AT_N6[budget]
+
+
+class TestLocalHCasesAgainstAWrongClosedForm:
+    """geometry_cases with the closed form of L(E, full) off by one: every
+    per-mask local-h case fails, its detail shows the local h written out
+    from its definition against the wrong form, and every other case is
+    the case of a passing run."""
+
+    def check(self, family, n, name, closed, passing):
+        t = build_geometry_family(family, n, 2)
+        full = (1 << n) - 1
+        got = _triples(suites.geometry_cases(family, n, 2))
+        assert [case[0] for case in got] == [case[0] for case in passing]
+        failed = 0
+        for case, before in zip(got, passing):
+            if f"-local-h-{name}-" not in case[0]:
+                assert case == before
+                continue
+            emask = int(case[0].rsplit("-", 1)[1])
+            local = alternating_restriction_sum(t, emask, full)
+            wrong = closed(emask.bit_count()) + ONE
+            assert case[1:] == ("fail", f"got {local.to_text()}, want {wrong.to_text()}")
+            failed += 1
+        assert failed == 1 << n
+
+    def test_colored_flag_excedance(self, monkeypatch):
+        passing = _triples(suites.geometry_cases("colored", 3, 2))
+        rows = suites.flag_excedance_rows
+        monkeypatch.setattr(
+            suites, "flag_excedance_rows", lambda n, r: [row + ONE for row in rows(n, r)]
+        )
+        self.check("colored", 3, "flag-excedance", lambda e: rows(3, 2)[e], passing)
+
+    def test_barycentric_derangement(self, monkeypatch):
+        passing = _triples(suites.geometry_cases("barycentric", 4))
+        # suites.dnk also gives the d(a, c) values of the identity suite, so
+        # it turns wrong only once geometry_cases has read the f-triangle:
+        # after the identity suite, and before the per-mask cases
+        read, wrong = suites.f_triangle, []
+        monkeypatch.setattr(suites, "f_triangle", lambda t: wrong.append(t) or read(t))
+        monkeypatch.setattr(suites, "dnk", lambda n, k: dnk(n, k) + (1 if wrong else 0))
+        self.check("barycentric", 4, "derangement", lambda e: dnk(4, 4 - e), passing)
