@@ -32,7 +32,7 @@ from operator import itemgetter
 from typing import Iterator, Mapping, Sequence, Union
 
 from .budget import check_group_budget
-from .poly import Poly, one_plus_x_power, reciprocal
+from .poly import ONE, Poly, linear_combination, one_plus_x_power, reciprocal
 
 Word = Sequence[int]
 PermLike = Union["Permutation", Word]
@@ -405,11 +405,6 @@ def _accumulate(acc: list[int], terms: dict[tuple[int, int], int]) -> list[int]:
     return acc
 
 
-def _expand(terms: dict[tuple[int, int], int]) -> Poly:
-    """Sum of c * (1+x)^t * x^e over the entries (t, e) -> c."""
-    return Poly(_accumulate([], terms))
-
-
 def _group(
     tally: Tally, side: int, stat: int, field: int | None, mask: int | None
 ) -> dict[int, Counter]:
@@ -522,9 +517,10 @@ def _xi_row(tally: Tally, n: int) -> dict[tuple[int, int], Poly]:
     row = {}
     for k in range(n + 1):
         plus, minus = _xi_classes(classes, n, k)
-        terms = {(n - 2 * i, i): c for i, c in enumerate(plus)}
-        terms.update({(n - 1 - 2 * i, i): c for i, c in enumerate(minus)})
-        row[k, 0] = _expand(terms)
+        row[k, 0] = linear_combination(
+            [(c, one_plus_x_power(n - 2 * i), i) for i, c in enumerate(plus)]
+            + [(c, one_plus_x_power(n - 1 - 2 * i), i) for i, c in enumerate(minus)]
+        )
     return row
 
 
@@ -562,7 +558,7 @@ def flag_excedance_rows(n: int, r: int) -> tuple[Poly, ...]:
     total: Counter = Counter()
     for tally in by_top:
         total.update(tally)
-        rows.append(_expand({(0, e): c for e, c in total.items()}))
+        rows.append(linear_combination((c, ONE, e) for e, c in total.items()))
     return tuple(rows)
 
 

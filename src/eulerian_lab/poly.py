@@ -27,7 +27,10 @@ module may call ``Poly._of``.
 
 ``linear_combination`` is the one way library code sums polynomials: it
 takes (c, p, shift) terms and accumulates every c * p * x^shift into one
-coefficient list, so a sum of k terms builds one ``Poly`` and not 3k.
+coefficient list, so a sum of k terms builds one ``Poly`` and not 3k.  Two
+running sums in ``permutations`` keep their own lists, since each row they
+give extends the one before: ``_accumulate`` under the telescoped rows of
+``_telescope`` and the loop of ``_fixed_below``.
 
 ``series_numerator`` reads the numerator N of a series N / (1-x)^d off the
 series' first values: the one route to A_n, p_{n,k} and B_n (Worpitzky) and

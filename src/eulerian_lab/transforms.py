@@ -1,4 +1,4 @@
-"""Closed forms and recurrences for the polynomial families.
+"""Closed forms for the polynomial families.
 
 Each family is computed here one way, and none recurses on n.  A_n, p_{n,k}
 and B_n are numerators of rational series over (1-x)^(n+1) (Worpitzky's
@@ -7,8 +7,8 @@ h-rows too.  Every two-index family is a binomial transform of one base
 sequence, and generic_hnk and generic_lnk are the one place that sums it: q
 and d over the Eulerian polynomials, the type B derangement image over B_n,
 the generic families over (1+x)^m and the f-triangle families (simplicial.py)
-over the h-polynomials of a uniform triangulation.  q* is built level by
-level, each the p-row step of the one below.  The other routes and the
+over the h-polynomials of a uniform triangulation.  q* is a double
+binomial sum over the p_{n,j} (qnkj_star).  The other routes and the
 enumeration oracles of permutations.py are checked against these forms in
 one place, suites.py (identity_cases, equivalence_cases, worpitzky_cases),
 and in the tests, so nothing here depends on group sweeps.
@@ -21,7 +21,7 @@ from functools import lru_cache, partial
 from math import comb
 from typing import Callable
 
-from .poly import ONE, Poly, linear_combination, one_plus_x_power, series_numerator
+from .poly import Poly, linear_combination, one_plus_x_power, series_numerator
 
 
 @lru_cache(maxsize=1024)
@@ -58,54 +58,40 @@ def binomial_eulerian(n: int) -> Poly:
     return qnk(n, n)
 
 
-def _p_row_step(row: tuple[Poly, ...]) -> list[Poly]:
-    """x times the members below j plus the members from j on, j = 0..len."""
-    out = [linear_combination((1, q, 0) for q in row)]
-    for q in row:
-        out.append(linear_combination(((1, out[-1], 0), (1, q, 1), (-1, q, 0))))
-    return out
-
-
-# The levels of q* built so far, at most 16: a level is built up from the
-# highest kept level below it, so a sweep over n builds each level once.
-_qstar_levels: dict[int, tuple[tuple[Poly, ...], ...]] = {0: ((ONE,), (ONE,))}
-
-
-def _qstar_level(n: int) -> tuple[tuple[Poly, ...], ...]:
-    """Rows k = 0..n+1 of q*_{n,k,j}."""
-    if n in _qstar_levels:
-        return _qstar_levels[n]
-    start = max(m for m in _qstar_levels if m < n)
-    level = _qstar_levels[start]
-    for m in range(start + 1, n + 1):
-        steps = [_p_row_step(row) for row in level]
-        level = tuple(
-            tuple(
-                qnk(m, k - 1) if k >= 2 and j == 0
-                else steps[k - 1 if 1 <= j < k else k][j]
-                for j in range(m + 1)
-            )
-            for k in range(m + 2)
-        )
-    if len(_qstar_levels) == 16:
-        del _qstar_levels[min(m for m in _qstar_levels if m)]
-    _qstar_levels[n] = level
-    return level
-
-
+@lru_cache(maxsize=1024)
 def qnkj_star(n: int, k: int, j: int) -> Poly:
     """Refinement of the q family by the preimage of 1, normalized so the
     j = 0 member sheds its forced 1+x factor; 0 <= k <= n+1, 0 <= j <= n.
 
-    q*_{n,k,0} = q_{n,k-1} for k >= 2; otherwise q*_{n,k,j} is the p-row
-    step at j of row k-1 of level n-1 if 1 <= j <= k-1, else of its row k.
-    So the k <= 1 members are p_{n,j}.
+    Un-normalized, it sums x^exc(w) (1+x)^fix_k(w) over the w in S_{n+1}
+    with w^{-1}(1) = j+1, fix_k(w) counting the fixed points of w in [k].
+    Write (1+x)^fix_k(w) as the sum of x^|T| over the sets T of fixed
+    points in [k].  The permutations that fix T correspond to S_{n+1-|T|}
+    by the order-preserving relabelling of the other points, which keeps
+    exc.  1 in T forces j = 0; otherwise j+1 is not in T, and the preimage
+    of 1 moves down by the number of points of T in {2..j}.  So
+    q*_{n,k,0} = q_{n,k-1} for k >= 1, and every other member is the
+    double binomial sum
+
+        sum(C(alpha,a) C(beta,b) x^(a+b) p_{n-a-b,j-a}), a <= alpha, b <= beta,
+
+    over the alpha = max(min(j,k) - 1, 0) points of [k] strictly between 1
+    and j+1 and the beta = max(k - j - 1, 0) points of [k] above j+1.  The
+    k <= 1 members are p_{n,j}.
     """
     if not 0 <= j <= n:
         raise ValueError(f"j={j} out of range 0..{n}")
     if not 0 <= k <= n + 1:
         raise ValueError(f"k={k} out of range 0..{n + 1}")
-    return _qstar_level(n)[k][j]
+    if j == 0 and k >= 1:
+        return qnk(n, k - 1)
+    alpha = max(min(j, k) - 1, 0)
+    beta = max(k - j - 1, 0)
+    return linear_combination(
+        (comb(alpha, a) * comb(beta, b), pnk(n - a - b, j - a), a + b)
+        for a in range(alpha + 1)
+        for b in range(beta + 1)
+    )
 
 
 def qnkj(n: int, k: int, j: int) -> Poly:

@@ -309,7 +309,9 @@ def oracle_type_b(n: int) -> Poly:
 
 @lru_cache(maxsize=None)
 def oracle_qnkj_star(n: int, k: int, j: int) -> Poly:
-    """The recursion on n that the level-by-level build of q* replaced."""
+    """The recursion on n, each member the p-row step of level n-1, that the
+    level-by-level build of q* and then its closed form replaced; the level
+    build ran this same recursion bottom-up."""
     if k <= 1:
         return pnk(n, j)
     if j == 0:
@@ -333,7 +335,7 @@ class TestAgainstReplacedRoutes:
             assert typeB_eulerian(n) == oracle_type_b(n), n
 
     def test_qnkj_star(self):
-        for n in range(10):
+        for n in range(21):
             for k in range(n + 2):
                 for j in range(n + 1):
                     assert qnkj_star(n, k, j) == oracle_qnkj_star(n, k, j), (n, k, j)
