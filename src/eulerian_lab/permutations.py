@@ -1,213 +1,44 @@
 """Permutation statistics and enumeration oracles.
 
-Permutations live as tuples of values (one-line notation, 1-based values and
-positions); the wrapper class exists for validation and a few conveniences,
-while iterators and statistics work on raw tuples so that full-group sweeps
-stay cheap.  Every generating polynomial here is a count of words by their
-own statistics, and no closed form enters.  The S_n families are read off
-symmetric_tallies: a dynamic program over the set of values placed so far
-counts each word of S_0..S_top exactly once, into a map tally (exc,
-w^{-1}(1), fix mask) and a word tally (des, w(1), bad mask, w(m), singleton
-runs), the two marginals that the families read.  project_rows reads the
-S_n families from those tallies, and the signed and colored families are
-tallied by a pass over their groups.  One table gives each S_n family's
-group size, parameters, grouping and reading.  A grouping sorts one tally
-by (statistic, selecting field, mask field), and one walk of the tally per
-distinct grouping is shared by the families that read it: p and p-exc are
-the k = 0 reads of the qnkj-alt and qnkj groupings, A and A-exc those of
-q-bad and q-fix, and dnk and d read the q-fix grouping too.  A masked group
-gives its row for every k in one telescoped pass.  flag_excedance_rows
-likewise reads every k off one tally by the largest zero-colour fixed
-point.  The closed-form counterparts live in transforms.py;
-suites.equivalence_cases and the tests compare the two routes.
+Every generating polynomial here is a count of words by their own
+statistics, and no closed form enters.  No word is generated either: each
+group is counted by a dynamic program or a product formula.  The S_n
+families are read off symmetric_tallies: a dynamic program over the set of
+values placed so far counts each word of S_0..S_top exactly once, into a
+map tally (exc, w^{-1}(1), fix mask) and a word tally (des, w(1), bad mask,
+w(m), singleton runs), the two marginals that the families read.
+project_rows reads the S_n families from those tallies.  One table gives
+each S_n family's group size, parameters, grouping and reading.  A
+grouping sorts one tally by (statistic, selecting field, mask field), and
+one walk of the tally per distinct grouping is shared by the families that
+read it: p and p-exc are the k = 0 reads of the qnkj-alt and qnkj
+groupings, A and A-exc those of q-bad and q-fix, and dnk and d read the
+q-fix grouping too.  A masked group gives its row for every k in one
+telescoped pass.  flag_excedance_table counts the colored words of every
+size up to top by the same kind of dynamic program, and reads every k off
+one tally by the largest zero-colour fixed point.  _des_B_tally counts S_n
+by descent set, with multinomials and one Moebius pass, and evaluates the
+sign masks of the signed words on the descent masks.  The closed-form
+counterparts live in transforms.py; suites.equivalence_cases and the tests
+compare the two routes.  The per-word statistics and group iterators that
+these counts replaced are the tests' oracles.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from .budget import check_group_budget
-from .poly import ONE, Poly, linear_combination, one_plus_x_power, reciprocal
-
-Word = Sequence[int]
-PermLike = Union["Permutation", Word]
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of {1, ..., n} in one-line notation."""
-
-    word: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.word)
-        if sorted(self.word) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.word!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.word)
-
-    def __call__(self, i: int) -> int:
-        if not 1 <= i <= len(self.word):
-            raise IndexError(f"position {i} out of range 1..{len(self.word)}")
-        return self.word[i - 1]
-
-
-def _word(w: PermLike) -> tuple[int, ...]:
-    if isinstance(w, Permutation):
-        return w.word
-    return tuple(w)
-
-
-@dataclass(frozen=True)
-class PermStats:
-    """All statistics of one permutation, computed in a single pass.
-
-    Positions are 1-based throughout.  rl_minima uses the weak convention
-    (w(i) <= w(j) for all j >= i); for distinct values this coincides with
-    the strict one.  decreasing_runs partitions the positions 1..n into the
-    maximal blocks on which the word strictly decreases.
-    """
-
-    des: int
-    asc: int
-    exc: int
-    fix_set: frozenset[int]
-    lr_maxima: tuple[int, ...]
-    rl_minima: tuple[int, ...]
-    decreasing_runs: tuple[tuple[int, ...], ...]
-
-
-def stats(w: PermLike) -> PermStats:
-    word = _word(w)
-    n = len(word)
-    des = sum(1 for i in range(n - 1) if word[i] > word[i + 1])
-    asc = (n - 1 if n else 0) - des
-    # values never exceed n, so w(i) > i is impossible at i = n and this
-    # matches the convention that counts excedances over i < n only
-    exc = sum(1 for i in range(n) if word[i] > i + 1)
-    fix_set = frozenset(i + 1 for i in range(n) if word[i] == i + 1)
-
-    lr: list[int] = []
-    best = 0
-    for i in range(n):
-        if word[i] > best:
-            lr.append(i + 1)
-            best = word[i]
-
-    rl: list[int] = []
-    cur = n + 1
-    for i in range(n - 1, -1, -1):
-        if word[i] <= cur:
-            rl.append(i + 1)
-            cur = word[i]
-    rl.reverse()
-
-    runs: list[tuple[int, ...]] = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or word[i - 1] < word[i]:
-            runs.append(tuple(range(start + 1, i + 1)))
-            start = i
-
-    return PermStats(
-        des=des,
-        asc=asc,
-        exc=exc,
-        fix_set=fix_set,
-        lr_maxima=tuple(lr),
-        rl_minima=tuple(rl),
-        decreasing_runs=tuple(runs),
-    )
-
-
-def fix_k(w: PermLike, k: int) -> int:
-    """Number of fixed points i with i <= k."""
-    word = _word(w)
-    if not 0 <= k <= len(word) + 1:
-        raise ValueError(f"k={k} out of range for size {len(word)}")
-    return sum(1 for i in range(min(k, len(word))) if word[i] == i + 1)
-
-
-def bad_k(w: PermLike, k: int) -> int:
-    """Positions i where w(i) <= k is a weak right-to-left minimum and either
-    i = 1 or w(i-1) < w(i).  The identity permutation scores exactly k."""
-    word = _word(w)
-    n = len(word)
-    if not 0 <= k <= n + 1:
-        raise ValueError(f"k={k} out of range for size {n}")
-    count = 0
-    cur = n + 1
-    suffix_min = [0] * n
-    for i in range(n - 1, -1, -1):
-        suffix_min[i] = cur = min(cur, word[i])
-    for i in range(n):
-        if word[i] > k or word[i] > suffix_min[i]:
-            continue
-        if i == 0 or word[i - 1] < word[i]:
-            count += 1
-    return count
-
-
-def symmetric_group(n: int) -> Iterator[tuple[int, ...]]:
-    """All of S_n in lexicographic order, as raw value tuples."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    check_group_budget(math.factorial(n), f"S_{n}")
-    return itertools.permutations(range(1, n + 1))
+from .poly import Poly, linear_combination, one_plus_x_power, reciprocal
 
 
 def _check_signed_budget(n: int) -> None:
     if n < 0:
         raise ValueError("n must be nonnegative")
     check_group_budget((2**n) * math.factorial(n), f"signed permutations of size {n}")
-
-
-def signed_permutations(n: int) -> Iterator[tuple[int, ...]]:
-    """All signed permutations of 1..n as tuples of nonzero signed values."""
-    _check_signed_budget(n)
-
-    def gen() -> Iterator[tuple[int, ...]]:
-        for base in itertools.permutations(range(1, n + 1)):
-            for signs in itertools.product((1, -1), repeat=n):
-                yield tuple(s * v for s, v in zip(signs, base))
-
-    return gen()
-
-
-def colored_permutations(
-    n: int, r: int
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All pairs (word, colors) with colors in {0, ..., r-1}^n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if r < 1:
-        raise ValueError("r must be positive")
-    check_group_budget(
-        (r**n) * math.factorial(n), f"{r}-colored permutations of size {n}"
-    )
-
-    def gen() -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-        for base in itertools.permutations(range(1, n + 1)):
-            for colors in itertools.product(range(r), repeat=n):
-                yield base, colors
-
-    return gen()
-
-
-def des_B(w: Word) -> int:
-    """Descents of a signed word read with a fixed 0 prepended at position 0."""
-    word = tuple(w)
-    n = len(word)
-    count = 1 if n and word[0] < 0 else 0
-    count += sum(1 for i in range(n - 1) if word[i] > word[i + 1])
-    return count
 
 
 def _des_B_tally(n: int) -> list[int]:
@@ -219,14 +50,11 @@ def _des_B_tally(n: int) -> list[int]:
     comparison reads the base only through whether it descends there: two
     positive values descend when the base does, two negative ones when it
     ascends, + then - always descends and - then + never does.  So S_n is
-    tallied once by descent mask (bit i: base[i] > base[i + 1]), and each
-    sign mask is evaluated against each descent mask with bit operations.
+    counted once by descent set (_descent_set_counts), and each sign mask
+    is evaluated against each descent mask with bit operations.
     """
     _check_signed_budget(n)
-    by_descents = Counter(
-        sum(1 << i for i in range(n - 1) if base[i] > base[i + 1])
-        for base in itertools.permutations(range(1, n + 1))
-    )
+    by_descents = _descent_set_counts(n)
     inner = (1 << max(n - 1, 0)) - 1
     tally = [0] * (n + 1)
     for smask in range(1 << n):
@@ -234,10 +62,42 @@ def _des_B_tally(n: int) -> list[int]:
         neg_here, neg_next = smask & inner, smask >> 1 & inner
         mixed = neg_here ^ neg_next
         first = smask & 1
-        for dmask, count in by_descents.items():
+        for dmask, count in enumerate(by_descents):
             descents = (dmask ^ neg_here) & ~mixed | neg_next & mixed
             tally[first + (descents & inner).bit_count()] += count
     return tally
+
+
+def _descent_set_counts(n: int) -> list[int]:
+    """Entry S, for every S below 2^(n-1), is the number of permutations of
+    S_n whose descent mask is S (bit i: w(i+1) > w(i+2)), counted without
+    making a word.
+
+    The permutations whose descents all lie in S increase on each block of
+    positions that S cuts 1..n into, so they number the multinomial
+    n! / (b_1! ... b_t!) over the block lengths b_i: an arrangement is a
+    choice of which values fill each block.  The counts with descent mask
+    exactly S follow by one Moebius pass over the subsets of S (Stanley,
+    Enumerative Combinatorics I, section 1.4).
+    """
+    inner = max(n - 1, 0)
+    factorial = [math.factorial(i) for i in range(n + 1)]
+    counts = []
+    for mask in range(1 << inner):
+        count, start = factorial[n], 0
+        while mask:
+            bit = mask & -mask
+            end = bit.bit_length()
+            count //= factorial[end - start]
+            start = end
+            mask ^= bit
+        counts.append(count // factorial[n - start])
+    for i in range(inner):
+        bit = 1 << i
+        for mask in range(1 << inner):
+            if mask & bit:
+                counts[mask] -= counts[mask ^ bit]
+    return counts
 
 
 # Fields of a map tally key and of a word tally key, and the two tallies of
@@ -537,29 +397,73 @@ def xi_counts(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return _xi_classes(_run_classes(symmetric_tallies(n)[n]), n, k)
 
 
+def flag_excedance_table(top: int, r: int) -> list[tuple[Poly, ...]]:
+    """Entry n, for n = 0..top, is flag_excedance_rows(n, r): every size
+    off one run.
+
+    A dynamic program over the set U of values placed so far, one value
+    and its colour at a time from left to right, as in _map_tallies.  A
+    state is U with the packed (fexc, largest zero-colour fixed point) of
+    the colored prefixes that place it, where fexc = r * (zero-colour
+    excedances) + colour sum.  Placing v at position p = |U| + 1 with
+    colour 0 adds r if v > p and makes p the largest zero-colour fixed
+    point if v = p; with colour c >= 1 it adds c.  At U = {1..n} the run
+    has counted each colored word of size n exactly once.  The balanced
+    words, those with r | fexc, are tallied by fexc / r and their largest
+    zero-colour fixed point (0 if none), and row k sums the tallies up to
+    k.
+    """
+    if top < 0:
+        raise ValueError("n must be nonnegative")
+    if r < 1:
+        raise ValueError("r must be positive")
+    check_group_budget(
+        (r**top) * math.factorial(top), f"{r}-colored permutations of size {top}"
+    )
+    # the largest zero-colour fixed point p is bit p - 1 of the low field
+    low = (1 << top) - 1
+    layer = {0: {0: 1}}
+    table = []
+    for p in range(1, top + 2):
+        group: Counter = Counter()
+        for o, c in layer[(1 << (p - 1)) - 1].items():
+            fexc = o >> top
+            if fexc % r == 0:
+                group[o & low, fexc // r] += c
+        table.append(tuple(_fixed_below(group, p - 1)))
+        if p > top:
+            break
+        fixed_bit = 1 << (p - 1)
+        nxt: dict[int, dict[int, int]] = {}
+        for used, outs in layer.items():
+            # a colour c >= 1 adds c whatever the value placed
+            colored: dict[int, int] = {}
+            for colour in range(1, r):
+                _merge(colored, outs, 0, colour << top)
+            for v in range(1, top + 1):
+                bit = 1 << (v - 1)
+                if used & bit:
+                    continue
+                target = nxt.get(used | bit)
+                if target is None:
+                    target = nxt[used | bit] = {}
+                if v == p:
+                    get = target.get
+                    for o, c in outs.items():
+                        o = o & ~low | fixed_bit
+                        target[o] = get(o, 0) + c
+                else:
+                    _merge(target, outs, 0, r << top if v > p else 0)
+                if colored:
+                    _merge(target, colored, 0, 0)
+        layer = nxt
+    return table
+
+
 def flag_excedance_rows(n: int, r: int) -> tuple[Poly, ...]:
-    """flag_excedance_poly(n, r, k) for k = 0..n, from one sweep that tallies
-    fexc / r over the balanced words by their largest zero-colour fixed
-    point (0 if none); row k sums the tallies up to k."""
-    by_top = [Counter() for _ in range(n + 1)]
-    for word, colors in colored_permutations(n, r):
-        flag = sum(colors)
-        if flag % r:
-            continue
-        top = 0
-        for i in range(n):
-            if colors[i] == 0:
-                if word[i] == i + 1:
-                    top = i + 1
-                elif word[i] > i + 1:
-                    flag += r
-        by_top[top][flag // r] += 1
-    rows = []
-    total: Counter = Counter()
-    for tally in by_top:
-        total.update(tally)
-        rows.append(linear_combination((c, ONE, e) for e, c in total.items()))
-    return tuple(rows)
+    """flag_excedance_poly(n, r, k) for k = 0..n: entry n of
+    flag_excedance_table(n, r)."""
+    return flag_excedance_table(n, r)[n]
 
 
 def flag_excedance_poly(n: int, r: int, k: int) -> Poly:

@@ -61,6 +61,7 @@ from .transforms import (
 from .permutations import (
     brute_force_family,
     flag_excedance_rows,
+    flag_excedance_table,
     project_rows,
     symmetric_tallies,
 )
@@ -204,14 +205,18 @@ def golden_table_cases() -> list[CaseResult]:
 
 
 def equivalence_cases(n_max: int = 6) -> list[CaseResult]:
-    """Closed forms against raw enumeration for every family, n <= n_max.
+    """Closed forms against enumeration for every family, n <= n_max.
 
-    One symmetric_tallies call counts S_0..S_{n_max+1}: the tally of
-    S_{n+1} read for size n is the tally of S_n for size n + 1.  One
-    project_rows call per n reads every family's row, every k and j, off
-    three walks of the tallies of each of the two groups."""
+    Every enumeration counts words by their own statistics in a dynamic
+    program, and no word is generated.  One symmetric_tallies call counts
+    S_0..S_{n_max+1}: the tally of S_{n+1} read for size n is the tally of
+    S_n for size n + 1.  One project_rows call per n reads every family's
+    row, every k and j, off three walks of the tallies of each of the two
+    groups.  One flag_excedance_table call gives the r = 1 colored rows of
+    every size, and the type B row counts S_n by descent set."""
     cases = []
     tallies = symmetric_tallies(n_max + 1)
+    colored_rows = flag_excedance_table(n_max, 1)
     for n in range(n_max + 1):
         row = project_rows(_EQUIVALENCE_FAMILIES, tallies, n)
         cases.append(_eq_case(f"A-des-enumeration-{n}", row["A"][0, 0], eulerian(n)))
@@ -269,11 +274,10 @@ def equivalence_cases(n_max: int = 6) -> list[CaseResult]:
                 f"B-enumeration-{n}", brute_force_family("B", n), typeB_eulerian(n)
             )
         )
-        colored = flag_excedance_rows(n, 1)
         for k in range(n + 1):
             cases.append(
                 _eq_case(
-                    f"colored-r1-reduction-{n}-{k}", colored[k], dnk(n, n - k)
+                    f"colored-r1-reduction-{n}-{k}", colored_rows[n][k], dnk(n, n - k)
                 )
             )
     return cases

@@ -11,8 +11,13 @@ Two routes the library has replaced stay here as oracles for the ones
 that replaced them.  ``oracle_interlaces`` decides interlacing with real
 rootedness checked first, by a Sturm chain on each member, before the
 index sequence; the library reads real rootedness off that one sequence.
-``oracle_des_B_tally`` walks every signed word; the library tallies S_n by
-descent mask and evaluates each sign mask with bit operations.
+``oracle_des_B_tally`` walks every signed word, and
+``oracle_descent_set_counts`` walks S_n by descent mask; the library
+counts S_n by descent set with multinomials and one Moebius pass, and
+evaluates each sign mask with bit operations.
+``oracle_flag_excedance_rows`` walks every colored word; the library
+counts the colored words of every size in one dynamic program over the
+sets of placed values.
 ``oracle_sweep_histogram`` walks every word of S_m and counts it by one
 joint key of all the statistics that the S_n families read; the library
 counts two marginals of that key, the map and word tallies of
@@ -54,16 +59,23 @@ factor known in advance and takes no gcd.
 
 ``is_interlacing_sequence``, ``induced``, ``restriction``,
 ``antiprism_partial`` and ``euler_characteristic`` serve the tests only, so
-they live here and not in the package.
+they live here and not in the package.  So does the per-word layer:
+``Permutation``, ``PermStats``, ``stats``, ``fix_k``, ``bad_k``, ``des_B``
+and the group iterators ``symmetric_group``, ``signed_permutations`` and
+``colored_permutations``, each metered by the group budget on its number
+of words.
 """
 
 import itertools
 import math
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator, Sequence, Union
 
 from eulerian_lab._intpoly import _cauchy_index, _int_poly, _neg, _signed_remainders
+from eulerian_lab.budget import check_group_budget
 from eulerian_lab.errors import CertificationError
 from eulerian_lab.poly import (
     ONE,
@@ -221,6 +233,216 @@ def oracle_interlaces(p: Poly, q: Poly) -> bool:
         h = _neg(h)
     chain = _signed_remainders(h, f)
     return _cauchy_index(chain) == len(h) - len(chain[-1])
+
+
+# -- the per-word layer: permutations as words, their statistics and the
+# group iterators.  The library counts every group by a dynamic program and
+# generates no word; these walk the words one at a time.
+
+PermLike = Union["Permutation", Sequence[int]]
+
+
+@dataclass(frozen=True)
+class Permutation:
+    """A permutation of {1, ..., n} in one-line notation."""
+
+    word: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        n = len(self.word)
+        if sorted(self.word) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {self.word!r}")
+
+    @property
+    def n(self) -> int:
+        return len(self.word)
+
+    def __call__(self, i: int) -> int:
+        if not 1 <= i <= len(self.word):
+            raise IndexError(f"position {i} out of range 1..{len(self.word)}")
+        return self.word[i - 1]
+
+
+def _word(w: PermLike) -> tuple[int, ...]:
+    if isinstance(w, Permutation):
+        return w.word
+    return tuple(w)
+
+
+@dataclass(frozen=True)
+class PermStats:
+    """All statistics of one permutation, computed in a single pass.
+
+    Positions are 1-based throughout.  rl_minima uses the weak convention
+    (w(i) <= w(j) for all j >= i); for distinct values this coincides with
+    the strict one.  decreasing_runs partitions the positions 1..n into the
+    maximal blocks on which the word strictly decreases.
+    """
+
+    des: int
+    asc: int
+    exc: int
+    fix_set: frozenset[int]
+    lr_maxima: tuple[int, ...]
+    rl_minima: tuple[int, ...]
+    decreasing_runs: tuple[tuple[int, ...], ...]
+
+
+def stats(w: PermLike) -> PermStats:
+    word = _word(w)
+    n = len(word)
+    des = sum(1 for i in range(n - 1) if word[i] > word[i + 1])
+    asc = (n - 1 if n else 0) - des
+    # values never exceed n, so w(i) > i is impossible at i = n and this
+    # matches the convention that counts excedances over i < n only
+    exc = sum(1 for i in range(n) if word[i] > i + 1)
+    fix_set = frozenset(i + 1 for i in range(n) if word[i] == i + 1)
+
+    lr: list[int] = []
+    best = 0
+    for i in range(n):
+        if word[i] > best:
+            lr.append(i + 1)
+            best = word[i]
+
+    rl: list[int] = []
+    cur = n + 1
+    for i in range(n - 1, -1, -1):
+        if word[i] <= cur:
+            rl.append(i + 1)
+            cur = word[i]
+    rl.reverse()
+
+    runs: list[tuple[int, ...]] = []
+    start = 0
+    for i in range(1, n + 1):
+        if i == n or word[i - 1] < word[i]:
+            runs.append(tuple(range(start + 1, i + 1)))
+            start = i
+
+    return PermStats(
+        des=des,
+        asc=asc,
+        exc=exc,
+        fix_set=fix_set,
+        lr_maxima=tuple(lr),
+        rl_minima=tuple(rl),
+        decreasing_runs=tuple(runs),
+    )
+
+
+def fix_k(w: PermLike, k: int) -> int:
+    """Number of fixed points i with i <= k."""
+    word = _word(w)
+    if not 0 <= k <= len(word) + 1:
+        raise ValueError(f"k={k} out of range for size {len(word)}")
+    return sum(1 for i in range(min(k, len(word))) if word[i] == i + 1)
+
+
+def bad_k(w: PermLike, k: int) -> int:
+    """Positions i where w(i) <= k is a weak right-to-left minimum and either
+    i = 1 or w(i-1) < w(i).  The identity permutation scores exactly k."""
+    word = _word(w)
+    n = len(word)
+    if not 0 <= k <= n + 1:
+        raise ValueError(f"k={k} out of range for size {n}")
+    count = 0
+    cur = n + 1
+    suffix_min = [0] * n
+    for i in range(n - 1, -1, -1):
+        suffix_min[i] = cur = min(cur, word[i])
+    for i in range(n):
+        if word[i] > k or word[i] > suffix_min[i]:
+            continue
+        if i == 0 or word[i - 1] < word[i]:
+            count += 1
+    return count
+
+
+def symmetric_group(n: int) -> Iterator[tuple[int, ...]]:
+    """All of S_n in lexicographic order, as raw value tuples."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    check_group_budget(math.factorial(n), f"S_{n}")
+    return itertools.permutations(range(1, n + 1))
+
+
+def signed_permutations(n: int) -> Iterator[tuple[int, ...]]:
+    """All signed permutations of 1..n as tuples of nonzero signed values."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    check_group_budget((2**n) * math.factorial(n), f"signed permutations of size {n}")
+
+    def gen() -> Iterator[tuple[int, ...]]:
+        for base in itertools.permutations(range(1, n + 1)):
+            for signs in itertools.product((1, -1), repeat=n):
+                yield tuple(s * v for s, v in zip(signs, base))
+
+    return gen()
+
+
+def colored_permutations(
+    n: int, r: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """All pairs (word, colors) with colors in {0, ..., r-1}^n."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if r < 1:
+        raise ValueError("r must be positive")
+    check_group_budget(
+        (r**n) * math.factorial(n), f"{r}-colored permutations of size {n}"
+    )
+
+    def gen() -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+        for base in itertools.permutations(range(1, n + 1)):
+            for colors in itertools.product(range(r), repeat=n):
+                yield base, colors
+
+    return gen()
+
+
+def des_B(w: Sequence[int]) -> int:
+    """Descents of a signed word read with a fixed 0 prepended at position 0."""
+    word = tuple(w)
+    n = len(word)
+    count = 1 if n and word[0] < 0 else 0
+    count += sum(1 for i in range(n - 1) if word[i] > word[i + 1])
+    return count
+
+
+def oracle_flag_excedance_rows(n: int, r: int) -> tuple[Poly, ...]:
+    """flag_excedance_poly(n, r, k) for k = 0..n, from one sweep of the
+    colored words that tallies fexc / r over the balanced words by their
+    largest zero-colour fixed point (0 if none); row k sums the tallies up
+    to k."""
+    by_top = [Counter() for _ in range(n + 1)]
+    for word, colors in colored_permutations(n, r):
+        flag = sum(colors)
+        if flag % r:
+            continue
+        top = 0
+        for i in range(n):
+            if colors[i] == 0:
+                if word[i] == i + 1:
+                    top = i + 1
+                elif word[i] > i + 1:
+                    flag += r
+        by_top[top][flag // r] += 1
+    rows = []
+    total: Counter = Counter()
+    for tally in by_top:
+        total.update(tally)
+        rows.append(linear_combination((c, ONE, e) for e, c in total.items()))
+    return tuple(rows)
+
+
+def oracle_descent_set_counts(n: int) -> Counter:
+    """How many permutations of S_n have each descent mask (bit i: w(i+1) >
+    w(i+2)), by walking S_n."""
+    return Counter(
+        sum(1 << i for i in range(n - 1) if base[i] > base[i + 1])
+        for base in itertools.permutations(range(1, n + 1))
+    )
 
 
 def oracle_des_B_tally(n: int) -> list[int]:

@@ -13,23 +13,18 @@ from eulerian_lab import suites
 from eulerian_lab.budget import group_limit
 from eulerian_lab.errors import BudgetExceeded
 from eulerian_lab.permutations import (
-    Permutation,
-    bad_k,
     brute_force_family,
-    colored_permutations,
-    des_B,
-    fix_k,
     flag_excedance_poly,
+    flag_excedance_rows,
+    flag_excedance_table,
     project_row,
     project_rows,
-    signed_permutations,
-    stats,
-    symmetric_group,
     symmetric_tallies,
     xi_counts,
 )
 from eulerian_lab.poly import Poly, one_plus_x_power, reciprocal
 from oracles import (
+    Permutation,
     SWEEP_BAD,
     SWEEP_DES,
     SWEEP_EXC,
@@ -39,9 +34,18 @@ from oracles import (
     SWEEP_INV1,
     SWEEP_LAST,
     SWEEP_LATER_SINGLE,
+    bad_k,
+    colored_permutations,
+    des_B,
+    fix_k,
+    oracle_descent_set_counts,
     oracle_des_B_tally,
+    oracle_flag_excedance_rows,
     oracle_marginals,
     oracle_sweep_histogram,
+    signed_permutations,
+    stats,
+    symmetric_group,
 )
 
 
@@ -153,13 +157,31 @@ class TestDesB:
             assert Poly(tuple(acc.get(i, 0) for i in range(n + 1))) == expected
 
     def test_tally_matches_the_signed_word_walk(self):
-        # the descent-mask tally against the walk over every signed word,
+        # the descent-set tally against the walk over every signed word,
         # and the walk against des_B on each word where that stays quick
         for n in range(8):
             assert perms._des_B_tally(n) == oracle_des_B_tally(n), n
         for n in range(5):
             tally = Counter(des_B(w) for w in signed_permutations(n))
             assert oracle_des_B_tally(n) == [tally[d] for d in range(n + 1)], n
+
+    def test_descent_sets_match_the_sweep_of_s_n(self):
+        # the counts by descent set that _des_B_tally reads, against the
+        # sweep of S_n that they replaced; the bit evaluation of the sign
+        # masks on top of them is the one checked word by word above
+        for n in range(9):
+            want = oracle_descent_set_counts(n)
+            got = perms._descent_set_counts(n)
+            assert len(got) == 1 << max(n - 1, 0), n
+            assert {s: c for s, c in enumerate(got) if c} == want, n
+
+    def test_budget_guard(self, monkeypatch):
+        # metered by the 2^n n! signed words, although no word is made
+        monkeypatch.setenv("EULERIAN_LAB_BUDGET", "46079")
+        with pytest.raises(BudgetExceeded, match="signed permutations of size 6"):
+            brute_force_family("B", 6)
+        monkeypatch.setenv("EULERIAN_LAB_BUDGET", "46080")
+        assert brute_force_family("B", 6) == Poly(oracle_des_B_tally(6))
 
 
 class TestXiCounts:
@@ -207,6 +229,44 @@ class TestFlagExcedance:
         for n in range(6):
             for k in range(n + 1):
                 assert flag_excedance_poly(n, 1, k) == dnk(n, n - k), (n, k)
+
+    @pytest.mark.parametrize("r, top", [(1, 8), (2, 6), (3, 6)])
+    def test_dynamic_program_matches_the_sweep(self, r, top):
+        # every size off one run, and each size off a run of its own,
+        # against the sweep over every colored word
+        table = flag_excedance_table(top, r)
+        assert len(table) == top + 1
+        for n, rows in enumerate(table):
+            want = oracle_flag_excedance_rows(n, r)
+            assert rows == want, (n, r)
+            assert flag_excedance_rows(n, r) == want, (n, r)
+
+    def test_r_one_reads_the_map_tally(self):
+        # a third route at r = 1: the map tally of S_n by exc and the bit
+        # length of the fix mask, which is the largest fixed point
+        for n, (maps, _) in enumerate(symmetric_tallies(8)):
+            rows = [Counter() for _ in range(n + 1)]
+            for (exc, _, fix), c in maps.items():
+                for k in range(fix.bit_length(), n + 1):
+                    rows[k][exc] += c
+            want = tuple(Poly([row[e] for e in range(n + 1)]) for row in rows)
+            assert flag_excedance_rows(n, 1) == want, n
+
+    def test_argument_checks(self):
+        with pytest.raises(ValueError):
+            flag_excedance_table(-1, 2)
+        with pytest.raises(ValueError):
+            flag_excedance_rows(3, 0)
+        with pytest.raises(ValueError):
+            flag_excedance_poly(3, 2, 4)
+
+    def test_budget_guard(self, monkeypatch):
+        # metered by the r^n n! colored words, although no word is made
+        monkeypatch.setenv("EULERIAN_LAB_BUDGET", "383")
+        with pytest.raises(BudgetExceeded, match="2-colored permutations of size 4"):
+            flag_excedance_rows(4, 2)
+        monkeypatch.setenv("EULERIAN_LAB_BUDGET", "384")
+        assert flag_excedance_rows(4, 2) == oracle_flag_excedance_rows(4, 2)
 
 
 class TestBruteForceFamilies:

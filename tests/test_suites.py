@@ -113,9 +113,10 @@ class TestCaseResult:
             case.status = "fail"
 
 
-# Whether equivalence_cases(6) is refused under each group budget, as it was
-# when it swept every word of each S_m: its largest groups are S_7 (5,040
-# words) and the signed permutations of size 6 (46,080).
+# Whether equivalence_cases(6) is refused under each group budget.  Every
+# count is metered by the number of words in its group, although no route
+# makes a word: the largest groups are S_7 (5,040 words) and the signed
+# permutations of size 6 (46,080).
 REFUSED_AT_N6 = {
     0: True, 5: True, 23: True, 24: True, 30: True, 719: True, 720: True,
     5039: True, 5040: True, 46079: True, 46080: False,
