@@ -11,8 +11,10 @@ materialized; the relative local h-polynomials are read off the table of
 suites.identity_suite.  The f-triangle keeps only the counts per face
 size, which is all the uniform-triangulation theory consumes.  An
 FTriangle owns what is derived from it: its h-rows, interior rows, family
-members ft_qnk and ft_lnk, and interior images, each computed once on first
-use and freed with the triangle; no cache is keyed by a triangle.
+members ft_qnk and ft_lnk, interior images and boundary rows, each computed
+once on first use and freed with the triangle; no cache is keyed by a
+triangle.  Face counts f_j turn into h-rows by one pass over a list of ints,
+H_j = (1-x) H_(j-1) + f_j x^j, and h-rows into f-rows by its mirror in 1+x.
 
 The subdivisions and antiprism spheres are closed by construction, so
 they skip the closure walk of the validating constructor (see
@@ -32,26 +34,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement, repeat
 from math import comb
+from operator import add, sub
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .budget import check_face_budget
 from .errors import CertificationError
-from .poly import (
-    ZERO,
-    Poly,
-    linear_combination,
-    one_plus_x_power,
-    reciprocal,
-    series_numerator,
-)
+from .poly import ZERO, Poly, reciprocal, series_numerator
 from .transforms import LinearTransform, generic_hnk, generic_lnk
-
-
-@lru_cache(maxsize=256)
-def _one_minus_x_power(k: int) -> Poly:
-    return Poly((1, -1)) ** k
 
 
 def _in_window(row: Sequence[int], window: int) -> Sequence[int]:
@@ -61,12 +52,19 @@ def _in_window(row: Sequence[int], window: int) -> Sequence[int]:
     return row[: window + 1]
 
 
+def _binomial_pass(row: Sequence[int], window: int, step) -> list[int]:
+    """sum(row[j] x^j (1+-x)^(window-j)), j <= window, as ints by the pass
+    F_j = (1+-x) F_(j-1) + row[j] x^j; step is operator.sub or operator.add."""
+    out: list[int] = []
+    for c in chain(row, repeat(0, window + 1 - len(row))):
+        out = list(map(step, out + [c], [0] + out))
+    return out
+
+
 def _h_from_row(row: Sequence[int], window: int) -> Poly:
     """sum(row[i] x^i (1-x)^(window-i)): the h-polynomial, in the degree
     window, of faces counted by size."""
-    return linear_combination(
-        (c, _one_minus_x_power(window - i), i) for i, c in enumerate(_in_window(row, window))
-    )
+    return Poly(_binomial_pass(_in_window(row, window), window, sub))
 
 
 class SimplicialComplex:
@@ -550,20 +548,22 @@ class FTriangle:
 
     @cached_property
     def _memo(self) -> dict[int, Poly]:
-        """ft_qnk, ft_lnk and ft_h_interior as computed so far, keyed by small
-        ints: at most (n+1)(n+2) + n + 1 entries, freed with the triangle."""
+        """ft_qnk and ft_lnk from key 0 up, ft_h_interior at ~m, ft_boundary_h at
+        ~(n+1+m): at most (n+1)(n+2) + 2n + 1 entries, freed with the triangle."""
         return {}
 
     @cached_property
     def interior_rows(self) -> tuple[tuple[int, ...], ...]:
-        """[m][i]: i-element faces interior to the size-m restriction."""
-        return tuple(
-            tuple(
-                sum((-1) ** (m - j) * comb(m, j) * self.f(i, j) for j in range(i, m + 1))
-                for i in range(m + 1)
-            )
-            for m in range(self.n + 1)
-        )
+        """[m][i]: i-element faces interior to the size-m restriction; row m
+        is sum_j (-1)^(m-j) C(m, j) rows[j], added into one list."""
+        out = []
+        for m in range(self.n + 1):
+            acc = [0] * (m + 1)
+            for j, row in enumerate(self.rows[: m + 1]):
+                c = -comb(m, j) if (m - j) & 1 else comb(m, j)
+                acc[: j + 1] = [a + c * f for a, f in zip(acc, row)]
+            out.append(tuple(acc))
+        return tuple(out)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -674,8 +674,7 @@ def family_f_triangle(family: str, n: int, r: int = 2) -> FTriangle:
     for m in range(n + 1):
         values = [1] + [hilbert(m, step * t) for t in range(1, m + 1)]
         h = series_numerator(values, m).coeffs
-        f = linear_combination((c, one_plus_x_power(m - k), k) for k, c in enumerate(h))
-        rows.append(f.coeffs)
+        rows.append(tuple(_binomial_pass(h, m, add)))
     return FTriangle(n=n, rows=tuple(rows))
 
 
@@ -718,13 +717,14 @@ def ft_boundary_h(triangle: FTriangle, m: int) -> Poly:
         raise ValueError(f"m={m} out of range 0..{triangle.n}")
     if m == 0:
         return ZERO
-    interior = triangle.interior_rows[m]
-    boundary = [triangle.f(i, m) - interior[i] for i in range(m + 1)]
+    key = ~(triangle.n + 1 + m)  # past the interior keys; only valid rows are kept
+    if key in triangle._memo:
+        return triangle._memo[key]
+    boundary = [f - e for f, e in zip(triangle.rows[m], triangle.interior_rows[m])]
     if boundary[m] != 0 or any(c < 0 for c in boundary):
-        raise ValueError(
-            f"boundary face counts at size {m} are impossible: {boundary}"
-        )
-    return _h_from_row(boundary[:m], m - 1)
+        raise ValueError(f"boundary face counts at size {m} are impossible: {boundary}")
+    triangle._memo[key] = h = _h_from_row(boundary[:m], m - 1)
+    return h
 
 
 def ft_theta(triangle: FTriangle, m: int) -> Poly:

@@ -43,6 +43,12 @@ f-triangle rows of a carried triangulation by counting its faces by
 carrier mask and size (``oracle_carrier_counts``, a walk of its own over
 the faces) and keeping the carrier masks a test asks for; the library
 reads one row of its per-mask face table.
+``oracle_h_from_row`` sums each face count times a ``Poly`` power of
+1 - x, ``oracle_f_row`` sums each h entry times a power of 1 + x, and
+``oracle_interior_rows`` reads every interior count through
+``FTriangle.f`` with a sign ``(-1) ** (m - j)``; the library forms each
+h-row and f-row by one (1 +- x) pass over a list of ints, and each interior
+row by adding signed binomial multiples of whole rows into one list.
 ``oracle_facets`` probes every vertex outside each face for a larger face;
 the library removes the faces one vertex below another face in one pass.
 ``oracle_gamma_expand``, ``oracle_basis_p_coeffs`` and
@@ -583,6 +589,32 @@ def oracle_derangement_sample_cases(n: int, samples: int, rng: random.Random) ->
         )
         cases.append(_sample_case(f"derangement-sample-{n}-{s}", ok, p, g, verdict))
     return cases
+
+
+def oracle_h_from_row(row, window: int) -> Poly:
+    """sum(row[i] x^i (1-x)^(window-i)) over Poly powers of 1 - x; a face
+    past the window raises the library's ValueError."""
+    if any(row[window + 1 :]):
+        raise ValueError(f"faces of size above {window} in the window {window}")
+    return linear_combination(
+        (c, Poly((1, -1)) ** (window - i), i) for i, c in enumerate(row[: window + 1])
+    )
+
+
+def oracle_f_row(h, m: int) -> tuple[int, ...]:
+    """The face counts sum_k h_k x^k (1+x)^(m-k) of an h-row in window m."""
+    return linear_combination((c, one_plus_x_power(m - k), k) for k, c in enumerate(h)).coeffs
+
+
+def oracle_interior_rows(triangle) -> tuple[tuple[int, ...], ...]:
+    """[m][i] = sum_j (-1)^(m-j) C(m, j) f(i, j), one entry at a time."""
+    return tuple(
+        tuple(
+            sum((-1) ** (m - j) * math.comb(m, j) * triangle.f(i, j) for j in range(i, m + 1))
+            for i in range(m + 1)
+        )
+        for m in range(triangle.n + 1)
+    )
 
 
 def oracle_facets(c) -> tuple[frozenset, ...]:

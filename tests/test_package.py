@@ -26,7 +26,6 @@ def test_power_caches_are_bounded():
         for name, value in vars(module).items():
             if callable(getattr(value, "cache_info", None)):
                 memos[f"{info.name}.{name}"] = value.cache_info().maxsize
-    assert "eulerian_lab.simplicial._one_minus_x_power" in memos
     assert "eulerian_lab.poly.one_plus_x_power" in memos
     assert [name for name, size in memos.items() if size is None] == []
 

@@ -3,12 +3,13 @@
 import json
 import random
 from math import comb
+from operator import add
 
 import pytest
 
 from eulerian_lab import simplicial
 from eulerian_lab.errors import BudgetExceeded, CertificationError
-from eulerian_lab.poly import ONE, Poly, reciprocal
+from eulerian_lab.poly import ONE, ZERO, Poly, reciprocal, series_numerator
 from eulerian_lab.simplicial import (
     GEOMETRY_FAMILIES,
     CarriedTriangulation,
@@ -46,9 +47,12 @@ from oracles import (
     oracle_boundary_h,
     oracle_carrier_counts,
     oracle_face_rows,
+    oracle_f_row,
     oracle_facets,
+    oracle_h_from_row,
     oracle_identity_suite,
     oracle_interior_h,
+    oracle_interior_rows,
     oracle_restriction_h,
     restriction,
 )
@@ -649,6 +653,117 @@ class TestFTriangleInvariants:
         failed = {c.name for c in identity_suite(bad) if not c.ok}
         assert "interior-reciprocity" in failed
 
+
+def every_family_triangle(n_max: int, r_max: int):
+    """(family, r, triangle) for every registered family at n <= n_max, and
+    at each r <= r_max for the families that take r."""
+    for family, entry in GEOMETRY_FAMILIES.items():
+        for r in range(1, r_max + 1) if entry.takes_r else (1,):
+            for n in range(n_max + 1):
+                yield family, r, family_f_triangle(family, n, r)
+
+
+class TestBinomialPassesAgainstTheOracles:
+    """The (1 +- x) passes and the one-list interior rows against the
+    routes they replaced: Poly powers of 1 - x and 1 + x summed by
+    linear_combination, and inclusion-exclusion entry by entry."""
+
+    def test_h_from_row_on_random_rows(self):
+        rng = random.Random(3203)
+        for _ in range(400):
+            window = rng.randrange(-1, 12)
+            size = rng.randrange(0, window + 2)  # rows shorter than window + 1 too
+            row = [rng.randrange(-50, 51) for _ in range(size)]
+            if rng.random() < 0.3:
+                row += [0] * rng.randrange(4)  # zeros past the window are allowed
+            got = simplicial._h_from_row(row, window)
+            assert got == oracle_h_from_row(row, window), (row, window)
+            assert all(type(c) is int for c in got.coeffs)
+        assert simplicial._h_from_row([], -1) == ZERO == oracle_h_from_row([], -1)
+        assert simplicial._h_from_row((0, 0), -1) == ZERO
+        assert simplicial._h_from_row([-7], 0) == P(-7) == oracle_h_from_row([-7], 0)
+        assert simplicial._h_from_row([5, 0, 0], 0) == P(5)
+
+    @pytest.mark.parametrize("row, window", [([1, 2, 3], 1), ([1], -1), ([0, 0, 0, -1], 0)])
+    def test_a_face_past_the_window_raises_the_oracles_error(self, row, window):
+        with pytest.raises(ValueError) as want:
+            oracle_h_from_row(row, window)
+        with pytest.raises(ValueError, match="faces of size above") as got:
+            simplicial._h_from_row(row, window)
+        assert str(got.value) == str(want.value)
+
+    def test_f_pass_on_random_h_rows(self):
+        rng = random.Random(3204)
+        for _ in range(300):
+            m = rng.randrange(0, 14)
+            h = [rng.randrange(-30, 31) for _ in range(rng.randrange(0, m + 2))]
+            got = simplicial._binomial_pass(h, m, add)
+            assert Poly(got) == Poly(oracle_f_row(h, m)), (h, m)
+            assert len(got) == m + 1
+
+    def test_every_family_at_n_up_to_10(self):
+        checked = 0
+        for family, r, ft in every_family_triangle(10, 3):
+            label = (family, ft.n, r)
+            hilbert = GEOMETRY_FAMILIES[family].hilbert
+            for m, row in enumerate(ft.rows):
+                values = [1] + [hilbert(m, r * t) for t in range(1, m + 1)]
+                assert row == oracle_f_row(series_numerator(values, m).coeffs, m), (label, m)
+                assert ft.h_rows[m] == oracle_h_from_row(row, m), (label, m)
+            assert ft.interior_rows == oracle_interior_rows(ft), label
+            checked += 1
+        assert checked == 4 * 11 + 2 * 2 * 11
+
+
+class TestFTriangleMemo:
+    """One dict holds the family members, interior images and boundary rows
+    of a triangle, in key ranges of their own."""
+
+    def test_shuffled_calls_agree_with_a_fresh_twin(self):
+        rng = random.Random(3205)
+        readers = {
+            "interior": lambda ft, m, k: ft_h_interior(ft, m),
+            "boundary": lambda ft, m, k: ft_boundary_h(ft, m),
+            "theta": lambda ft, m, k: ft_theta(ft, m),
+            "qnk": lambda ft, m, k: ft_qnk(ft, m, k),
+            "lnk": lambda ft, m, k: ft_lnk(ft, m, k),
+        }
+        for family, r, closed in every_family_triangle(6, 3):
+            n, label = closed.n, (family, closed.n, r)
+            calls = [
+                (name, m, k)
+                for m in range(n + 1)
+                for name, ks in (
+                    ("interior", (0,)),
+                    ("boundary", (0,)),
+                    ("theta", (0,)),
+                    ("qnk", range(m + 1)),
+                    ("lnk", range(m + 1)),
+                )
+                for k in ks
+            ]
+            rng.shuffle(calls)
+            ft = FTriangle(n=n, rows=closed.rows)
+            for name, m, k in calls * 2:  # the second round reads the memo
+                twin = FTriangle(n=n, rows=closed.rows)
+                want = readers[name](twin, m, k)
+                assert readers[name](ft, m, k) == want, (label, name, m, k)
+            # every member, interior image and boundary row at m >= 1
+            assert len(ft._memo) == (n + 1) * (n + 2) + 2 * n + 1, label
+
+    def test_validation_builds_each_row_once(self, monkeypatch):
+        """from_json derives every h-row and boundary row while it validates;
+        theta_flags then forms no h-row again."""
+        ft = FTriangle.from_json(family_f_triangle("colored", 8, 2).to_json())
+        calls = []
+        real = simplicial._h_from_row
+        monkeypatch.setattr(
+            simplicial, "_h_from_row", lambda *args: calls.append(args) or real(*args)
+        )
+        flags = theta_flags(ft)
+        assert calls == []
+        monkeypatch.undo()
+        assert flags == theta_flags(FTriangle(n=8, rows=ft.rows))
 
 
 def stray_vertex() -> CarriedTriangulation:
