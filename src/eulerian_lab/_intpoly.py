@@ -3,9 +3,12 @@
 Every signed remainder sequence in the package runs here, and ``roots``
 reads each of its decisions off one of them: real rootedness and
 interlacing are both a Cauchy index, the sign variations of a sequence at
--inf minus those at +inf.  No root is isolated and nothing is divided by a
-gcd; where a decision needs the degree of a gcd, it reads the last entry
-of the sequence.  The module imports no other module of the package.
+-inf minus those at +inf.  The index is counted as the entries are formed,
+in one pass over a stream of entries that keeps only the last one, so a
+decision builds no list of entries and no list of signs.  No root is
+isolated and nothing is divided by a gcd; where a decision needs the
+degree of a gcd, it reads the last entry of the sequence.  The module
+imports no other module of the package.
 
 A sequence is the signed subresultant remainder sequence of G. E. Collins,
 "Subresultants and reduced polynomial remainder sequences", J. ACM 14
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 # A polynomial is a tuple of ints, low degree first, without trailing zeros;
 # () is zero.  Every factor the kernel multiplies in or divides out is a
@@ -43,9 +46,11 @@ def _primitive(cs: Sequence[int]) -> IntPoly:
 
 def _int_poly(cs: Sequence[int | Fraction]) -> IntPoly:
     """Rational coefficients cs, low degree first and without trailing
-    zeros, rescaled by a positive rational to primitive integers."""
-    if not cs:
-        return ()
+    zeros, rescaled by a positive rational to primitive integers.  Integer
+    coefficients, the common case, are only divided by their content: the
+    lcm of their denominators is 1."""
+    if all(type(c) is int for c in cs):
+        return _primitive(cs)
     lcm = math.lcm(*(c.denominator for c in cs))
     return _primitive([c.numerator * (lcm // c.denominator) for c in cs])
 
@@ -58,10 +63,12 @@ def _derivative(f: IntPoly) -> IntPoly:
     return tuple(i * c for i, c in enumerate(f) if i)
 
 
-def _signed_remainders(a: IntPoly, b: IntPoly) -> list[IntPoly]:
-    """Signed remainder sequence a, b, -rem(a, b), ... of a nonzero a, each
-    entry a positive multiple of the rational one; it stops before the
-    first zero, so its last entry is gcd(a, b) up to a nonzero constant.
+def _signed_remainders(a: IntPoly, b: IntPoly) -> Iterator[IntPoly]:
+    """Signed remainder sequence a, b, -rem(a, b), ... of a nonzero a,
+    yielded entry by entry, each a positive multiple of the rational one; it
+    stops before the first zero, so its last entry is gcd(a, b) up to a
+    nonzero constant.  ``list(_signed_remainders(a, b))`` is the sequence as
+    a list.
 
     With d = deg a - deg b at each step, the next entry is
     -(|lc b|^(d+1) a mod b) / beta.  beta is 1 at the first step and
@@ -78,13 +85,13 @@ def _signed_remainders(a: IntPoly, b: IntPoly) -> list[IntPoly]:
     nonzero constant b ends the sequence.  When deg a < deg b the sequence
     is a, b, -a, followed by the sequence that starts from b, -a.
     """
-    chain = [a]
+    yield a
     if b and len(a) < len(b):
-        chain.append(b)
+        yield b
         a, b = b, _neg(a)
     beta = psi = 1
     while b:
-        chain.append(b)
+        yield b
         db = len(b) - 1
         if not db:
             break
@@ -121,26 +128,30 @@ def _signed_remainders(a: IntPoly, b: IntPoly) -> list[IntPoly]:
         a, b = b, tuple(r)
         if b:
             beta = lb * psi ** (len(a) - len(b))
-    return chain
 
 
-def _sturm_chain(f: IntPoly) -> list[IntPoly]:
+def _sturm_chain(f: IntPoly) -> Iterator[IntPoly]:
     """Signed remainder sequence f, f', -rem, ... of a nonconstant f.  Its
     last entry is gcd(f, f') up to a nonzero constant, so on a squarefree f
     it is the classical Sturm chain."""
     return _signed_remainders(f, _primitive(_derivative(f)))
 
 
-def _variations(signs: Sequence[bool]) -> int:
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def _cauchy_index(chain: Sequence[IntPoly]) -> int:
-    """Sign variations at -inf minus those at +inf of a signed remainder
-    sequence a, b, ...: the Cauchy index of b/a over the real line.  On a
-    Sturm chain f, f', ... it is the number of distinct real roots of f.
-    No entry is zero, so each has the sign of its leading coefficient at
-    +inf, and the opposite sign at -inf when its degree is odd."""
-    at_pos_inf = [f[-1] > 0 for f in chain]
-    at_neg_inf = [(f[-1] > 0) == (len(f) % 2 == 1) for f in chain]
-    return _variations(at_neg_inf) - _variations(at_pos_inf)
+def _index_and_last(entries: Iterator[IntPoly]) -> tuple[int, IntPoly]:
+    """The sign variations at -inf minus those at +inf of a signed
+    remainder sequence a, b, ..., with its last entry, in one pass over the
+    entries as they are formed.  The difference is the Cauchy index of b/a
+    over the real line; on a Sturm chain f, f', ... it is the number of
+    distinct real roots of f.  No entry is zero, so each has the sign of
+    its leading coefficient at +inf, and the opposite sign at -inf when its
+    degree is odd."""
+    last = next(entries)
+    pos = last[-1] > 0
+    neg = pos == (len(last) % 2 == 1)
+    index = 0
+    for last in entries:
+        p = last[-1] > 0
+        m = p == (len(last) % 2 == 1)
+        index += (m != neg) - (p != pos)
+        pos, neg = p, m
+    return index, last

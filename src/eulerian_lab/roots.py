@@ -5,11 +5,11 @@ package's one exact polynomial kernel, ``_intpoly``: integer coefficient
 tuples and signed subresultant remainder sequences, each entry a positive
 multiple of the rational signed remainder, reached by exact divisions
 with no gcd taken inside a sequence.  No decision isolates a root, counts
-roots on an interval or divides by a gcd; each reads the signs of one
-signed remainder sequence at -inf and +inf only.  A polynomial is real
+roots on an interval or divides by a gcd; each counts the sign variations
+of one signed remainder sequence at -inf and +inf in one pass, as the
+entries are formed, and keeps only its last entry.  A polynomial is real
 rooted when its Sturm chain counts as many distinct real roots as it has
-distinct roots.  Interlacing rests on
-two facts:
+distinct roots.  Interlacing rests on three facts:
 
 * the Cauchy index: for q != 0, the signed remainder sequence
   q, p, -rem(q, p), ... ends in g = gcd(p, q), and its sign variations at
@@ -34,7 +34,15 @@ two facts:
   nonconstant members with positive leading coefficients is certified in
   n + 1 decisions, not n(n + 1)/2, since the passed decisions make every
   member real rooted; any other sequence, and one that fails a decision,
-  is decided pair by pair.
+  is decided pair by pair;
+* the gamma substitution t = x/(1+x)^2: a palindromic a in window n is
+  (1+x)^n Gamma_a(t), Gamma_a its gamma polynomial of degree at most
+  n/2.  When a and b (window n - 1) have nonnegative gamma vectors, b
+  interlaces a exactly when Gamma_b interlaces Gamma_a (P. Braenden and
+  L. Solus, "Symmetric decompositions and real-rootedness", IMRN 2021;
+  T. K. Petersen, "Eulerian Numbers", 2015, ch. 4; the proof is in
+  ``interlacing_symmetric_decomposition``), so a split is decided at half
+  the degree.
 """
 
 from __future__ import annotations
@@ -45,13 +53,13 @@ from typing import Sequence
 
 from ._intpoly import (
     IntPoly,
-    _cauchy_index,
+    _index_and_last,
     _int_poly,
     _neg,
     _signed_remainders,
     _sturm_chain,
 )
-from .poly import Poly, is_gamma_positive, is_unimodal, symmetric_decomposition
+from .poly import Poly, Scalar, _gammas, is_unimodal, symmetric_decomposition
 
 __all__ = [
     "is_real_rooted",
@@ -64,8 +72,32 @@ __all__ = [
 def _real_rooted(f: IntPoly) -> bool:
     """Whether a nonconstant integer polynomial has only real roots: its
     Sturm chain counts deg f - deg gcd(f, f') distinct real roots."""
-    chain = _sturm_chain(f)
-    return _cauchy_index(chain) == len(f) - len(chain[-1])
+    index, g = _index_and_last(_sturm_chain(f))
+    return index == len(f) - len(g)
+
+
+def _real_rooted_coeffs(cs: Sequence[Scalar]) -> bool:
+    """is_real_rooted on stored coefficients without trailing zeros."""
+    return len(cs) <= 1 or _real_rooted(_int_poly(cs))
+
+
+def _interlaces(pc: Sequence[Scalar], qc: Sequence[Scalar]) -> bool:
+    """interlaces on stored coefficients without trailing zeros."""
+    if not pc:
+        return _real_rooted_coeffs(qc)
+    if not qc:
+        return _real_rooted_coeffs(pc)
+    if len(pc) == 1:
+        return len(qc) <= 2
+    if len(qc) - len(pc) not in (0, 1):
+        return False
+    f, h = _int_poly(pc), _int_poly(qc)
+    if f[-1] < 0:
+        f = _neg(f)
+    if h[-1] < 0:
+        h = _neg(h)
+    index, g = _index_and_last(_signed_remainders(h, f))
+    return index == len(h) - len(g) and (len(g) <= 2 or _real_rooted(g))
 
 
 # -- public decisions ----------------------------------------------------------
@@ -79,9 +111,7 @@ def is_real_rooted(p: Poly) -> bool:
     deg p - deg gcd(p, p') distinct roots, and they are all real when the
     Sturm count at -inf and +inf finds that many.
     """
-    if p.deg() <= 0:
-        return True
-    return _real_rooted(_int_poly(p.coeffs))
+    return _real_rooted_coeffs(p.coeffs)
 
 
 def interlaces(p: Poly, q: Poly) -> bool:
@@ -99,9 +129,10 @@ def interlaces(p: Poly, q: Poly) -> bool:
     the checks on degrees, both leading coefficients are made positive and
     one signed remainder sequence q, p, -rem(q, p), ... is formed.  Its
     last entry is g = gcd(p, q), and its sign variations at -inf minus
-    those at +inf are the Cauchy index Ind(p/q) (Basu, Pollack and Roy,
-    Thm 2.58).  p and q are real rooted and p interlaces q exactly when
-    Ind(p/q) = deg(q/g) and g is real rooted.  Each real pole of
+    those at +inf, counted as the entries are formed, are the Cauchy index
+    Ind(p/q) (Basu, Pollack and Roy, Thm 2.58).  p and q are real rooted
+    and p interlaces q exactly when Ind(p/q) = deg(q/g) and g is real
+    rooted.  Each real pole of
     p/q = (p/g)/(q/g) adds +1, -1 or 0 to the index, so the equality holds
     exactly when q/g has deg(q/g) simple real roots and p/q has a positive
     residue (p/g)(b)/(q/g)'(b) at each of them.  Since (q/g)' alternates
@@ -118,22 +149,7 @@ def interlaces(p: Poly, q: Poly) -> bool:
     nearly always a constant or x; it needs a Sturm chain of its own only
     when deg g >= 2.
     """
-    if p.is_zero():
-        return is_real_rooted(q)
-    if q.is_zero():
-        return is_real_rooted(p)
-    if p.deg() == 0:
-        return q.deg() <= 1
-    if q.deg() - p.deg() not in (0, 1):
-        return False
-    f, h = _int_poly(p.coeffs), _int_poly(q.coeffs)
-    if f[-1] < 0:
-        f = _neg(f)
-    if h[-1] < 0:
-        h = _neg(h)
-    chain = _signed_remainders(h, f)
-    g = chain[-1]
-    return _cauchy_index(chain) == len(h) - len(g) and (len(g) <= 2 or _real_rooted(g))
+    return _interlaces(p.coeffs, q.coeffs)
 
 
 def interlacing_failures(polys: Sequence[Poly]) -> list[tuple[int, int]]:
@@ -181,8 +197,9 @@ def interlacing_failures(polys: Sequence[Poly]) -> list[tuple[int, int]]:
 @dataclass(frozen=True)
 class DecompositionVerdict:
     """Certified facts about the split p = a + x*b inside degree window n.
-    unimodal_pair and gamma_positive_pair are decided on first read, since
-    only some verdicts need them."""
+    gamma_positive_pair is read off the gamma vectors that the interlacing
+    decision computes; unimodal_pair is decided on first read, since only
+    some verdicts need it."""
 
     a: Poly
     b: Poly
@@ -190,15 +207,17 @@ class DecompositionVerdict:
     nonnegative: bool
     real_rooted_pair: bool
     interlacing: bool
+    gamma_positive_pair: bool
 
     @cached_property
     def unimodal_pair(self) -> bool:
         return is_unimodal(self.a) is not None and is_unimodal(self.b) is not None
 
-    @cached_property
-    def gamma_positive_pair(self) -> bool:
-        gamma_b = self.b.is_zero() or is_gamma_positive(self.b, self.n - 1)
-        return is_gamma_positive(self.a, self.n) and gamma_b
+
+def _trimmed(cs: list[Scalar]) -> list[Scalar]:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
 
 
 def interlacing_symmetric_decomposition(p: Poly, n: int) -> DecompositionVerdict:
@@ -210,10 +229,74 @@ def interlacing_symmetric_decomposition(p: Poly, n: int) -> DecompositionVerdict
     to be real rooted; those routes are compared in the tests, not here.
     A passed interlacing decision certifies a and b real rooted, so the
     real_rooted_pair field is decided on its own only when it fails.
+
+    The gamma vectors of a, in window n, and of b, in window n - 1, are
+    computed once; gamma_positive_pair reads them.  b = 0 has the empty
+    vector, also at n = 0, where the window of b is -1.  When both vectors
+    are nonnegative, the decision runs on the gamma polynomials
+    G_a(t) = sum gamma_i t^i and G_b, of degree at most floor(n/2), in
+    place of b and a, of degree up to n: b interlaces a exactly when G_b
+    interlaces G_a.  Otherwise it stays in window n.
+
+    Proof.  With t(x) = x/(1+x)^2, a(x) = (1+x)^n G_a(t(x)) and
+    b(x) = (1+x)^(n-1) G_b(t(x)).  On (-1, 0], t increases from -inf to
+    0, with t'(x) = (1-x)/(1+x)^3 != 0.
+
+    (i) A palindromic f in window m with a nonnegative gamma vector is real
+    rooted exactly when G_f is.  Let z be the least index and e the degree
+    of G_f.  G_f has nonnegative coefficients, so no positive root.  f has
+    the root 0 with multiplicity z, as G_f has; each root tau < 0 of G_f
+    of multiplicity mu gives the two roots x in (-1, 0) and 1/x < -1 of
+    tau x^2 + (2 tau - 1) x + tau, each of multiplicity mu in f, as t' is
+    nonzero there; and f has the root -1 with multiplicity m - 2e, since
+    (1+x)^(2e) G_f(t(x)) = sum gamma_i x^i (1+x)^(2e-2i) is
+    gamma_e (-1)^e != 0 at x = -1.  When G_f is real rooted, this is
+    z + 2(e - z) + m - 2e = m - z = deg f real roots.  Conversely, f has
+    nonnegative coefficients, so a real rooted f has its roots at most 0; a
+    root tau != 0 of G_f is t(x) for each root x of the quadratic above,
+    which is not -1 and so is a root of f, hence real, and tau = t(x) is
+    real.  Zero entries inside the gamma vector play no part, and f = 0
+    has G_f = 0.
+
+    (ii) interlaces(0, q) and interlaces(q, 0) are the real rootedness of
+    q, so a = 0 or b = 0 follows from (i).  For nonzero p and q, write
+    N_f(s) and N+_f(s) for the numbers of roots of f, with multiplicity,
+    at least s and above s.  Both for nonconstant members and for the
+    conventions on nonzero constants, p interlaces q exactly when both
+    are real rooted and 0 <= N_q(s) - N_p(s) <= 1 at every real s: as s
+    falls below every root this is the degree condition, and at the roots
+    it is the alternation.  By (i) both sides of the claim need a, b, G_a
+    and G_b real rooted, so let them be, with every root at most 0.  For
+    s in (-1, 0], t maps the roots of a in [s, 0] one to one, with
+    multiplicity, onto those of G_a in [t(s), 0], so N_a(s) = N_G_a(t(s)),
+    and likewise for b.  As t(s) runs over (-inf, 0], and both counts
+    vanish above 0, the condition on (-1, 0] is exactly G_b interlacing
+    G_a.  For s <= -1, a(x) = x^n a(1/x) maps the roots of a below s one to
+    one onto its nonzero roots above 1/s, so with deg a = n - z_a,
+    N_a(s) = n - N+_a(1/s), and N_b(s) = n - 1 - N+_b(1/s) in window n - 1.
+    The difference N_a(s) - N_b(s) = 1 - (N+_a(u) - N+_b(u)) at
+    u = 1/s in [-1, 0), and N+_f(u) is N_f(u') for u' just above u in
+    (-1, 0), so the difference is in {0, 1} whenever the condition holds
+    on (-1, 0].  The offset of one window between a and b is what the
+    root -1, of multiplicities n - 2 deg G_a and n - 1 - 2 deg G_b, gives.
+    n = 1 has a = gamma_0 (1+x) and a constant b, and n = 0 has b = 0;
+    both are covered.
+
+    The guard is needed: 1 + 12x^2 in window 2 splits into
+    a = 1 - 11x + x^2, with G_a = 1 - 13t, and b = 11 + 11x, with
+    G_b = 11.  G_b interlaces G_a, but b, with the root -1, does not
+    interlace a, whose two roots are positive: t maps both to the root
+    1/13 of G_a in (0, 1/4], so the counts on (-1, 0] see neither.
     """
     dec = symmetric_decomposition(p, n)
     a, b = dec.a, dec.b
-    interlacing = interlaces(b, a)
+    gamma_a = _gammas(a, n)
+    gamma_b = _gammas(b, n - 1) if b.coeffs else []
+    gamma_positive = all(g >= 0 for g in gamma_a) and all(g >= 0 for g in gamma_b)
+    if gamma_positive:
+        interlacing = _interlaces(_trimmed(gamma_b), _trimmed(gamma_a))
+    else:
+        interlacing = _interlaces(b.coeffs, a.coeffs)
     return DecompositionVerdict(
         a=a,
         b=b,
@@ -221,4 +304,5 @@ def interlacing_symmetric_decomposition(p: Poly, n: int) -> DecompositionVerdict
         nonnegative=all(c >= 0 for c in a.coeffs) and all(c >= 0 for c in b.coeffs),
         real_rooted_pair=interlacing or (is_real_rooted(a) and is_real_rooted(b)),
         interlacing=interlacing,
+        gamma_positive_pair=gamma_positive,
     )

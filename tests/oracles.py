@@ -62,6 +62,10 @@ first read.  ``eager_case_result`` renders a detail as its case is made.
 sequence as the primitive part of a pseudo remainder, with a gcd taken at
 every elimination step; the library divides each pseudo remainder by a
 factor known in advance and takes no gcd.
+``oracle_cauchy_index`` reads the Cauchy index off a listed sequence, by
+two lists of signs; the library counts it in one pass as the entries are
+formed.  ``oracle_int_poly`` rescales every coefficient list by the lcm of
+its denominators; the library divides an integer list by its content only.
 
 ``is_interlacing_sequence``, ``induced``, ``restriction``,
 ``antiprism_partial`` and ``euler_characteristic`` serve the tests only, so
@@ -80,7 +84,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
-from eulerian_lab._intpoly import _cauchy_index, _int_poly, _neg, _signed_remainders
+from eulerian_lab._intpoly import _int_poly, _neg, _signed_remainders
 from eulerian_lab.budget import check_group_budget
 from eulerian_lab.errors import CertificationError
 from eulerian_lab.poly import (
@@ -176,6 +180,30 @@ def oracle_signed_remainders(a, b) -> list[tuple[int, ...]]:
     return chain
 
 
+def oracle_int_poly(cs) -> tuple[int, ...]:
+    """Rational coefficients cs, without trailing zeros, times the lcm of
+    their denominators and divided by the content of the result."""
+    lcm = math.lcm(*(Fraction(c).denominator for c in cs))
+    ints = [int(c * lcm) for c in cs]
+    content = math.gcd(*ints)
+    return tuple(c // content for c in ints)
+
+
+def _variations(signs: Sequence[bool]) -> int:
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def oracle_cauchy_index(chain: Sequence[tuple[int, ...]]) -> int:
+    """Sign variations at -inf minus those at +inf of a listed signed
+    remainder sequence a, b, ...: the Cauchy index of b/a over the real
+    line, read off two lists of signs.  No entry is zero, so each has the
+    sign of its leading coefficient at +inf, and the opposite sign at -inf
+    when its degree is odd."""
+    at_pos_inf = [f[-1] > 0 for f in chain]
+    at_neg_inf = [(f[-1] > 0) == (len(f) % 2 == 1) for f in chain]
+    return _variations(at_neg_inf) - _variations(at_pos_inf)
+
+
 def oracle_squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     """Yun's algorithm: monic squarefree factors of a nonconstant p with
     their multiplicities, in increasing multiplicity order."""
@@ -237,8 +265,8 @@ def oracle_interlaces(p: Poly, q: Poly) -> bool:
         f = _neg(f)
     if h[-1] < 0:
         h = _neg(h)
-    chain = _signed_remainders(h, f)
-    return _cauchy_index(chain) == len(h) - len(chain[-1])
+    chain = list(_signed_remainders(h, f))
+    return oracle_cauchy_index(chain) == len(h) - len(chain[-1])
 
 
 # -- the per-word layer: permutations as words, their statistics and the

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic and the symmetry toolkit."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -22,9 +23,11 @@ from eulerian_lab.poly import (
     series_numerator,
     symmetric_decomposition,
 )
-from eulerian_lab._intpoly import _int_poly, _signed_remainders, _sturm_chain
+from eulerian_lab._intpoly import _index_and_last, _int_poly, _signed_remainders, _sturm_chain
 from oracles import (
+    oracle_cauchy_index,
     oracle_gcd,
+    oracle_int_poly,
     oracle_signed_remainders,
     oracle_squarefree_decomposition,
     oracle_squarefree_part,
@@ -163,7 +166,7 @@ def monic_last(chain) -> Poly:
 def kernel_gcd(a: Poly, b: Poly) -> Poly:
     """The monic last entry of the kernel's signed remainder sequence
     a, b, -rem(a, b), ... for a nonzero a."""
-    return monic_last(_signed_remainders(_int_poly(a.coeffs), _int_poly(b.coeffs)))
+    return monic_last(list(_signed_remainders(_int_poly(a.coeffs), _int_poly(b.coeffs))))
 
 
 class TestKernelAgainstFractionOracle:
@@ -182,7 +185,7 @@ class TestKernelAgainstFractionOracle:
                     assert kernel_gcd(a, b) == oracle_gcd(a, b), (a, b)
             for f in (p, q):
                 if f.deg() > 0:
-                    chain = _sturm_chain(_int_poly(f.coeffs))
+                    chain = list(_sturm_chain(_int_poly(f.coeffs)))
                     assert monic_last(chain) == oracle_gcd(f, f.derivative()), f
                 seen["zero"] += f.is_zero()
                 seen["constant"] += f.deg() == 0
@@ -196,7 +199,33 @@ class TestKernelAgainstFractionOracle:
         for a, b in ((p, ZERO), (P(3), P(5)), (P(3), ZERO), (p, p), (p, -p * 2), (P(7), p)):
             assert kernel_gcd(a, b) == oracle_gcd(a, b), (a, b)
         for f in (P(0, 1), P(0, 0, 0, Fraction(-2, 3)), p):
-            assert monic_last(_sturm_chain(_int_poly(f.coeffs))) == oracle_gcd(f, f.derivative())
+            assert monic_last(list(_sturm_chain(_int_poly(f.coeffs)))) == oracle_gcd(f, f.derivative())
+
+
+class TestIntPolyAgainstLcmRoute:
+    """An all-int coefficient list is only divided by its content; the
+    result is the one the lcm route gives."""
+
+    def test_random_lists(self):
+        rng = random.Random(20261022)
+        seen = dict.fromkeys(("int", "fraction", "content>1", "negative", "inner-zero"), 0)
+        for _ in range(2000):
+            deg = rng.randint(0, 12)
+            content = rng.choice((1, 1, 2, 6, 2**70 + 1))
+            cs = [content * rng.randint(-50, 50) for _ in range(deg)]
+            cs.append(content * rng.randint(1, 50) * rng.choice((1, -1)))
+            if rng.random() < 0.5:
+                cs = [c if rng.random() < 0.7 else Fraction(c, rng.randint(2, 9)) for c in cs]
+            cs = Poly(cs).coeffs
+            got = _int_poly(cs)
+            assert got == oracle_int_poly(cs), cs
+            assert all(type(c) is int for c in got)
+            seen["int" if all(type(c) is int for c in cs) else "fraction"] += 1
+            seen["content>1"] += math.gcd(*(c.numerator for c in map(Fraction, cs))) > 1
+            seen["negative"] += any(c < 0 for c in cs)
+            seen["inner-zero"] += 0 in cs[1:-1]
+        assert _int_poly(()) == oracle_int_poly(()) == ()
+        assert min(seen.values()) >= 50, seen
 
 
 def random_int_poly(rng: random.Random, deg: int, bits: int, sparse: bool):
@@ -234,9 +263,12 @@ class TestSubresultantsAgainstPrimitiveOracle:
 
     @staticmethod
     def agree(a, b):
-        got, want = _signed_remainders(a, b), oracle_signed_remainders(a, b)
+        got, want = list(_signed_remainders(a, b)), oracle_signed_remainders(a, b)
         assert len(got) == len(want), (a, b)
         assert all(positive_multiple(f, g) for f, g in zip(got, want)), (a, b)
+        # the index and last entry counted as the entries are formed are
+        # those read off the listed sequence
+        assert _index_and_last(_signed_remainders(a, b)) == (oracle_cauchy_index(got), got[-1])
         return want
 
     def random_pair(self, rng):
@@ -293,7 +325,7 @@ class TestSubresultantsAgainstPrimitiveOracle:
     def test_degree_below_the_second(self):
         # a = 1 + 2x, b = x^3 - x: a, b, -a, then -(8 b mod -a) = -8 b(-1/2) = -3
         a, b = (1, 2), (0, -1, 0, 1)
-        assert _signed_remainders(a, b) == [a, b, (-1, -2), (-3,)]
+        assert list(_signed_remainders(a, b)) == [a, b, (-1, -2), (-3,)]
         self.agree(a, b)
 
     def test_non_normal_chain(self):
@@ -304,9 +336,9 @@ class TestSubresultantsAgainstPrimitiveOracle:
         # the later entries are Collins' subresultants up to sign
         a = (-5, 2, 8, -3, -3, 0, 1, 0, 1)
         b = (21, -9, -4, 0, 5, 0, 3)
-        assert _signed_remainders(a, b) == [
-            a, b, (9, 0, -3, 0, 15), (-245, 125, 65), (-12300, 9326), (-260708,),
-        ]
+        chain = [a, b, (9, 0, -3, 0, 15), (-245, 125, 65), (-12300, 9326), (-260708,)]
+        assert list(_signed_remainders(a, b)) == chain
+        assert _index_and_last(_signed_remainders(a, b)) == (oracle_cauchy_index(chain), chain[-1])
         assert degree_drops(self.agree(a, b)) == [2, 2, 2, 1, 1]
 
 

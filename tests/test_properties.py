@@ -12,12 +12,13 @@ roughly doubled the run time of this file.
 from collections import Counter
 from fractions import Fraction
 from math import gcd
+from random import Random
 
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from eulerian_lab import eulerian_transform
+from eulerian_lab import derangement_transform, eulerian_transform
 from eulerian_lab.poly import (
     ONE,
     X,
@@ -46,6 +47,7 @@ from eulerian_lab.suites import (
     _consecutive_interlacing,
     _from_power_of_two,
     _row_verdicts,
+    _sample_multiple,
     generic_conjecture_cases,
 )
 from eulerian_lab.transforms import apply_transform, binomial_base, generic_hnk, generic_lnk
@@ -55,6 +57,7 @@ from oracles import (
     oracle_gamma_expand,
     oracle_generic_hypothesis,
     oracle_row_verdicts,
+    oracle_squarefree_part,
     oracle_symmetric_decomposition,
 )
 
@@ -447,6 +450,120 @@ class TestInterlacingOracle:
         assert interlaces(p, q) == interlaces(
             reciprocal(q, m), reciprocal(p, m)
         )
+
+
+def gamma_combination(gammas, m: int) -> Poly:
+    """sum of gamma_i x^i (1+x)^(m - 2i): the palindromic polynomial in
+    window m with gamma vector gammas."""
+    return sum(
+        (g * one_plus_x_power(m - 2 * i).times_x_power(i) for i, g in enumerate(gammas)), ZERO
+    )
+
+
+def gamma_poly(top: int):
+    """Nonnegative gamma polynomials of degree at most top: zero, drawn
+    entries with many zeros, or products of t - r over a tight pool of
+    roots r <= 0, which makes repeated roots, roots at 0 and real rooted
+    polynomials common."""
+    if top < 0:
+        return st.just(ZERO)
+    return st.one_of(
+        st.just(ZERO),
+        st.lists(st.one_of(st.just(Fraction(0)), nonneg_pool), min_size=1, max_size=top + 1).map(
+            lambda cs: Poly(tuple(cs))
+        ),
+        st.builds(
+            poly_from_roots,
+            st.lists(neg_root_pool, max_size=top),
+            st.sampled_from([1, 2, Fraction(1, 3)]),
+        ),
+    )
+
+
+# one strategy per degree bound, built once and not on every draw
+gamma_polys = {top: gamma_poly(top) for top in range(-1, 7)}
+
+
+@st.composite
+def gamma_splits(draw):
+    """(n, G_a, G_b): nonnegative gamma polynomials of the parts a, in
+    window n, and b, in window n - 1, of a split.  G_b is drawn on its own,
+    or is G_a' (which interlaces G_a when G_a is real rooted), or 3 G_a when
+    its degree fits window n - 1."""
+    n = draw(st.sampled_from(range(14)))
+    gamma_a = draw(gamma_polys[n // 2])
+    top_b = (n - 1) // 2 if n else -1
+    kind = draw(st.sampled_from(("drawn", "derivative", "multiple")))
+    if kind == "derivative":
+        gamma_b = gamma_a.derivative()
+    elif kind == "multiple" and gamma_a.deg() <= top_b:
+        gamma_b = gamma_a * 3
+    else:
+        gamma_b = draw(gamma_polys[top_b])
+    return n, gamma_a, gamma_b
+
+
+class TestGammaRoute:
+    """interlacing_symmetric_decomposition decides a split with nonnegative
+    gamma vectors on its gamma polynomials; the window-n decision
+    interlaces(b, a) is the oracle."""
+
+    @staticmethod
+    def decide(n, gamma_a, gamma_b):
+        a = gamma_combination(gamma_a.coeffs, n)
+        b = gamma_combination(gamma_b.coeffs, n - 1) if n else ZERO
+        verdict = interlacing_symmetric_decomposition(a + b.times_x_power(1), n)
+        assert (verdict.a, verdict.b) == (a, b)
+        assert verdict.gamma_positive_pair
+        return verdict, interlaces(b, a)
+
+    @SUITE
+    @given(gamma_splits())
+    def test_agrees_with_the_window_n_decision(self, split):
+        verdict, expected = self.decide(*split)
+        assert verdict.interlacing == expected
+
+    def test_the_splits_reach_every_kind(self):
+        seen = Counter()
+        for n, gamma_a, gamma_b in _seeded_draws(gamma_splits()):
+            verdict, _ = self.decide(n, gamma_a, gamma_b)
+            seen[verdict.interlacing] += 1
+            seen[f"n {n % 2}"] += 1
+            seen["a = 0"] += gamma_a.is_zero()
+            seen["b = 0"] += gamma_b.is_zero()
+            for g in (gamma_a, gamma_b):
+                seen["zero entry"] += 0 in g.coeffs
+                seen["repeated root"] += g.deg() > oracle_squarefree_part(g).deg()
+        assert min(seen.values()) >= 5 and len(seen) == 8, seen
+        assert {0, 1, 12, 13} <= {n for n, _, _ in _seeded_draws(gamma_splits())}
+
+    def test_eulerian_and_derangement_samples(self):
+        # the splits the sample suites decide, on their integer multiples
+        rng = Random(20261022)
+        decided = 0
+        for n in range(4, 23):
+            for transform, reverse in ((eulerian_transform(n), False), (derangement_transform(n), True)):
+                for _ in range(30):
+                    image = apply_transform(transform, _sample_multiple(rng, n)[0])
+                    p = reciprocal(image, n) if reverse else image
+                    verdict = interlacing_symmetric_decomposition(p, n)
+                    assert verdict.gamma_positive_pair, (p, n)
+                    assert verdict.interlacing == interlaces(verdict.b, verdict.a), (p, n)
+                    assert verdict.interlacing, (p, n)
+                    decided += 1
+        assert decided == 1140
+
+    def test_the_gamma_guard_is_needed(self):
+        # G_b = 11 interlaces G_a = 1 - 13t, yet a = 1 - 11x + x^2 has two
+        # positive roots and b = 11 + 11x the root -1: b does not interlace a
+        verdict = interlacing_symmetric_decomposition(Poly((1, 0, 12)), 2)
+        assert (verdict.a, verdict.b) == (Poly((1, -11, 1)), Poly((11, 11)))
+        assert gamma_expand(verdict.a, 2).gammas == (1, -13)
+        assert gamma_expand(verdict.b, 1).gammas == (11,)
+        assert interlaces(Poly((11,)), Poly((1, -13)))
+        assert not verdict.gamma_positive_pair
+        assert not verdict.interlacing
+        assert not interlaces(verdict.b, verdict.a)
 
 
 class TestTransformLinearity:

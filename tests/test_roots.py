@@ -7,9 +7,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from eulerian_lab import _intpoly as intpoly_module
 from eulerian_lab import roots as roots_module
 from eulerian_lab import suites as suites_module
-from eulerian_lab._intpoly import _cauchy_index, _int_poly, _sturm_chain
+from eulerian_lab._intpoly import _int_poly, _sturm_chain
 from eulerian_lab.poly import ONE, X, ZERO, Poly, reciprocal
 from eulerian_lab.roots import (
     interlaces,
@@ -46,6 +47,7 @@ from eulerian_lab.transforms import (
 from oracles import (
     is_interlacing_sequence,
     list_interlaces,
+    oracle_cauchy_index,
     oracle_derangement_sample_cases,
     oracle_gcd,
     oracle_interlaces,
@@ -65,7 +67,7 @@ def distinct_real_roots(p: Poly) -> int:
     """The kernel's count of distinct real roots of a nonconstant p: the
     Cauchy index of its Sturm chain, which is_real_rooted compares with
     the number of distinct roots."""
-    return _cauchy_index(_sturm_chain(_int_poly(p.coeffs)))
+    return oracle_cauchy_index(list(_sturm_chain(_int_poly(p.coeffs))))
 
 
 # Quadratics without a real root: (x - c)^2 + e with e > 0.
@@ -571,9 +573,11 @@ class TestFusedDecision:
             assert oracle_interlaces(p, q) == expected, name
 
     def test_one_remainder_sequence_per_decision(self, monkeypatch):
-        # one sequence q, p, -rem(q, p), ...; a Sturm chain on its last
-        # entry g only when deg g >= 2 and the index equality holds; no
-        # real rootedness check on p or q
+        # one sequence q, p, -rem(q, p), ..., read in one pass; a Sturm
+        # chain on its last entry g only when deg g >= 2 and the index
+        # equality holds; no real rootedness check on p or q.  Sequences
+        # are counted where the kernel forms them, so a Sturm chain counts
+        # as a sequence too.
         counts = Counter()
 
         def counted(name, fn):
@@ -583,7 +587,10 @@ class TestFusedDecision:
 
             return wrapper
 
-        for name in ("_signed_remainders", "_sturm_chain", "is_real_rooted"):
+        formed = counted("sequences", intpoly_module._signed_remainders)
+        monkeypatch.setattr(intpoly_module, "_signed_remainders", formed)
+        monkeypatch.setattr(roots_module, "_signed_remainders", formed)
+        for name in ("_index_and_last", "_sturm_chain", "is_real_rooted"):
             monkeypatch.setattr(roots_module, name, counted(name, getattr(roots_module, name)))
         rng = random.Random(7)
         decided = chained = 0
@@ -596,12 +603,13 @@ class TestFusedDecision:
             calls = dict(counts)
             g = oracle_gcd(p, q)
             index_holds = oracle_interlaces(p.exact_div(g), q.exact_div(g))
+            sturm = int(index_holds and g.deg() >= 2)
             assert calls.get("is_real_rooted", 0) == 0
-            assert calls["_signed_remainders"] == 1
-            assert calls.get("_sturm_chain", 0) == (index_holds and g.deg() >= 2), (p, q)
+            assert calls.get("_sturm_chain", 0) == sturm, (p, q)
+            assert calls["sequences"] == calls["_index_and_last"] == 1 + sturm, (p, q)
             assert verdict == (index_holds and is_real_rooted(g))
             decided += 1
-            chained += calls.get("_sturm_chain", 0)
+            chained += sturm
         assert decided >= 300 and chained >= 20, (decided, chained)
 
 
@@ -871,9 +879,11 @@ class TestDecompositionVerdict:
         with pytest.raises(ValueError):
             interlacing_symmetric_decomposition(P(1, 1, 1, 1), 2)
 
-    def test_unimodality_and_gamma_are_decided_when_read(self, monkeypatch):
+    def test_gamma_vectors_computed_once_and_unimodality_decided_when_read(
+        self, monkeypatch
+    ):
         calls = Counter()
-        for name in ("is_unimodal", "is_gamma_positive"):
+        for name in ("is_unimodal", "_gammas"):
             real = getattr(roots_module, name)
 
             def counted(*args, real=real, name=name):
@@ -882,12 +892,22 @@ class TestDecompositionVerdict:
 
             monkeypatch.setattr(roots_module, name, counted)
         derangement_sample_cases(6, 5, 1)
-        assert not calls
+        assert calls == {"_gammas": 10}
+        calls.clear()
         verdict = interlacing_symmetric_decomposition(reciprocal(qnk(4, 2), 4), 4)
-        assert not calls
+        # one gamma vector for a and one for b, which the interlacing
+        # decision and gamma_positive_pair share
+        assert calls == {"_gammas": 2}
         assert verdict.unimodal_pair and verdict.gamma_positive_pair
         assert verdict.unimodal_pair and verdict.gamma_positive_pair
-        assert calls == {"is_unimodal": 2, "is_gamma_positive": 2}
+        assert calls == {"_gammas": 2, "is_unimodal": 2}
+        calls.clear()
+        # b = 0 has the empty gamma vector, also at n = 0 where its window
+        # is -1
+        for p, n in ((eulerian(4), 3), (P(5), 0)):
+            verdict = interlacing_symmetric_decomposition(p, n)
+            assert verdict.b == ZERO and verdict.interlacing and verdict.gamma_positive_pair
+        assert calls == {"_gammas": 2}
 
 
 # Images that fail exactly one gate of a sample suite, with the gate and
