@@ -487,7 +487,7 @@ def _peel(cs: list[Scalar], widths: Iterable[int]) -> list[Scalar]:
 
 def _gammas(p: Poly, n: int) -> list[Scalar] | None:
     """The gamma vector of p in window n as stored coefficients, or None
-    when p is not palindromic inside the window.  The list is the caller's:
+    when p is not palindromic inside the window.
     ``roots.interlacing_symmetric_decomposition`` decides a split on it."""
     if p.deg() > n:
         return None

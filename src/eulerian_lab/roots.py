@@ -59,7 +59,7 @@ from ._intpoly import (
     _signed_remainders,
     _sturm_chain,
 )
-from .poly import Poly, Scalar, _gammas, is_unimodal, symmetric_decomposition
+from .poly import Poly, _gammas, is_unimodal, symmetric_decomposition
 
 __all__ = [
     "is_real_rooted",
@@ -76,30 +76,6 @@ def _real_rooted(f: IntPoly) -> bool:
     return index == len(f) - len(g)
 
 
-def _real_rooted_coeffs(cs: Sequence[Scalar]) -> bool:
-    """is_real_rooted on stored coefficients without trailing zeros."""
-    return len(cs) <= 1 or _real_rooted(_int_poly(cs))
-
-
-def _interlaces(pc: Sequence[Scalar], qc: Sequence[Scalar]) -> bool:
-    """interlaces on stored coefficients without trailing zeros."""
-    if not pc:
-        return _real_rooted_coeffs(qc)
-    if not qc:
-        return _real_rooted_coeffs(pc)
-    if len(pc) == 1:
-        return len(qc) <= 2
-    if len(qc) - len(pc) not in (0, 1):
-        return False
-    f, h = _int_poly(pc), _int_poly(qc)
-    if f[-1] < 0:
-        f = _neg(f)
-    if h[-1] < 0:
-        h = _neg(h)
-    index, g = _index_and_last(_signed_remainders(h, f))
-    return index == len(h) - len(g) and (len(g) <= 2 or _real_rooted(g))
-
-
 # -- public decisions ----------------------------------------------------------
 
 
@@ -111,7 +87,9 @@ def is_real_rooted(p: Poly) -> bool:
     deg p - deg gcd(p, p') distinct roots, and they are all real when the
     Sturm count at -inf and +inf finds that many.
     """
-    return _real_rooted_coeffs(p.coeffs)
+    if p.deg() <= 0:
+        return True
+    return _real_rooted(_int_poly(p.coeffs))
 
 
 def interlaces(p: Poly, q: Poly) -> bool:
@@ -149,7 +127,21 @@ def interlaces(p: Poly, q: Poly) -> bool:
     nearly always a constant or x; it needs a Sturm chain of its own only
     when deg g >= 2.
     """
-    return _interlaces(p.coeffs, q.coeffs)
+    if p.is_zero():
+        return is_real_rooted(q)
+    if q.is_zero():
+        return is_real_rooted(p)
+    if p.deg() == 0:
+        return q.deg() <= 1
+    if q.deg() - p.deg() not in (0, 1):
+        return False
+    f, h = _int_poly(p.coeffs), _int_poly(q.coeffs)
+    if f[-1] < 0:
+        f = _neg(f)
+    if h[-1] < 0:
+        h = _neg(h)
+    index, g = _index_and_last(_signed_remainders(h, f))
+    return index == len(h) - len(g) and (len(g) <= 2 or _real_rooted(g))
 
 
 def interlacing_failures(polys: Sequence[Poly]) -> list[tuple[int, int]]:
@@ -212,12 +204,6 @@ class DecompositionVerdict:
     @cached_property
     def unimodal_pair(self) -> bool:
         return is_unimodal(self.a) is not None and is_unimodal(self.b) is not None
-
-
-def _trimmed(cs: list[Scalar]) -> list[Scalar]:
-    while cs and not cs[-1]:
-        cs.pop()
-    return cs
 
 
 def interlacing_symmetric_decomposition(p: Poly, n: int) -> DecompositionVerdict:
@@ -294,9 +280,9 @@ def interlacing_symmetric_decomposition(p: Poly, n: int) -> DecompositionVerdict
     gamma_b = _gammas(b, n - 1) if b.coeffs else []
     gamma_positive = all(g >= 0 for g in gamma_a) and all(g >= 0 for g in gamma_b)
     if gamma_positive:
-        interlacing = _interlaces(_trimmed(gamma_b), _trimmed(gamma_a))
+        interlacing = interlaces(Poly(gamma_b), Poly(gamma_a))
     else:
-        interlacing = _interlaces(b.coeffs, a.coeffs)
+        interlacing = interlaces(b, a)
     return DecompositionVerdict(
         a=a,
         b=b,
